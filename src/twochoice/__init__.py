@@ -9,6 +9,7 @@ from .decision import (
     DecisionConfig,
     DecisionState,
     Verdict,
+    first_crossing,
     hoeffding_tolerance,
     min_n_for_decision,
     update,
@@ -16,7 +17,6 @@ from .decision import (
 from .eval_model import (
     RequestSet,
     WorkerPool,
-    draw_label,
     sample_capabilities,
     sample_difficulties,
     selection_probability,
@@ -39,14 +39,7 @@ from .simulator import (
     run_experiment,
     run_iteration,
 )
-from .strategies import (
-    FinalLabel,
-    Strategy,
-    StrategyKind,
-    apply_strategy,
-    majority_vote,
-    max_three_final,
-)
+from .strategies import Strategy, StrategyKind, majority_vote
 
 __version__ = "0.1.0"
 
@@ -58,7 +51,6 @@ __all__ = [
     "DecisionState",
     "ExperimentConfig",
     "ExperimentSummary",
-    "FinalLabel",
     "IterationResult",
     "ReplayResult",
     "RequestSet",
@@ -66,13 +58,11 @@ __all__ = [
     "StrategyKind",
     "Verdict",
     "WorkerPool",
-    "apply_strategy",
     "bootstrap_ci",
-    "draw_label",
+    "first_crossing",
     "fleiss_kappa",
     "hoeffding_tolerance",
     "majority_vote",
-    "max_three_final",
     "min_n_for_decision",
     "parse_annotations",
     "replay_experiment",

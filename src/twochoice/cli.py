@@ -11,6 +11,7 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -26,7 +27,7 @@ from .config import (
 from .replay import DataFormatError, fleiss_kappa, parse_annotations, replay_experiment
 from .simulator import ExperimentConfig, run_experiment, run_iteration
 from .eval_model import sample_capabilities, sample_difficulties
-from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, substream
+from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
 
 SUMMARY_HEADER = ["strategy", "mu", "delta", "mean_effort", "ci_low", "ci_high",
                   "decision_ratio", "iterations"]
@@ -100,7 +101,7 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def _write_manifest(out: Path, payload: dict) -> None:
-    payload = {"twochoice_version": __version__, **payload}
+    payload = {"twochoice_version": __version__, "stream_layout": STREAM_LAYOUT, **payload}
     (out / "manifest.yaml").write_text(
         yaml.safe_dump(payload, sort_keys=True), encoding="utf-8")
 
@@ -128,17 +129,19 @@ def cmd_simulate(args) -> int:
     _prepare_out(out, ["summary.csv", "manifest.yaml", *trace_names], args.force)
 
     jobs = [(config, regime, strategy, delta) for regime, strategy, delta in cells]
-    rows, failures = [], []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = pool.map(_run_simulate_cell, jobs)
-            collected = _collect(outcomes, cells, failures)
+            futures = [pool.submit(_run_simulate_cell, job) for job in jobs]
+            outcomes = [_outcome(future.result) for future in futures]
     else:
-        collected = _collect(map(_run_simulate_cell, jobs), cells, failures)
+        outcomes = [_outcome(partial(_run_simulate_cell, job)) for job in jobs]
 
-    for i, (row, traces) in enumerate(collected):
-        if row is None:
+    rows, failures = [], []
+    for i, (cell, outcome) in enumerate(zip(cells, outcomes)):
+        if isinstance(outcome, Exception):
+            failures.append((cell, outcome))
             continue
+        row, traces = outcome
         rows.append(row)
         if traces:
             _write_csv(out / f"trace_{i:03d}.csv", TRACE_HEADER, traces)
@@ -152,18 +155,13 @@ def cmd_simulate(args) -> int:
     return 1 if failures else 0
 
 
-def _collect(outcomes, cells, failures) -> list:
-    collected = []
-    iterator = iter(outcomes)
-    for cell in cells:
-        try:
-            collected.append(next(iterator))
-        except StopIteration:
-            break
-        except Exception as exc:  # keep completed rows, report the cell
-            failures.append((cell, exc))
-            collected.append((None, None))
-    return collected
+def _outcome(call):
+    """The call's result, or the exception it raised, so that one failing
+    grid cell keeps every other cell's row."""
+    try:
+        return call()
+    except Exception as exc:
+        return exc
 
 
 def cmd_replay(args) -> int:

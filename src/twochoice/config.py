@@ -66,12 +66,12 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _positive_int(data: dict, key: str, where: str, default=None) -> int:
+def _int_at_least(data: dict, key: str, where: str, minimum: int, default=None) -> int:
     if default is not None and key not in data:
         return default
     value = _require(data, key, int, where)
-    if value < 1:
-        raise ConfigError(f"{where}.{key}: must be >= 1, got {value}")
+    if value < minimum:
+        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -136,7 +136,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
     hi = _require(workers, "hi", float, f"{where}.workers")
     if not 0.0 <= lo <= hi <= 1.0:
         raise ConfigError(f"{where}.workers: need 0 <= lo <= hi <= 1, got ({lo}, {hi})")
-    pool_size = _positive_int(workers, "pool_size", f"{where}.workers")
+    pool_size = _int_at_least(workers, "pool_size", f"{where}.workers", 1)
 
     raw_regimes = _require(data, "regimes", list, where)
     if not raw_regimes:
@@ -153,7 +153,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         if sigma < 0:
             raise ConfigError(f"{rwhere}.sigma: must be >= 0, got {sigma}")
         regimes.append(Regime(mu=mu, sigma=sigma,
-                              n_requests=_positive_int(entry, "n_requests", rwhere)))
+                              n_requests=_int_at_least(entry, "n_requests", rwhere, 1)))
 
     confidence, resamples = _bootstrap(data, where)
     return SimulateConfig(
@@ -163,14 +163,14 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         regimes=tuple(regimes),
         strategies=_strategies(data, where),
         deltas=_deltas(data, where),
-        iterations=_positive_int(data, "iterations", where),
+        iterations=_int_at_least(data, "iterations", where, 1),
         seed=_seed(data, where, seed_override),
         bootstrap_confidence=confidence,
         bootstrap_resamples=resamples,
         resample_difficulties_per_iteration=bool(data.get("resample_difficulties_per_iteration", False)),
         resample_pool_per_iteration=bool(data.get("resample_pool_per_iteration", False)),
         distinct_voters=bool(data.get("distinct_voters", False)),
-        trace_iterations=int(data.get("trace_iterations", 0)),
+        trace_iterations=_int_at_least(data, "trace_iterations", where, 0, default=0),
     )
 
 
@@ -181,7 +181,7 @@ def load_replay_config(path, seed_override=None) -> ReplayConfig:
     return ReplayConfig(
         strategies=_strategies(data, where, allow_fixed=False),
         deltas=_deltas(data, where),
-        iterations=_positive_int(data, "iterations", where, default=100),
+        iterations=_int_at_least(data, "iterations", where, 1, default=100),
         seed=_seed(data, where, seed_override),
         bootstrap_confidence=confidence,
         bootstrap_resamples=resamples,

@@ -6,7 +6,8 @@ d in [-1, 1]. The chance of picking the first model's item is
     P(a) = (c * d + 1) / 2
 
 so c*d = 0 is a coin flip and c*d = +/-1 is a certain pick. One judgement
-is a single Bernoulli trial at that probability.
+is a single Bernoulli trial at that probability (drawn in bulk by
+``simulator.draw_votes``).
 """
 from __future__ import annotations
 
@@ -105,10 +106,3 @@ def selection_probability(c: float, d: float) -> float:
         raise ValueError(f"difficulty must lie in [-1, 1], got {d}")
     return (c * d + 1.0) / 2.0
 
-
-def draw_label(prob_a: float, seed: SeedLike) -> int:
-    """One Bernoulli trial: 1 picks the first model's item, 0 the second's."""
-    if not 0.0 <= prob_a <= 1.0:
-        raise ValueError(f"prob_a must lie in [0, 1], got {prob_a}")
-    rng = as_generator(seed)
-    return int(rng.random() < prob_a)

@@ -3,9 +3,9 @@
 The input is real crowd data: request pairs, each voted on by several
 workers. A replay iteration shuffles the requests, samples the votes a
 strategy needs per request without replacement from that request's
-recorded votes, and feeds the aggregated labels through the same
-sequential decision rule the simulator uses. No label is ever fabricated
-and no recorded vote is reused within one (request, iteration).
+recorded votes, and feeds them through the same strategy kernel and
+stopping scan the simulator uses. No label is ever fabricated and no
+recorded vote is reused within one (request, iteration).
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
 who voted on every request.
@@ -16,14 +16,14 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import decision
-from .decision import DecisionConfig, DecisionState, Verdict
-from .rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, as_generator, substream
+from .decision import Verdict, first_crossing
+from .rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, as_generator, distinct_columns, substream
 from .simulator import ExperimentSummary, bootstrap_ci
 from .strategies import Strategy, StrategyKind, majority_vote
 
@@ -62,6 +62,21 @@ class AnnotationSet:
 
     def __len__(self) -> int:
         return len(self.requests)
+
+    @cached_property
+    def vote_matrix(self) -> tuple:
+        """(labels, counts): an (n_requests, max_votes) int8 label matrix
+        and the number of votes in each row.
+
+        Row i holds request i's labels sorted by worker id, so replay does
+        not depend on input row order, followed by zero padding. Built once
+        per annotation set.
+        """
+        counts = np.array([len(req.votes) for req in self.requests], dtype=np.int64)
+        labels = np.zeros((counts.size, int(counts.max())), dtype=np.int8)
+        for row, req in zip(labels, self.requests):
+            row[:len(req.votes)] = [label for _, label in sorted(req.votes)]
+        return labels, counts
 
 
 @dataclass(frozen=True)
@@ -143,58 +158,25 @@ def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
     if strategy.kind is StrategyKind.FIXED_WORKER:
         raise ValueError("fixed-worker cannot be replayed on recorded data")
     demand = strategy.votes_needed()
-    shortest = min(len(req.votes) for req in annotations.requests)
+    shortest = int(annotations.vote_matrix[1].min())
     if demand > shortest:
         raise ValueError(
             f"strategy {strategy.name} needs {demand} votes per request "
             f"but some request has only {shortest}")
 
 
-def _label_arrays(annotations: AnnotationSet) -> list:
-    # votes sorted by worker id so replay is independent of input row order
-    return [
-        np.array([label for _, label in sorted(req.votes)], dtype=np.int8)
-        for req in annotations.requests
-    ]
-
-
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                     iteration_index: int, seed: int,
-                     _labels: Optional[list] = None) -> ReplayResult:
+                     iteration_index: int, seed: int) -> ReplayResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop."""
     _check_replayable(annotations, strategy)
-    labels = _labels if _labels is not None else _label_arrays(annotations)
+    labels, counts = annotations.vote_matrix
     rng = substream(seed, DOMAIN_ITERATION, iteration_index)
-    order = rng.permutation(len(labels))
-    config = DecisionConfig(delta=delta)
-    state = DecisionState()
-    effort = 0
-    n_at = 0
-
-    for pos in order:
-        votes = labels[pos]
-        picks = rng.permutation(votes.size)
-        if strategy.kind is StrategyKind.ONE_WORKER:
-            final = int(votes[picks[0]])
-            effort += 1
-        elif strategy.kind is StrategyKind.N_WORKERS_MAJORITY:
-            final = majority_vote(votes[picks[:strategy.n_workers]])
-            effort += strategy.n_workers
-        else:  # max-three
-            first, second = votes[picks[0]], votes[picks[1]]
-            if first == second:
-                final = int(first)
-                effort += 2
-            else:
-                final = int(votes[picks[2]])
-                effort += 3
-        state = decision.update(state, final, config)
-        n_at += 1
-        if state.verdict is not Verdict.UNDECIDED:
-            return ReplayResult(decided=True, verdict=state.verdict,
-                                n_at_decision=n_at, effort=effort)
-    return ReplayResult(decided=False, verdict=Verdict.UNDECIDED,
-                        n_at_decision=n_at, effort=effort)
+    order = rng.permutation(counts.size)
+    picks = distinct_columns(rng, counts[order], strategy.votes_needed())
+    votes = np.take_along_axis(labels[order], picks, axis=1)
+    verdict, n_at, _, _ = first_crossing(majority_vote(votes), delta)
+    return ReplayResult(decided=verdict is not Verdict.UNDECIDED, verdict=verdict,
+                        n_at_decision=n_at, effort=strategy.total_effort(votes, n_at))
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
@@ -205,11 +187,7 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     _check_replayable(annotations, strategy)
-    labels = _label_arrays(annotations)
-    results = [
-        replay_iteration(annotations, strategy, delta, i, seed, _labels=labels)
-        for i in range(iterations)
-    ]
+    results = [replay_iteration(annotations, strategy, delta, i, seed) for i in range(iterations)]
     decided_efforts = [r.effort for r in results if r.decided]
     ratio = len(decided_efforts) / iterations
     if decided_efforts:
@@ -237,18 +215,16 @@ def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
     is logged. If all votes land in one category, expected agreement is 1
     and kappa is defined as 1.
     """
-    counts = [len(req.votes) for req in annotations.requests]
-    k = min(counts)
+    labels, counts = annotations.vote_matrix
+    k = int(counts.min())
     if k < 2:
         raise ValueError("fleiss_kappa needs at least 2 votes on every request")
-    labels = _label_arrays(annotations)
-    if max(counts) != k:
+    if counts.max() != k:
         log.warning("unequal vote counts (%d..%d); subsampling every request to k=%d",
-                    k, max(counts), k)
-        rng = as_generator(seed)
-        labels = [votes[rng.permutation(votes.size)[:k]] for votes in labels]
+                    k, counts.max(), k)
+        labels = np.take_along_axis(labels, distinct_columns(as_generator(seed), counts, k), axis=1)
 
-    ones = np.array([int(v.sum()) for v in labels], dtype=np.float64)
+    ones = labels.sum(axis=1, dtype=np.float64)
     zeros = k - ones
     per_item = (ones * (ones - 1) + zeros * (zeros - 1)) / (k * (k - 1))
     p_bar = float(per_item.mean())

@@ -18,6 +18,11 @@ DOMAIN_POOL = 1
 DOMAIN_ITERATION = 2
 DOMAIN_BOOTSTRAP = 3
 
+# Version of the layout of draws within the substreams. Bump it whenever a
+# change makes the same seed produce different numbers; manifests echo it.
+# 2: replay's vote picks and Fleiss kappa's subsample use distinct_columns.
+STREAM_LAYOUT = 2
+
 _MAX_SEED = 2**64
 
 
@@ -40,3 +45,19 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Independent generator for (seed, domain, index)."""
     ss = np.random.SeedSequence([check_seed(seed), domain, index])
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def distinct_columns(rng: np.random.Generator, counts, k: int) -> np.ndarray:
+    """k distinct column indices per row, uniform over row i's first counts[i] columns.
+
+    One random sort key per (row, column) over a block as wide as the
+    largest count; columns at or past a row's count get key 2.0, above
+    every uniform draw, so they are never picked.
+    """
+    counts = np.asarray(counts)
+    if k > counts.min():
+        raise ValueError(
+            f"need {k} distinct voters per request but only {counts.min()} are available")
+    keys = rng.random((counts.size, int(counts.max())))
+    keys[np.arange(keys.shape[1]) >= counts[:, None]] = 2.0
+    return np.argsort(keys, axis=1)[:, :k]

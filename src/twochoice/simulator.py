@@ -6,10 +6,11 @@ band clears the 0.5 midline. An experiment repeats that over independent
 per-iteration random substreams and aggregates the labelling effort of the
 decided iterations with a percentile-bootstrap confidence interval.
 
-Label generation inside an iteration is done in vectorised blocks (worker
-indices, then uniforms, then the max-three tiebreakers for the disagreeing
-requests in request order). The block layout is fixed, so results depend
-only on (seed, iteration index) and never on scheduling.
+Votes inside an iteration are drawn in vectorised blocks (worker indices,
+then uniforms, then the max-three tiebreakers for the disagreeing requests
+in request order) and go through the same strategy kernel and stopping scan
+as replay. The block layout is fixed, so results depend only on (seed,
+iteration index) and never on scheduling.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decision import Verdict
+from .decision import Verdict, first_crossing
 from .eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
 from .rng import (
     DOMAIN_BOOTSTRAP,
@@ -29,9 +30,10 @@ from .rng import (
     SeedLike,
     as_generator,
     check_seed,
+    distinct_columns,
     substream,
 )
-from .strategies import Strategy, StrategyKind
+from .strategies import Strategy, StrategyKind, majority_vote
 
 
 @dataclass(frozen=True)
@@ -79,73 +81,43 @@ class ExperimentSummary:
     per_iteration: list = field(repr=False, default_factory=list)
 
 
-def _tolerances(delta: float, n: int) -> np.ndarray:
-    ns = np.arange(1, n + 1, dtype=np.float64)
-    return np.sqrt(-math.log(delta) / (2.0 * ns))
-
-
-def _distinct_columns(rng: np.random.Generator, n: int, pool_size: int, k: int) -> np.ndarray:
-    # k distinct voters per row via random sort keys over the pool
-    if k > pool_size:
-        raise ValueError(f"need {k} distinct voters but pool has {pool_size}")
-    keys = rng.random((n, pool_size))
-    return np.argsort(keys, axis=1)[:, :k]
-
-
-def _final_labels(
+def draw_votes(
     strategy: Strategy,
     difficulties: np.ndarray,
     capabilities: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final label and per-request effort for every request, in order."""
+) -> np.ndarray:
+    """(n, votes_needed()) votes for every request, in order.
+
+    Draw order: voter indices, then their votes; for max-three, then the
+    third voter and vote of the rows whose first two votes disagree, in
+    row order. Column 2 stays 0 where the first two agree, since the third
+    vote cannot change that majority.
+    """
     n = difficulties.size
     pool_size = capabilities.size
-    kind = strategy.kind
+    k = strategy.votes_needed()
+    max_three = strategy.kind is StrategyKind.MAX_THREE_WORKERS
+    upfront = 2 if max_three else k
 
-    if kind is StrategyKind.FIXED_WORKER:
-        worker = int(rng.integers(0, pool_size))
-        prob = (capabilities[worker] * difficulties + 1.0) / 2.0
-        finals = rng.random(n) < prob
-        return finals.astype(np.int8), np.ones(n, dtype=np.int64)
-
-    if kind is StrategyKind.ONE_WORKER:
-        idx = rng.integers(0, pool_size, size=n)
-        prob = (capabilities[idx] * difficulties + 1.0) / 2.0
-        finals = rng.random(n) < prob
-        return finals.astype(np.int8), np.ones(n, dtype=np.int64)
-
-    if kind is StrategyKind.N_WORKERS_MAJORITY:
-        k = strategy.n_workers
-        if strategy.distinct_voters:
-            idx = _distinct_columns(rng, n, pool_size, k)
-        else:
-            idx = rng.integers(0, pool_size, size=(n, k))
-        prob = (capabilities[idx] * difficulties[:, None] + 1.0) / 2.0
-        votes = rng.random((n, k)) < prob
-        finals = votes.sum(axis=1) * 2 > k
-        return finals.astype(np.int8), np.full(n, k, dtype=np.int64)
-
-    # max-three
-    if strategy.distinct_voters:
-        idx3 = _distinct_columns(rng, n, pool_size, 3)
-        idx, reserved = idx3[:, :2], idx3[:, 2]
+    if strategy.kind is StrategyKind.FIXED_WORKER:
+        idx = np.full((n, 1), rng.integers(0, pool_size))
+    elif strategy.distinct_voters and k > 1:
+        # max-three reserves its potential third voter up front
+        idx = distinct_columns(rng, np.full(n, pool_size), k)
     else:
-        idx = rng.integers(0, pool_size, size=(n, 2))
-        reserved = None
-    prob = (capabilities[idx] * difficulties[:, None] + 1.0) / 2.0
-    votes = rng.random((n, 2)) < prob
-    disagree = votes[:, 0] != votes[:, 1]
-    finals = votes[:, 0].astype(np.int8)
-    m = int(disagree.sum())
-    if m:
-        if reserved is not None:
-            tb_idx = reserved[disagree]
-        else:
-            tb_idx = rng.integers(0, pool_size, size=m)
-        tb_prob = (capabilities[tb_idx] * difficulties[disagree] + 1.0) / 2.0
-        finals[disagree] = rng.random(m) < tb_prob
-    return finals, np.where(disagree, 3, 2).astype(np.int64)
+        idx = rng.integers(0, pool_size, size=(n, upfront))
+    # column-major, so the per-row majority sums whole columns at a time
+    votes = np.zeros((n, k), dtype=np.int8, order="F")
+    prob = (capabilities[idx[:, :upfront]] * difficulties[:, None] + 1.0) / 2.0
+    votes[:, :upfront] = rng.random((n, upfront)) < prob
+    if max_three:
+        disagree = votes[:, 0] != votes[:, 1]
+        m = int(disagree.sum())
+        third = idx[disagree, 2] if strategy.distinct_voters else rng.integers(0, pool_size, m)
+        prob = (capabilities[third] * difficulties[disagree] + 1.0) / 2.0
+        votes[disagree, 2] = rng.random(m) < prob
+    return votes
 
 
 def run_iteration(
@@ -168,37 +140,14 @@ def run_iteration(
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
 
     order = rng.permutation(requests.size)
-    difficulties = requests.difficulties[order]
-    finals, effort_per_request = _final_labels(strategy=config.strategy,
-                                               difficulties=difficulties,
-                                               capabilities=pool.capabilities,
-                                               rng=rng)
-
-    counts = np.cumsum(finals, dtype=np.int64)
-    ns = np.arange(1, finals.size + 1, dtype=np.int64)
-    means = counts / ns
-    tol = _tolerances(config.delta, finals.size)
-    a_hit = means - tol > 0.5
-    ap_hit = means + tol < 0.5
-    hit = a_hit | ap_hit
-
-    if hit.any():
-        stop = int(np.argmax(hit))
-        decided = True
-        verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
-        n_at = stop + 1
-    else:
-        decided = False
-        verdict = Verdict.UNDECIDED
-        n_at = int(finals.size)
-
-    effort = int(effort_per_request[:n_at].sum())
+    votes = draw_votes(config.strategy, requests.difficulties[order], pool.capabilities, rng)
+    verdict, n_at, means, tolerances = first_crossing(majority_vote(votes), config.delta)
+    decided = verdict is not Verdict.UNDECIDED
+    effort = config.strategy.total_effort(votes, n_at)
     trace = None
     if record_trace:
-        trace = [
-            (int(ns[i]), float(means[i]), float(means[i] - tol[i]), float(means[i] + tol[i]))
-            for i in range(n_at)
-        ]
+        trace = [(n, float(mean), float(lower), float(upper)) for n, mean, lower, upper
+                 in zip(range(1, n_at + 1), means, means - tolerances, means + tolerances)]
     return IterationResult(decided=decided, verdict=verdict, n_at_decision=n_at,
                            effort=effort, trace=trace)
 

@@ -1,4 +1,9 @@
-"""The four labelling strategies and their per-request effort accounting.
+"""The four labelling strategies, their final-label kernel and effort accounting.
+
+Every strategy holds a row of k votes per request and its final label is
+the majority of that row: k = 1 for fixed-worker and one-worker, N for
+majority-of-N, and 3 for max-three, whose third vote is only consulted
+when the first two disagree and cannot change the majority otherwise.
 
 Effort counts raw worker labels consumed to produce one final label:
 fixed-worker and one-worker spend 1, majority-of-N spends N, and
@@ -8,12 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .eval_model import WorkerPool, draw_label, selection_probability
-from .rng import SeedLike, as_generator
 
 
 class StrategyKind(enum.Enum):
@@ -77,102 +79,34 @@ class Strategy:
             return 3
         return 1
 
+    def effort(self, votes) -> np.ndarray:
+        """Raw labels each request spends, given its row of votes_needed() votes."""
+        votes = np.asarray(votes)
+        if votes.ndim != 2 or votes.shape[1] != self.votes_needed():
+            raise ValueError(f"{self.name} needs an (n, {self.votes_needed()}) vote matrix, "
+                             f"got shape {votes.shape}")
+        if self.kind is StrategyKind.MAX_THREE_WORKERS:
+            return 2 + (votes[:, 0] != votes[:, 1])
+        return np.full(len(votes), votes.shape[1])
 
-@dataclass(frozen=True)
-class FinalLabel:
-    """One aggregated label with its audit trail of raw voter labels."""
-
-    label: int
-    effort: int
-    voter_labels: tuple
-
-    def __post_init__(self):
-        if self.effort != len(self.voter_labels):
-            raise ValueError("effort must equal the number of voter labels")
-
-
-def majority_vote(labels) -> int:
-    """Label held by more than half the voters; the list must be odd-length."""
-    labels = list(labels)
-    if not labels or len(labels) % 2 == 0:
-        raise ValueError(f"majority vote needs an odd, nonempty label list, got {len(labels)} labels")
-    ones = sum(labels)
-    return int(2 * ones > len(labels))
+    def total_effort(self, votes, n: int) -> int:
+        """Raw labels spent on the first n requests (rows) of a vote matrix."""
+        # Sliced from the whole matrix's effort rather than computed on
+        # votes[:n]: an n-long array is a new small size almost every call,
+        # and numpy keeps freed buffers under 1 KiB cached for good wherever
+        # they were allocated. Strewn through freed heap memory, they stop
+        # later large arrays (replay's 8 MB bootstrap indices) from reusing
+        # it, and peak RSS then differs from run to run.
+        return int(self.effort(votes)[:n].sum())
 
 
-def max_three_final(first: int, second: int, tiebreaker_supplier: Callable[[], int]) -> FinalLabel:
-    """Record the agreed label at effort 2, or call in a third voter.
-
-    The supplier is only invoked on disagreement, and then exactly once;
-    its label settles the request at effort 3.
-    """
-    if first == second:
-        return FinalLabel(label=int(first), effort=2, voter_labels=(int(first), int(second)))
-    third = int(tiebreaker_supplier())
-    return FinalLabel(label=third, effort=3, voter_labels=(int(first), int(second), third))
-
-
-def _pick_voters(strategy: Strategy, count: int, pool_size: int, rng: np.random.Generator) -> np.ndarray:
-    if strategy.distinct_voters:
-        if count > pool_size:
-            raise ValueError(f"need {count} distinct voters but pool has {pool_size}")
-        return rng.choice(pool_size, size=count, replace=False)
-    return rng.integers(0, pool_size, size=count)
-
-
-def apply_strategy(
-    strategy: Strategy,
-    request_difficulty: float,
-    pool: WorkerPool,
-    seed: SeedLike,
-    fixed_worker_index: Optional[int] = None,
-) -> FinalLabel:
-    """Produce one final label for a request under the given strategy.
-
-    fixed_worker_index must be given for fixed-worker (the caller owns the
-    once-per-iteration worker draw) and must be omitted otherwise.
-    """
-    rng = as_generator(seed)
-    caps = pool.capabilities
-
-    if strategy.kind is StrategyKind.FIXED_WORKER:
-        if fixed_worker_index is None:
-            raise ValueError("fixed-worker requires fixed_worker_index")
-        if not 0 <= fixed_worker_index < pool.pool_size:
-            raise ValueError(f"fixed_worker_index {fixed_worker_index} outside pool of {pool.pool_size}")
-        label = draw_label(selection_probability(caps[fixed_worker_index], request_difficulty), rng)
-        return FinalLabel(label=label, effort=1, voter_labels=(label,))
-
-    if fixed_worker_index is not None:
-        raise ValueError(f"fixed_worker_index only applies to fixed-worker, not {strategy.kind.value}")
-
-    if strategy.kind is StrategyKind.ONE_WORKER:
-        w = int(_pick_voters(strategy, 1, pool.pool_size, rng)[0])
-        label = draw_label(selection_probability(caps[w], request_difficulty), rng)
-        return FinalLabel(label=label, effort=1, voter_labels=(label,))
-
-    if strategy.kind is StrategyKind.N_WORKERS_MAJORITY:
-        voters = _pick_voters(strategy, strategy.n_workers, pool.pool_size, rng)
-        votes = tuple(
-            draw_label(selection_probability(caps[w], request_difficulty), rng) for w in voters
-        )
-        return FinalLabel(label=majority_vote(votes), effort=len(votes), voter_labels=votes)
-
-    # max-three: two voters, plus an independently drawn tiebreaker on demand
-    # (with distinct_voters the potential tiebreaker is reserved up front so
-    # all three are guaranteed different workers)
-    if strategy.distinct_voters:
-        voters = _pick_voters(strategy, 3, pool.pool_size, rng)
-        reserved = int(voters[2])
-    else:
-        voters = _pick_voters(strategy, 2, pool.pool_size, rng)
-        reserved = None
-    first, second = (
-        draw_label(selection_probability(caps[w], request_difficulty), rng) for w in voters[:2]
-    )
-
-    def tiebreaker() -> int:
-        w = reserved if reserved is not None else int(rng.integers(0, pool.pool_size))
-        return draw_label(selection_probability(caps[w], request_difficulty), rng)
-
-    return max_three_final(first, second, tiebreaker)
+def majority_vote(votes) -> np.ndarray:
+    """Label held by more than half of each row of an (n, k) vote matrix; k must be odd."""
+    votes = np.asarray(votes)
+    if votes.ndim != 2:
+        raise ValueError(f"majority vote needs an (n, k) vote matrix, got shape {votes.shape}")
+    k = votes.shape[1]
+    if k == 0 or k % 2 == 0:
+        raise ValueError(f"majority vote needs an odd, nonempty row of votes, got {k} votes")
+    # more than half of an odd k is more than k // 2
+    return (votes.sum(axis=1) > k // 2).view(np.int8)

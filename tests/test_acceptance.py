@@ -51,8 +51,8 @@ from twochoice.replay import (
     replay_experiment,
 )
 from twochoice.rng import DOMAIN_POOL, DOMAIN_REQUESTS, substream
-from twochoice.simulator import ExperimentConfig, run_experiment, run_iteration
-from twochoice.strategies import Strategy, apply_strategy
+from twochoice.simulator import ExperimentConfig, draw_votes, run_experiment, run_iteration
+from twochoice.strategies import Strategy, majority_vote
 
 from exact_oracle import cell_expectation
 
@@ -303,8 +303,8 @@ class TestCriterion06BinomialMajorityOracle:
         strategy = Strategy.from_name("n-workers:3")
         rng = np.random.default_rng(2024)
         trials = 10**5
-        wins = sum(apply_strategy(strategy, 0.225, pool, rng).label for _ in range(trials))
-        freq = wins / trials
+        votes = draw_votes(strategy, np.full(trials, 0.225), pool.capabilities, rng)
+        freq = float(majority_vote(votes).mean())
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         ok = abs(freq - expected) < tolerance
         report("06 binomial-majority-oracle", ok,

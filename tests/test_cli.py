@@ -5,7 +5,8 @@ import pytest
 import yaml
 
 from twochoice.cli import fmt, main
-from twochoice.config import load_simulate_config
+from twochoice.config import ConfigError, load_simulate_config
+from twochoice.rng import STREAM_LAYOUT
 from twochoice.simulator import run_experiment
 from twochoice.cli import _experiment_config, simulate_grid
 
@@ -59,6 +60,7 @@ class TestSimulateCommand:
         manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
         assert manifest["mode"] == "simulate"
         assert manifest["config"]["seed"] == 7
+        assert manifest["stream_layout"] == STREAM_LAYOUT
 
     def test_rerun_is_byte_identical_across_jobs(self, smoke_config, tmp_path):
         outs = []
@@ -91,6 +93,13 @@ class TestSimulateCommand:
         assert "strategies[1]" in err
         assert "N must be odd" in err
 
+    @pytest.mark.parametrize("value", ["-3", "2.7", "x"])
+    def test_bad_trace_iterations_is_a_config_error(self, tmp_path, value):
+        config = tmp_path / "bad.yaml"
+        config.write_text(SMOKE + f"trace_iterations: {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"config\.trace_iterations"):
+            load_simulate_config(config)
+
     def test_missing_config_field_is_reported(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("workers: {lo: 0.8, hi: 1.0, pool_size: 5}\n", encoding="utf-8")
@@ -102,14 +111,19 @@ class TestSimulateCommand:
         config.write_text(SMOKE.replace("pool_size: 20", "pool_size: 2")
                                .replace("n-workers:3", "n-workers:5")
                                + "distinct_voters: true\n", encoding="utf-8")
-        out = tmp_path / "out"
         # 5 distinct voters cannot come out of a 2-worker pool; the
-        # one-worker cells still complete
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert "n-workers:5" in capsys.readouterr().err
-        rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
-        assert {row["strategy"] for row in rows} == {"one-worker"}
-        assert len(rows) == 2
+        # one-worker cells still complete and both failed cells are reported,
+        # serially and in parallel
+        for jobs in (1, 2):
+            out = tmp_path / f"out{jobs}"
+            assert main(["simulate", "--config", str(config), "--out", str(out),
+                         "--jobs", str(jobs)]) == 1
+            errors = capsys.readouterr().err.splitlines()
+            assert len(errors) == 2
+            assert all("n-workers:5" in line for line in errors)
+            rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
+            assert {row["strategy"] for row in rows} == {"one-worker"}
+            assert len(rows) == 2
 
     def test_summary_round_trips(self, smoke_config, tmp_path):
         out = tmp_path / "out"

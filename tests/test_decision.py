@@ -7,6 +7,7 @@ from twochoice.decision import (
     DecisionConfig,
     DecisionState,
     Verdict,
+    first_crossing,
     hoeffding_tolerance,
     min_n_for_decision,
     update,
@@ -148,3 +149,32 @@ class TestStreamProperties:
             first = decided.index(True) if True in decided else len(decided)
             assert all(decided[first:])
             assert not any(decided[:first])
+
+
+class TestFirstCrossing:
+    """The vectorised scan against the scalar update path as reference."""
+
+    def test_matches_scalar_updates(self):
+        rng = np.random.default_rng(29)
+        verdicts = set()
+        for _ in range(300):
+            delta = float(rng.choice([0.05, 0.01, 0.001]))
+            labels = (rng.random(int(rng.integers(1, 150))) < rng.uniform(0.2, 0.8)).astype(np.int8)
+            verdict, n, means, tolerances = first_crossing(labels, delta)
+            states = _run_stream(labels, delta)
+            stop = next((i for i, s in enumerate(states) if s.verdict is not Verdict.UNDECIDED),
+                        len(states) - 1)
+            assert verdict is states[stop].verdict
+            assert n == stop + 1
+            assert means.tolist() == [s.mean for s in states[:n]]
+            assert (means - tolerances).tolist() == [s.lower for s in states[:n]]
+            assert (means + tolerances).tolist() == [s.upper for s in states[:n]]
+            verdicts.add(verdict)
+        assert verdicts == set(Verdict)
+
+    def test_unanimous_stream_stops_at_min_n(self):
+        for delta in (0.01, 0.001, 0.0001):
+            floor = min_n_for_decision(delta)
+            assert first_crossing(np.ones(100, np.int8), delta)[:2] == (Verdict.A_IS_BETTER, floor)
+            assert first_crossing(np.zeros(100, np.int8), delta)[:2] == \
+                (Verdict.A_PRIME_IS_BETTER, floor)

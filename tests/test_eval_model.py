@@ -1,4 +1,3 @@
-import math
 import random
 import statistics
 
@@ -8,7 +7,6 @@ import pytest
 from twochoice.eval_model import (
     RequestSet,
     WorkerPool,
-    draw_label,
     sample_capabilities,
     sample_difficulties,
     selection_probability,
@@ -110,29 +108,6 @@ class TestSelectionProbability:
     def test_invalid_parameters(self, c, d):
         with pytest.raises(ValueError):
             selection_probability(c, d)
-
-
-class TestDrawLabel:
-    def test_certain_outcomes(self):
-        assert draw_label(1.0, seed=0) == 1
-        assert draw_label(0.0, seed=0) == 0
-
-    def test_frequency_converges(self):
-        # tolerance is 3 * sqrt(p (1-p) / k) at k = 1e5, under 0.005
-        p = 0.6125
-        k = 10**5
-        rng = np.random.default_rng(31)
-        freq = sum(draw_label(p, rng) for _ in range(k)) / k
-        assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / k)
-
-    def test_deterministic_under_seed(self):
-        assert [draw_label(0.5, seed=s) for s in range(20)] == \
-               [draw_label(0.5, seed=s) for s in range(20)]
-
-    @pytest.mark.parametrize("p", [-0.1, 1.0001])
-    def test_invalid_parameters(self, p):
-        with pytest.raises(ValueError):
-            draw_label(p, seed=0)
 
 
 class TestTypes:

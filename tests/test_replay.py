@@ -131,6 +131,19 @@ class TestReplayIteration:
         assert result.n_at_decision == 10  # unanimous finals decide at the floor
         assert result.effort == 50
 
+    def test_padding_is_never_read(self):
+        # rows of 3 votes sit in a matrix 11 wide; reading a padding zero
+        # would break the unanimous majorities and delay the decision
+        votes = make_set([[1] * 3, [1] * 11] * 15)
+        for name in ("one-worker", "max-three", "n-workers:3"):
+            strategy = Strategy.from_name(name)
+            for i in range(20):
+                result = replay_iteration(votes, strategy, 0.001, i, seed=12)
+                assert result.verdict is Verdict.A_IS_BETTER
+                assert result.n_at_decision == 14
+                assert result.effort == 14 * (1 if name == "one-worker" else
+                                              2 if name == "max-three" else 3)
+
     def test_row_order_within_request_does_not_matter(self):
         a = parse_annotations(csv_stream(
             "request_id,worker_id,label\n" +
