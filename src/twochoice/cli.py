@@ -146,12 +146,14 @@ def cmd_simulate(args) -> int:
         if traces:
             _write_csv(out / f"trace_{i:03d}.csv", TRACE_HEADER, traces)
 
+    failed_cells = [{"strategy": strategy.name, "mu": regime.mu, "delta": delta,
+                     "error": str(exc)} for (regime, strategy, delta), exc in failures]
     _write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
-    _write_manifest(out, {"mode": "simulate", "config": _config_echo(config)})
-    for cell, exc in failures:
-        regime, strategy, delta = cell
-        print(f"error: cell {strategy.name} mu={regime.mu} delta={delta}: {exc}",
-              file=sys.stderr)
+    _write_manifest(out, {"mode": "simulate", "config": _config_echo(config),
+                          "failed_cells": failed_cells})
+    for cell in failed_cells:
+        print(f"error: cell {cell['strategy']} mu={cell['mu']} delta={cell['delta']}: "
+              f"{cell['error']}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -94,24 +94,29 @@ def update(state: DecisionState, label: int, config: DecisionConfig) -> Decision
     return DecisionState(n=n, count_a=count_a, mean=mean, tolerance=tol, verdict=verdict)
 
 
-def first_crossing(finals, delta: float) -> tuple[Verdict, int, np.ndarray, np.ndarray]:
+def first_crossing(finals, delta: float, n: int = 0,
+                   count: int = 0) -> tuple[Verdict, int, np.ndarray, np.ndarray]:
     """Scan a stream of final labels for the first n whose band clears 0.5.
 
     Vectorised form of folding the labels through ``update`` one at a time
-    and stopping at the first verdict. Returns the verdict, the n it came
-    at (the whole stream when undecided), and the running means and
-    tolerances for n = 1 .. that n.
+    and stopping at the first verdict. ``n`` and ``count`` are the labels
+    and first-model picks already seen before this stream, so a stream can
+    be scanned block by block. Returns the verdict, the running n it came
+    at (the end of the stream when undecided), and the running means and
+    tolerances for this stream's labels up to that n.
     """
-    ns = np.arange(1, len(finals) + 1, dtype=np.int64)
-    means = np.cumsum(finals, dtype=np.int64) / ns
+    ns = np.arange(n + 1, n + len(finals) + 1, dtype=np.int64)
+    counts = np.cumsum(finals, dtype=np.int64)
+    counts += count
+    means = counts / ns
     tolerances = np.sqrt(-math.log(delta) / (2.0 * ns))
     a_hit = means - tolerances > 0.5
     hit = a_hit | (means + tolerances < 0.5)
     if not hit.any():
-        return Verdict.UNDECIDED, len(finals), means, tolerances
+        return Verdict.UNDECIDED, n + len(finals), means, tolerances
     stop = int(np.argmax(hit))
     verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
-    return verdict, stop + 1, means[:stop + 1], tolerances[:stop + 1]
+    return verdict, n + stop + 1, means[:stop + 1], tolerances[:stop + 1]
 
 
 def min_n_for_decision(delta: float) -> int:

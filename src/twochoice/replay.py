@@ -3,9 +3,10 @@
 The input is real crowd data: request pairs, each voted on by several
 workers. A replay iteration shuffles the requests, samples the votes a
 strategy needs per request without replacement from that request's
-recorded votes, and feeds them through the same strategy kernel and
-stopping scan the simulator uses. No label is ever fabricated and no
-recorded vote is reused within one (request, iteration).
+recorded votes, and feeds them through the simulator's block driver, so
+votes are picked block by block and none past the stopping block. No label
+is ever fabricated and no recorded vote is reused within one (request,
+iteration).
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
 who voted on every request.
@@ -22,10 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .decision import Verdict, first_crossing
+from .decision import Verdict
 from .rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, as_generator, distinct_columns, substream
-from .simulator import ExperimentSummary, bootstrap_ci
-from .strategies import Strategy, StrategyKind, majority_vote
+from .simulator import ExperimentSummary, bootstrap_ci, run_blocks
+# majority_vote is unused here but stays importable: perfbench/worker.py
+# wraps replay.majority_vote in its traced launches
+from .strategies import Strategy, StrategyKind, majority_vote  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -167,16 +170,23 @@ def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
 
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
                      iteration_index: int, seed: int) -> ReplayResult:
-    """One replay pass: shuffled requests, recorded votes, sequential stop."""
+    """One replay pass: shuffled requests, recorded votes, sequential stop.
+
+    The rows are permuted once; each block then picks its own rows' votes.
+    """
     _check_replayable(annotations, strategy)
     labels, counts = annotations.vote_matrix
     rng = substream(seed, DOMAIN_ITERATION, iteration_index)
     order = rng.permutation(counts.size)
-    picks = distinct_columns(rng, counts[order], strategy.votes_needed())
-    votes = np.take_along_axis(labels[order], picks, axis=1)
-    verdict, n_at, _, _ = first_crossing(majority_vote(votes), delta)
-    return ReplayResult(decided=verdict is not Verdict.UNDECIDED, verdict=verdict,
-                        n_at_decision=n_at, effort=strategy.total_effort(votes, n_at))
+
+    def draw(start, stop):
+        rows = order[start:stop]
+        picks = distinct_columns(rng, counts[rows], strategy.votes_needed())
+        return np.take_along_axis(labels[rows], picks, axis=1)
+
+    result = run_blocks(draw, counts.size, strategy, delta)
+    return ReplayResult(decided=result.decided, verdict=result.verdict,
+                        n_at_decision=result.n_at_decision, effort=result.effort)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,

@@ -21,7 +21,10 @@ DOMAIN_BOOTSTRAP = 3
 # Version of the layout of draws within the substreams. Bump it whenever a
 # change makes the same seed produce different numbers; manifests echo it.
 # 2: replay's vote picks and Fleiss kappa's subsample use distinct_columns.
-STREAM_LAYOUT = 2
+# 3: simulate's votes and replay's picks are drawn in doubling blocks of
+#    requests (simulator.FIRST_BLOCK rows first), only up to the stopping
+#    block.
+STREAM_LAYOUT = 3
 
 _MAX_SEED = 2**64
 

@@ -6,11 +6,16 @@ band clears the 0.5 midline. An experiment repeats that over independent
 per-iteration random substreams and aggregates the labelling effort of the
 decided iterations with a percentile-bootstrap confidence interval.
 
-Votes inside an iteration are drawn in vectorised blocks (worker indices,
-then uniforms, then the max-three tiebreakers for the disagreeing requests
-in request order) and go through the same strategy kernel and stopping scan
-as replay. The block layout is fixed, so results depend only on (seed,
-iteration index) and never on scheduling.
+Votes are drawn lazily in blocks of the shuffled request order: the first
+block holds FIRST_BLOCK requests, each later block twice as many as the one
+before, and the last is cut at the request supply. Each block is scanned as
+soon as it is drawn, and no block past the first crossing is drawn. Within
+an iteration's substream the draws are: the permutation; the fixed worker
+(fixed-worker only, once); then per block the voter indices, their uniforms,
+and for max-three the third voter and vote of the block's disagreeing
+requests in request order. The block schedule is fixed, so results depend
+only on (seed, iteration index) and never on scheduling. Replay runs its
+picks through the same block driver, ``run_blocks``.
 """
 from __future__ import annotations
 
@@ -35,6 +40,12 @@ from .rng import (
 )
 from .strategies import Strategy, StrategyKind, majority_vote
 
+# Rows in the first vote block; each later block is twice the one before.
+# On a 2-vCPU x86 VM a block cost a fixed 70-100 us of dispatch plus
+# 0.08-0.22 us per row; a first block of 64 rows made the near-no-signal
+# benchmark grid 2.5x slower, so smaller first blocks do not pay.
+FIRST_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -52,6 +63,11 @@ class ExperimentConfig:
     resample_pool_per_iteration: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.capability_lo <= self.capability_hi <= 1.0:
+            raise ValueError("capability bounds must satisfy 0 <= lo <= hi <= 1, "
+                             f"got ({self.capability_lo}, {self.capability_hi})")
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.iterations < 1:
@@ -86,13 +102,15 @@ def draw_votes(
     difficulties: np.ndarray,
     capabilities: np.ndarray,
     rng: np.random.Generator,
+    worker: Optional[int] = None,
 ) -> np.ndarray:
     """(n, votes_needed()) votes for every request, in order.
 
     Draw order: voter indices, then their votes; for max-three, then the
     third voter and vote of the rows whose first two votes disagree, in
     row order. Column 2 stays 0 where the first two agree, since the third
-    vote cannot change that majority.
+    vote cannot change that majority. Fixed-worker labels with ``worker``,
+    drawn here first when not given.
     """
     n = difficulties.size
     pool_size = capabilities.size
@@ -101,7 +119,7 @@ def draw_votes(
     upfront = 2 if max_three else k
 
     if strategy.kind is StrategyKind.FIXED_WORKER:
-        idx = np.full((n, 1), rng.integers(0, pool_size))
+        idx = np.full((n, 1), rng.integers(0, pool_size) if worker is None else worker)
     elif strategy.distinct_voters and k > 1:
         # max-three reserves its potential third voter up front
         idx = distinct_columns(rng, np.full(n, pool_size), k)
@@ -120,6 +138,35 @@ def draw_votes(
     return votes
 
 
+def run_blocks(draw, n_total: int, strategy: Strategy, delta: float,
+               record_trace: bool = False) -> IterationResult:
+    """Sequential stopping over votes drawn in doubling blocks.
+
+    ``draw(start, stop)`` returns the vote matrix of rows start..stop-1 of
+    a supply of n_total rows. Blocks run FIRST_BLOCK, 2 * FIRST_BLOCK, ...
+    rows, the last cut at n_total; each is scanned by ``first_crossing``
+    with the n and count carried over from the blocks before it, and the
+    scan stops at the first crossing, so no later row is ever drawn.
+    Exhausting the supply without a verdict is a normal outcome
+    (decided=False, effort covers everything spent).
+    """
+    n = count = effort = 0
+    size = FIRST_BLOCK
+    trace = [] if record_trace else None
+    while True:
+        votes = draw(n, min(n + size, n_total))
+        finals = majority_vote(votes)
+        verdict, n_at, means, tolerances = first_crossing(finals, delta, n, count)
+        effort += strategy.total_effort(votes, n_at - n)
+        if record_trace:
+            trace.extend(zip(range(n + 1, n_at + 1), means.tolist(),
+                             (means - tolerances).tolist(), (means + tolerances).tolist()))
+        if verdict is not Verdict.UNDECIDED or n_at == n_total:
+            return IterationResult(decided=verdict is not Verdict.UNDECIDED, verdict=verdict,
+                                   n_at_decision=n_at, effort=effort, trace=trace)
+        n, count, size = n_at, count + int(finals.sum()), 2 * size
+
+
 def run_iteration(
     config: ExperimentConfig,
     requests: RequestSet,
@@ -127,12 +174,7 @@ def run_iteration(
     iteration_index: int,
     record_trace: bool = False,
 ) -> IterationResult:
-    """One full evaluation: shuffled requests, labels, sequential stopping.
-
-    Requests past the stopping point consume no effort. Exhausting the
-    request supply without a verdict is a normal outcome (decided=False,
-    effort covers everything spent).
-    """
+    """One evaluation: shuffled requests, labels in blocks, sequential stopping."""
     rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
@@ -140,16 +182,15 @@ def run_iteration(
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
 
     order = rng.permutation(requests.size)
-    votes = draw_votes(config.strategy, requests.difficulties[order], pool.capabilities, rng)
-    verdict, n_at, means, tolerances = first_crossing(majority_vote(votes), config.delta)
-    decided = verdict is not Verdict.UNDECIDED
-    effort = config.strategy.total_effort(votes, n_at)
-    trace = None
-    if record_trace:
-        trace = [(n, float(mean), float(lower), float(upper)) for n, mean, lower, upper
-                 in zip(range(1, n_at + 1), means, means - tolerances, means + tolerances)]
-    return IterationResult(decided=decided, verdict=verdict, n_at_decision=n_at,
-                           effort=effort, trace=trace)
+    worker = None
+    if config.strategy.kind is StrategyKind.FIXED_WORKER:
+        worker = rng.integers(0, pool.pool_size)
+
+    def draw(start, stop):
+        return draw_votes(config.strategy, requests.difficulties[order[start:stop]],
+                          pool.capabilities, rng, worker)
+
+    return run_blocks(draw, requests.size, config.strategy, config.delta, record_trace)
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,

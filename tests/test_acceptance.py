@@ -14,6 +14,10 @@ the Monte Carlo error of the cell:
 * 10: each cell's count of undecided iterations is a plausible draw from
   Binomial(iterations, exact P(undecided)).
 
+The same two checks run over every cell of configs/simulate_smoke.yaml
+(``TestSmokeGridExactLaw``), so a change to how votes are drawn is checked
+against the law on a second grid within seconds.
+
 z comes from one family-wise false-alarm rate, FALSE_ALARM_RATE, split over
 the cells a criterion checks. It was fixed before the checks were run and
 is never tuned to the seed.
@@ -40,7 +44,8 @@ import numpy as np
 import pytest
 import yaml
 
-from twochoice.cli import main
+from twochoice.cli import _experiment_config, main, simulate_grid
+from twochoice.config import load_simulate_config
 from twochoice.decision import hoeffding_tolerance, min_n_for_decision
 from twochoice.eval_model import sample_capabilities, sample_difficulties
 from twochoice.replay import (
@@ -123,18 +128,19 @@ class Measured:
     iterations: int
 
 
-def measure(strategy_name, mu, iterations):
-    summary = run_experiment(cell_config(strategy_name, mu, iterations))
+def measure(config):
+    summary = run_experiment(config)
     efforts = np.array([r.effort for r in summary.per_iteration if r.decided], dtype=np.float64)
     return Measured(mean=summary.mean_effort,
                     se=float(efforts.std(ddof=1) / math.sqrt(efforts.size)),
-                    undecided=iterations - efforts.size, iterations=iterations)
+                    undecided=config.iterations - efforts.size, iterations=config.iterations)
 
 
 @pytest.fixture(scope="session")
 def reference_grid():
     """Measured effort and undecided count per cell at the pinned 1000 iterations."""
-    return {(name, mu): measure(name, mu, 1000) for mu in REGIMES for name in STRATEGIES}
+    return {(name, mu): measure(cell_config(name, mu, 1000))
+            for mu in REGIMES for name in STRATEGIES}
 
 
 @pytest.fixture(scope="session")
@@ -142,26 +148,27 @@ def ordering_grid():
     # the 7-vs-5 worker gap is a few percent, so the ordering check runs at
     # higher precision than the reference grid to keep Monte-Carlo noise
     # below the real differences
-    return {(name, mu): measure(name, mu, 4000)
+    return {(name, mu): measure(cell_config(name, mu, 4000))
             for mu in REGIMES
             for name in ("n-workers:7", "n-workers:5", "max-three", "one-worker")}
 
 
+def exact_cell(config):
+    """Exact expectation of a cell, from the same pool and request draws
+    that run_experiment makes for it."""
+    requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
+                                   substream(config.seed, DOMAIN_REQUESTS, 0))
+    pool = sample_capabilities(config.capability_lo, config.capability_hi,
+                               config.pool_size, substream(config.seed, DOMAIN_POOL, 0))
+    return cell_expectation(config.strategy.name, requests.difficulties, pool.capabilities,
+                            config.delta, config.n_requests)
+
+
 @pytest.fixture(scope="session")
 def exact_grid():
-    """Exact expectation per cell, from the same pool and request draws
-    that run_experiment makes for that cell."""
-    grid = {}
-    for mu in REGIMES:
-        for name in STRATEGIES:
-            config = cell_config(name, mu, 1)
-            requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
-                                           substream(config.seed, DOMAIN_REQUESTS, 0))
-            pool = sample_capabilities(config.capability_lo, config.capability_hi,
-                                       config.pool_size, substream(config.seed, DOMAIN_POOL, 0))
-            grid[(name, mu)] = cell_expectation(name, requests.difficulties, pool.capabilities,
-                                                config.delta, config.n_requests)
-    return grid
+    """Exact expectation per cell of the reference grid."""
+    return {(name, mu): exact_cell(cell_config(name, mu, 1))
+            for mu in REGIMES for name in STRATEGIES}
 
 
 def amt_set(key):
@@ -433,3 +440,29 @@ class TestCriterion10DecisionsAlwaysReached:
                f"{total} undecided iterations over 15 cells, exact expectation {expected:.2f}"
                + (f"; implausible cells: {outliers}" if outliers else ""))
         assert not outliers
+
+
+class TestSmokeGridExactLaw:
+    # Criteria 01 and 10 over the smoke grid: each cell's mean effort within
+    # z standard errors of the exact expectation, and its undecided count a
+    # plausible Binomial draw, at the same family-wise FALSE_ALARM_RATE.
+    def test_every_cell_matches_exact_law(self):
+        config = load_simulate_config(Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml")
+        cells = [_experiment_config(config, *cell) for cell in simulate_grid(config)]
+        z = z_bound(len(cells))
+        per_side = FALSE_ALARM_RATE / (2 * len(cells))
+        failures = []
+        for cell in cells:
+            measured, exact = measure(cell), exact_cell(cell)
+            p_undecided = max(0.0, 1.0 - exact.p_decided)
+            tails = binomial_tails(measured.undecided, measured.iterations, p_undecided)
+            ok = (abs(measured.mean - exact.mean_effort) <= z * measured.se
+                  and min(tails) >= per_side)
+            print(f"  cell {cell.strategy.name:>12s} mu={cell.mu:<4} delta={cell.delta:<6}: "
+                  f"exact {exact.mean_effort:7.1f}  measured {measured.mean:7.1f}  "
+                  f"z={(measured.mean - exact.mean_effort) / measured.se:+.2f}  undecided "
+                  f"{measured.undecided} of {measured.iterations}, expected "
+                  f"{p_undecided * measured.iterations:.2f}  {'ok' if ok else 'OUT'}", flush=True)
+            if not ok:
+                failures.append((cell.strategy.name, cell.mu, cell.delta))
+        assert not failures, f"smoke cells off the exact law: {failures}"

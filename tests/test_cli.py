@@ -61,6 +61,7 @@ class TestSimulateCommand:
         assert manifest["mode"] == "simulate"
         assert manifest["config"]["seed"] == 7
         assert manifest["stream_layout"] == STREAM_LAYOUT
+        assert manifest["failed_cells"] == []
 
     def test_rerun_is_byte_identical_across_jobs(self, smoke_config, tmp_path):
         outs = []
@@ -124,6 +125,11 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
             assert {row["strategy"] for row in rows} == {"one-worker"}
             assert len(rows) == 2
+            manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+            failed = manifest["failed_cells"]
+            assert [(cell["strategy"], cell["mu"], cell["delta"]) for cell in failed] == \
+                [("n-workers:5", 0.4, 0.01), ("n-workers:5", 0.4, 0.001)]
+            assert all("distinct" in cell["error"] for cell in failed)
 
     def test_summary_round_trips(self, smoke_config, tmp_path):
         out = tmp_path / "out"

@@ -7,11 +7,13 @@ import pytest
 
 from twochoice import decision
 from twochoice.decision import DecisionConfig, DecisionState, Verdict
-from twochoice.eval_model import sample_capabilities, sample_difficulties
-from twochoice.rng import DOMAIN_POOL, DOMAIN_REQUESTS, substream
+from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
+from twochoice.rng import DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, substream
 from twochoice.simulator import (
+    FIRST_BLOCK,
     ExperimentConfig,
     bootstrap_ci,
+    run_blocks,
     run_experiment,
     run_iteration,
 )
@@ -89,25 +91,52 @@ class TestRunIteration:
 
     def test_trace_matches_scalar_decision_updates(self):
         # reconstruct the label stream from the trace means and replay it
-        # through the scalar update path: verdicts and bounds must agree
-        config = make_config(n_requests=300)
-        requests, pool = base_inputs(config)
-        result = run_iteration(config, requests, pool, 7, record_trace=True)
-        assert len(result.trace) == result.n_at_decision
-        dconfig = DecisionConfig(delta=config.delta)
-        state = DecisionState()
-        prev_count = 0
-        for (n, mean, lower, upper) in result.trace:
-            count = round(mean * n)
-            state = decision.update(state, count - prev_count, dconfig)
-            prev_count = count
-            assert state.n == n
-            assert state.mean == pytest.approx(mean, abs=0)
-            assert state.lower == pytest.approx(lower, abs=0)
-            assert state.upper == pytest.approx(upper, abs=0)
-            if n < result.n_at_decision:
-                assert state.verdict is Verdict.UNDECIDED
-        assert state.verdict is result.verdict
+        # through the scalar update path: verdicts and bounds must agree.
+        # The second case stops at n = 4162, past two block boundaries.
+        for overrides, iteration in ((dict(n_requests=300), 7),
+                                     (dict(mu=0.05, n_requests=8000), 2)):
+            config = make_config(**overrides)
+            requests, pool = base_inputs(config)
+            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            assert len(result.trace) == result.n_at_decision
+            if config.n_requests == 8000:
+                assert result.decided and result.n_at_decision > 3 * FIRST_BLOCK
+            dconfig = DecisionConfig(delta=config.delta)
+            state = DecisionState()
+            prev_count = 0
+            for (n, mean, lower, upper) in result.trace:
+                count = round(mean * n)
+                state = decision.update(state, count - prev_count, dconfig)
+                prev_count = count
+                assert state.n == n
+                assert state.mean == pytest.approx(mean, abs=0)
+                assert state.lower == pytest.approx(lower, abs=0)
+                assert state.upper == pytest.approx(upper, abs=0)
+                if n < result.n_at_decision:
+                    assert state.verdict is Verdict.UNDECIDED
+            assert state.verdict is result.verdict
+
+    def test_fixed_worker_is_drawn_once_per_iteration(self):
+        # a worker of capability 1 votes d > 0 on every request, one of
+        # capability 0 flips coins; a worker redrawn per block would show
+        # up as coin flips in a later block
+        config = make_config(capability_lo=0.0, capability_hi=1.0, pool_size=2,
+                             n_requests=5000, strategy=Strategy.from_name("fixed-worker"))
+        pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
+        requests = RequestSet(difficulties=np.tile([1.0, -1.0], 2500), mu=0.0, sigma=0.0)
+        for iteration in range(20):
+            twin = substream(config.seed, DOMAIN_ITERATION, iteration)
+            order = twin.permutation(requests.size)
+            if twin.integers(0, pool.pool_size) == 1:
+                break
+        else:
+            pytest.fail("no iteration picks the capability-1 worker")
+        result = run_iteration(config, requests, pool, iteration, record_trace=True)
+        assert result.n_at_decision > 3 * FIRST_BLOCK
+        counts = [round(mean * n) for (n, mean, _, _) in result.trace]
+        votes = np.diff(counts, prepend=0)
+        expected = requests.difficulties[order[:result.n_at_decision]] > 0
+        assert np.array_equal(votes, expected)
 
     def test_majority_first_label_matches_binomial_closed_form(self):
         # vectorised voting path vs the same closed form as the scalar one
@@ -122,6 +151,83 @@ class TestRunIteration:
             wins += int(first[1] == 1.0)
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         assert abs(wins / trials - expected) < tolerance
+
+
+def _crossing_labels(target, length, flip):
+    """Labels whose band first clears 0.5 at exactly n = target, and the
+    delta that makes it so: alternating 1, 0 for 2m labels keeps the mean
+    at most 1/(2n) above 0.5, then all 1s cross at the first n with
+    n/2 - m > sqrt(n ln(1/delta) / 2); ln(1/delta) puts that root at
+    target - 1/2. flip mirrors the stream, so it crosses for A'."""
+    pairs = target // 2 - 60
+    root = target - 0.5
+    delta = math.exp(-2.0 * (root / 2.0 - pairs) ** 2 / root)
+    labels = np.ones(length, dtype=np.int8)
+    labels[1:2 * pairs:2] = 0
+    return (1 - labels if flip else labels), delta
+
+
+def _max_three_votes(labels, seed):
+    """A max-three vote matrix whose row majorities are the labels, the
+    first two votes split on a random half of the rows, and its effort."""
+    split = np.random.default_rng(seed).random(len(labels)) < 0.5
+    votes = np.zeros((len(labels), 3), dtype=np.int8)
+    votes[:, 0] = labels
+    votes[:, 1] = np.where(split, 1 - labels, labels)
+    votes[:, 2] = np.where(split, labels, 0)
+    return votes, 2 + split
+
+
+def _fold(labels, delta):
+    """Scalar reference: fold decision.update over the labels, stopping at
+    the first verdict."""
+    state, states, config = DecisionState(), [], DecisionConfig(delta=delta)
+    for label in labels.tolist():
+        state = decision.update(state, label, config)
+        states.append(state)
+        if state.verdict is not Verdict.UNDECIDED:
+            break
+    return states
+
+
+class TestBlockDriver:
+    """run_blocks on crafted vote streams against the scalar update fold."""
+
+    def _check(self, labels, delta, expected_blocks):
+        votes, effort = _max_three_votes(labels, seed=len(expected_blocks))
+        drawn = []
+
+        def draw(start, stop):
+            drawn.append((start, stop))
+            return votes[start:stop]
+
+        max_three = Strategy.from_name("max-three")
+        result = run_blocks(draw, len(votes), max_three, delta, record_trace=True)
+        states = _fold(labels, delta)
+        assert result.verdict is states[-1].verdict
+        assert result.decided is (states[-1].verdict is not Verdict.UNDECIDED)
+        assert result.n_at_decision == len(states)
+        assert result.effort == effort[:len(states)].sum()
+        assert result.trace == [(s.n, s.mean, s.lower, s.upper) for s in states]
+        assert drawn == expected_blocks
+        return result
+
+    @pytest.mark.parametrize("target, flip, blocks", [
+        (1023, False, [(0, 1024)]),
+        (1024, True, [(0, 1024)]),
+        (1025, False, [(0, 1024), (1024, 3072)]),
+        (3072, True, [(0, 1024), (1024, 3072)]),
+    ])
+    def test_first_crossing_at_block_boundary(self, target, flip, blocks):
+        labels, delta = _crossing_labels(target, 5000, flip)
+        result = self._check(labels, delta, blocks)
+        assert result.n_at_decision == target
+        assert result.verdict is (Verdict.A_PRIME_IS_BETTER if flip else Verdict.A_IS_BETTER)
+
+    def test_undecided_stream_draws_every_block_once(self):
+        labels = np.tile(np.array([1, 0], dtype=np.int8), 2500)
+        result = self._check(labels, 0.01, [(0, 1024), (1024, 3072), (3072, 5000)])
+        assert not result.decided and result.n_at_decision == 5000
 
 
 class TestRunExperiment:
@@ -219,3 +325,14 @@ class TestConfigValidation:
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             make_config(seed=-1)
+
+    def test_bad_capability_bounds(self):
+        for lo, hi in ((-0.1, 0.5), (0.5, 1.1), (0.9, 0.8)):
+            with pytest.raises(ValueError, match="capability bounds"):
+                make_config(capability_lo=lo, capability_hi=hi)
+        make_config(capability_lo=0.0, capability_hi=0.0)
+        make_config(capability_lo=1.0, capability_hi=1.0)
+
+    def test_bad_pool_size(self):
+        with pytest.raises(ValueError, match="pool_size"):
+            make_config(pool_size=0)
