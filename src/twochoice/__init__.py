@@ -22,10 +22,8 @@ from .eval_model import (
     selection_probability,
 )
 from .replay import (
-    AnnotatedRequest,
     AnnotationSet,
     DataFormatError,
-    ReplayResult,
     fleiss_kappa,
     parse_annotations,
     replay_experiment,
@@ -44,7 +42,6 @@ from .strategies import Strategy, StrategyKind, majority_vote
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedRequest",
     "AnnotationSet",
     "DataFormatError",
     "DecisionConfig",
@@ -52,7 +49,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "IterationResult",
-    "ReplayResult",
     "RequestSet",
     "Strategy",
     "StrategyKind",

@@ -129,41 +129,57 @@ def cmd_simulate(args) -> int:
     _prepare_out(out, ["summary.csv", "manifest.yaml", *trace_names], args.force)
 
     jobs = [(config, regime, strategy, delta) for regime, strategy, delta in cells]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_simulate_cell, job) for job in jobs]
-            outcomes = [_outcome(future.result) for future in futures]
-    else:
-        outcomes = [_outcome(partial(_run_simulate_cell, job)) for job in jobs]
-
-    rows, failures = [], []
-    for i, (cell, outcome) in enumerate(zip(cells, outcomes)):
-        if isinstance(outcome, Exception):
-            failures.append((cell, outcome))
-            continue
-        row, traces = outcome
-        rows.append(row)
-        if traces:
-            _write_csv(out / f"trace_{i:03d}.csv", TRACE_HEADER, traces)
-
+    outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
     failed_cells = [{"strategy": strategy.name, "mu": regime.mu, "delta": delta,
-                     "error": str(exc)} for (regime, strategy, delta), exc in failures]
+                     "error": str(outcome)}
+                    for (_, regime, strategy, delta), outcome in zip(jobs, outcomes)
+                    if isinstance(outcome, Exception)]
+    rows = []
+    for i, outcome in enumerate(outcomes):
+        if not isinstance(outcome, Exception):
+            row, traces = outcome
+            rows.append(row)
+            if traces:
+                _write_csv(out / f"trace_{i:03d}.csv", TRACE_HEADER, traces)
     _write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
     _write_manifest(out, {"mode": "simulate", "config": _config_echo(config),
                           "failed_cells": failed_cells})
-    for cell in failed_cells:
-        print(f"error: cell {cell['strategy']} mu={cell['mu']} delta={cell['delta']}: "
-              f"{cell['error']}", file=sys.stderr)
-    return 1 if failures else 0
+    return _report_failures(failed_cells)
+
+
+def _run_grid(run_cell, jobs: list, workers: int) -> list:
+    """run_cell(job) for every job, in ``workers`` processes when more than
+    one. Each entry is the cell's result or the exception it raised, so that
+    one failing grid cell keeps every other cell's row."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_cell, job) for job in jobs]
+            return [_outcome(future.result) for future in futures]
+    return [_outcome(partial(run_cell, job)) for job in jobs]
 
 
 def _outcome(call):
-    """The call's result, or the exception it raised, so that one failing
-    grid cell keeps every other cell's row."""
     try:
         return call()
     except Exception as exc:
         return exc
+
+
+def _report_failures(failed_cells: list) -> int:
+    """Print each failed cell to stderr; the exit status is 1 if any failed."""
+    for cell in failed_cells:
+        where = " ".join(f"{key}={cell[key]}" for key in ("mu", "delta") if key in cell)
+        print(f"error: cell {cell['strategy']} {where}: {cell['error']}", file=sys.stderr)
+    return 1 if failed_cells else 0
+
+
+def _run_replay_cell(args):
+    config, annotations, strategy, delta = args
+    summary = replay_experiment(annotations, strategy, delta, config.iterations, config.seed,
+                                bootstrap_confidence=config.bootstrap_confidence,
+                                bootstrap_resamples=config.bootstrap_resamples)
+    return [strategy.name, "", fmt(delta), fmt(summary.mean_effort), fmt(summary.ci_low),
+            fmt(summary.ci_high), fmt(summary.decision_ratio), str(config.iterations)]
 
 
 def cmd_replay(args) -> int:
@@ -182,29 +198,26 @@ def cmd_replay(args) -> int:
     print(f"dataset {annotations.experiment_label}: {len(annotations)} requests, "
           f"{len(annotations.worker_ids)} workers, fleiss kappa = {kappa:.4f}")
 
-    effort_rows, ratio_rows = [], []
-    for strategy in config.strategies:
-        for delta in config.deltas:
-            summary = replay_experiment(annotations, strategy, delta,
-                                        config.iterations, config.seed,
-                                        bootstrap_confidence=config.bootstrap_confidence,
-                                        bootstrap_resamples=config.bootstrap_resamples)
-            effort_rows.append([strategy.name, "", fmt(delta), fmt(summary.mean_effort),
-                                fmt(summary.ci_low), fmt(summary.ci_high),
-                                fmt(summary.decision_ratio), str(config.iterations)])
-            ratio_rows.append([annotations.experiment_label, strategy.name, fmt(delta),
-                               fmt(summary.decision_ratio)])
-
-    _write_csv(out / "effort.csv", SUMMARY_HEADER, effort_rows)
-    _write_csv(out / "decision_ratio.csv", RATIO_HEADER, ratio_rows)
+    jobs = [(config, annotations, strategy, delta)
+            for strategy in config.strategies for delta in config.deltas]
+    outcomes = _run_grid(_run_replay_cell, jobs, args.jobs)
+    failed_cells = [{"strategy": strategy.name, "delta": delta, "error": str(outcome)}
+                    for (_, _, strategy, delta), outcome in zip(jobs, outcomes)
+                    if isinstance(outcome, Exception)]
+    rows = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    _write_csv(out / "effort.csv", SUMMARY_HEADER, rows)
+    # decision_ratio.csv repeats each effort row's strategy, delta and ratio
+    _write_csv(out / "decision_ratio.csv", RATIO_HEADER,
+               [[annotations.experiment_label, row[0], row[2], row[6]] for row in rows])
     _write_manifest(out, {
         "mode": "replay",
         "dataset": str(dataset),
         "mapping": mapping,
         "fleiss_kappa": float(kappa),
         "config": _config_echo(config),
+        "failed_cells": failed_cells,
     })
-    return 0
+    return _report_failures(failed_cells)
 
 
 def cmd_trace(args) -> int:
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replay strategies over a recorded annotation CSV")
     rep.add_argument("--dataset", required=True, help="annotation CSV (request_id,worker_id,label)")
     rep.add_argument("--mapping", default=None, help="column-mapping YAML for foreign schemas")
-    rep.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; replay runs serially")
+    rep.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
     rep.set_defaults(func=cmd_replay)
 
     tra = sub.add_parser("trace", parents=[common],

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The verdict boundary: the share of first-model picks under no preference.
+MIDLINE = 0.5
+
 
 class Verdict(enum.Enum):
     UNDECIDED = "undecided"
@@ -33,7 +36,6 @@ class DecisionConfig:
     """delta is the allowed failure probability; decisions come at 1 - delta."""
 
     delta: float
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
@@ -85,9 +87,9 @@ def update(state: DecisionState, label: int, config: DecisionConfig) -> Decision
     count_a = state.count_a + label
     mean = count_a / n
     tol = hoeffding_tolerance(config.delta, n)
-    if mean - tol > config.threshold:
+    if mean - tol > MIDLINE:
         verdict = Verdict.A_IS_BETTER
-    elif mean + tol < config.threshold:
+    elif mean + tol < MIDLINE:
         verdict = Verdict.A_PRIME_IS_BETTER
     else:
         verdict = Verdict.UNDECIDED
@@ -110,8 +112,8 @@ def first_crossing(finals, delta: float, n: int = 0,
     counts += count
     means = counts / ns
     tolerances = np.sqrt(-math.log(delta) / (2.0 * ns))
-    a_hit = means - tolerances > 0.5
-    hit = a_hit | (means + tolerances < 0.5)
+    a_hit = means - tolerances > MIDLINE
+    hit = a_hit | (means + tolerances < MIDLINE)
     if not hit.any():
         return Verdict.UNDECIDED, n + len(finals), means, tolerances
     stop = int(np.argmax(hit))

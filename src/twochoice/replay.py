@@ -17,17 +17,17 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .decision import Verdict
-from .rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, as_generator, distinct_columns, substream
-from .simulator import ExperimentSummary, bootstrap_ci, run_blocks
-# majority_vote is unused here but stays importable: perfbench/worker.py
-# wraps replay.majority_vote in its traced launches
+from .rng import DOMAIN_ITERATION, as_generator, distinct_columns, substream
+# bootstrap_ci and majority_vote are unused here but stay importable:
+# perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
+# its traced launches
+from .simulator import (  # noqa: F401
+    ExperimentSummary, IterationResult, bootstrap_ci, run_blocks, summarize)
 from .strategies import Strategy, StrategyKind, majority_vote  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -39,55 +39,48 @@ class DataFormatError(ValueError):
     """Malformed annotation data; the message points at the offending spot."""
 
 
-@dataclass(frozen=True)
-class AnnotatedRequest:
-    request_id: str
-    votes: tuple  # ((worker_id, label), ...) in input order
-
-    def __post_init__(self):
-        seen = set()
-        for worker_id, label in self.votes:
-            if worker_id in seen:
-                raise DataFormatError(
-                    f"worker {worker_id!r} voted twice on request {self.request_id!r}")
-            seen.add(worker_id)
-            if label not in (0, 1):
-                raise DataFormatError(f"label must be 0 or 1, got {label!r}")
-        if not self.votes:
-            raise DataFormatError(f"request {self.request_id!r} has no votes")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnotationSet:
-    requests: tuple
+    """Recorded votes as a padded matrix, built once per annotation set.
+
+    ``labels`` is an (n_requests, max_votes) int8 matrix: row i holds
+    request i's labels sorted by worker id, so replay does not depend on
+    input row order, followed by zero padding. ``counts[i]`` is the number
+    of votes in row i.
+    """
+
+    request_ids: tuple
+    labels: np.ndarray
+    counts: np.ndarray
     worker_ids: frozenset
     experiment_label: str
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.request_ids)
 
-    @cached_property
-    def vote_matrix(self) -> tuple:
-        """(labels, counts): an (n_requests, max_votes) int8 label matrix
-        and the number of votes in each row.
+    @classmethod
+    def from_votes(cls, votes: dict, experiment_label: str = "") -> "AnnotationSet":
+        """Build from {request_id: {worker_id: label}}, requests in dict order.
 
-        Row i holds request i's labels sorted by worker id, so replay does
-        not depend on input row order, followed by zero padding. Built once
-        per annotation set.
+        One vote per (request, worker) holds by construction; a request
+        without votes and a label outside {0, 1} are rejected.
         """
-        counts = np.array([len(req.votes) for req in self.requests], dtype=np.int64)
+        if not votes:
+            raise DataFormatError("no annotation rows")
+        counts = np.array([len(by_worker) for by_worker in votes.values()], dtype=np.int64)
+        if not counts.all():
+            empty = list(votes)[int(np.argmin(counts))]
+            raise DataFormatError(f"request {empty!r} has no votes")
+        flat = np.array([by_worker[w] for by_worker in votes.values() for w in sorted(by_worker)])
+        bad = (flat != 0) & (flat != 1)
+        if bad.any():
+            raise DataFormatError(f"label must be 0 or 1, got {flat[bad][0].item()!r}")
         labels = np.zeros((counts.size, int(counts.max())), dtype=np.int8)
-        for row, req in zip(labels, self.requests):
-            row[:len(req.votes)] = [label for _, label in sorted(req.votes)]
-        return labels, counts
-
-
-@dataclass(frozen=True)
-class ReplayResult:
-    decided: bool
-    verdict: Verdict
-    n_at_decision: int
-    effort: int
+        # a row-major mask fills each row's leading counts[i] cells in order
+        labels[np.arange(labels.shape[1]) < counts[:, None]] = flat
+        workers = frozenset(w for by_worker in votes.values() for w in by_worker)
+        return cls(request_ids=tuple(votes), labels=labels, counts=counts,
+                   worker_ids=workers, experiment_label=experiment_label)
 
 
 def parse_annotations(source, mapping: Optional[dict] = None,
@@ -95,9 +88,10 @@ def parse_annotations(source, mapping: Optional[dict] = None,
     """Read request/worker/label rows from CSV into an AnnotationSet.
 
     The expected header is request_id,worker_id,label with binary labels;
-    extra columns are ignored. ``mapping`` adapts foreign schemas: keys
-    request_id/worker_id/label name the actual columns, and an optional
-    label_map dict translates raw label values to 0/1.
+    extra columns are ignored and blank lines skipped. ``mapping`` adapts
+    foreign schemas: keys request_id/worker_id/label name the actual
+    columns, and an optional label_map dict translates raw label values
+    to 0/1.
     """
     mapping = mapping or {}
     columns = {key: mapping.get(key, key) for key in REQUIRED_COLUMNS}
@@ -112,23 +106,24 @@ def parse_annotations(source, mapping: Optional[dict] = None,
                                               isinstance(source.read(0), bytes)):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
-    reader = csv.DictReader(source)
-    if not reader.fieldnames:
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if not header:
         raise DataFormatError("empty annotation file")
-    missing = [col for col in columns.values() if col not in reader.fieldnames]
+    missing = [col for col in columns.values() if col not in header]
     if missing:
-        raise DataFormatError(f"missing columns {missing} in header {reader.fieldnames}")
+        raise DataFormatError(f"missing columns {missing} in header {header}")
+    request_col, worker_col, label_col = (header.index(columns[key]) for key in REQUIRED_COLUMNS)
+    width = max(request_col, worker_col, label_col) + 1
 
-    votes_by_request: dict = {}
-    seen_pairs = set()
-    workers = set()
+    votes: dict = {}
     for row in reader:
+        if not row:
+            continue
         line = reader.line_num
-        request_id = row[columns["request_id"]]
-        worker_id = row[columns["worker_id"]]
-        raw = row[columns["label"]]
-        if request_id is None or worker_id is None or raw is None:
+        if len(row) < width:
             raise DataFormatError(f"line {line}: short row")
+        request_id, worker_id, raw = row[request_col], row[worker_col], row[label_col]
         if label_map is not None:
             if raw not in label_map:
                 raise DataFormatError(f"line {line}: label {raw!r} not in label_map")
@@ -140,28 +135,19 @@ def parse_annotations(source, mapping: Optional[dict] = None,
                 raise DataFormatError(f"line {line}: label {raw!r} is not an integer") from None
         if label not in (0, 1):
             raise DataFormatError(f"line {line}: label must be 0 or 1, got {raw!r}")
-        if (request_id, worker_id) in seen_pairs:
-            raise DataFormatError(
-                f"duplicate vote by worker {worker_id!r} on request {request_id!r}")
-        seen_pairs.add((request_id, worker_id))
-        workers.add(worker_id)
-        votes_by_request.setdefault(request_id, []).append((worker_id, label))
-
-    if not votes_by_request:
-        raise DataFormatError("no annotation rows")
-    requests = tuple(
-        AnnotatedRequest(request_id=rid, votes=tuple(votes))
-        for rid, votes in votes_by_request.items()
-    )
-    return AnnotationSet(requests=requests, worker_ids=frozenset(workers),
-                         experiment_label=experiment_label)
+        by_worker = votes.setdefault(request_id, {})
+        if worker_id in by_worker:
+            raise DataFormatError(f"line {line}: duplicate vote by worker {worker_id!r} "
+                                  f"on request {request_id!r}")
+        by_worker[worker_id] = label
+    return AnnotationSet.from_votes(votes, experiment_label)
 
 
 def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
     if strategy.kind is StrategyKind.FIXED_WORKER:
         raise ValueError("fixed-worker cannot be replayed on recorded data")
     demand = strategy.votes_needed()
-    shortest = int(annotations.vote_matrix[1].min())
+    shortest = int(annotations.counts.min())
     if demand > shortest:
         raise ValueError(
             f"strategy {strategy.name} needs {demand} votes per request "
@@ -169,13 +155,13 @@ def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
 
 
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                     iteration_index: int, seed: int) -> ReplayResult:
+                     iteration_index: int, seed: int) -> IterationResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop.
 
     The rows are permuted once; each block then picks its own rows' votes.
     """
     _check_replayable(annotations, strategy)
-    labels, counts = annotations.vote_matrix
+    labels, counts = annotations.labels, annotations.counts
     rng = substream(seed, DOMAIN_ITERATION, iteration_index)
     order = rng.permutation(counts.size)
 
@@ -184,9 +170,7 @@ def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: floa
         picks = distinct_columns(rng, counts[rows], strategy.votes_needed())
         return np.take_along_axis(labels[rows], picks, axis=1)
 
-    result = run_blocks(draw, counts.size, strategy, delta)
-    return ReplayResult(decided=result.decided, verdict=result.verdict,
-                        n_at_decision=result.n_at_decision, effort=result.effort)
+    return run_blocks(draw, counts.size, strategy, delta)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
@@ -196,20 +180,8 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     """Aggregate replay iterations the same way the simulator aggregates."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    _check_replayable(annotations, strategy)
     results = [replay_iteration(annotations, strategy, delta, i, seed) for i in range(iterations)]
-    decided_efforts = [r.effort for r in results if r.decided]
-    ratio = len(decided_efforts) / iterations
-    if decided_efforts:
-        mean_effort = float(np.mean(decided_efforts))
-        ci_low, ci_high = bootstrap_ci(decided_efforts, bootstrap_confidence,
-                                       bootstrap_resamples,
-                                       substream(seed, DOMAIN_BOOTSTRAP, 0))
-    else:
-        mean_effort = float("nan")
-        ci_low = ci_high = float("nan")
-    return ExperimentSummary(mean_effort=mean_effort, ci_low=ci_low, ci_high=ci_high,
-                             decision_ratio=ratio, per_iteration=results)
+    return summarize(results, seed, bootstrap_confidence, bootstrap_resamples)
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
@@ -225,7 +197,7 @@ def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
     is logged. If all votes land in one category, expected agreement is 1
     and kappa is defined as 1.
     """
-    labels, counts = annotations.vote_matrix
+    labels, counts = annotations.labels, annotations.counts
     k = int(counts.min())
     if k < 2:
         raise ValueError("fleiss_kappa needs at least 2 votes on every request")

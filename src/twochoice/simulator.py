@@ -15,7 +15,8 @@ an iteration's substream the draws are: the permutation; the fixed worker
 and for max-three the third voter and vote of the block's disagreeing
 requests in request order. The block schedule is fixed, so results depend
 only on (seed, iteration index) and never on scheduling. Replay runs its
-picks through the same block driver, ``run_blocks``.
+picks through the same block driver, ``run_blocks``, and aggregates its
+iterations with the same ``summarize``.
 """
 from __future__ import annotations
 
@@ -212,18 +213,26 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
         run_iteration(config, requests, pool, i, record_trace=i < trace_iterations)
         for i in range(config.iterations)
     ]
+    return summarize(results, config.seed, bootstrap_confidence, bootstrap_resamples)
+
+
+def summarize(results: list, seed: int, confidence: float, resamples: int) -> ExperimentSummary:
+    """Aggregate the iterations of one grid cell, simulated or replayed.
+
+    The mean effort and its bootstrap interval cover the decided iterations
+    only and are NaN when none decided; the bootstrap runs on the seed's
+    own substream.
+    """
     decided_efforts = [r.effort for r in results if r.decided]
-    ratio = len(decided_efforts) / config.iterations
     if decided_efforts:
         mean_effort = float(np.mean(decided_efforts))
-        ci_low, ci_high = bootstrap_ci(decided_efforts, bootstrap_confidence,
-                                       bootstrap_resamples,
-                                       substream(config.seed, DOMAIN_BOOTSTRAP, 0))
+        ci_low, ci_high = bootstrap_ci(decided_efforts, confidence, resamples,
+                                       substream(seed, DOMAIN_BOOTSTRAP, 0))
     else:
-        mean_effort = math.nan
-        ci_low = ci_high = math.nan
+        mean_effort = ci_low = ci_high = math.nan
     return ExperimentSummary(mean_effort=mean_effort, ci_low=ci_low, ci_high=ci_high,
-                             decision_ratio=ratio, per_iteration=results)
+                             decision_ratio=len(decided_efforts) / len(results),
+                             per_iteration=results)
 
 
 def bootstrap_ci(samples, confidence: float, resamples: int, seed: SeedLike) -> tuple[float, float]:

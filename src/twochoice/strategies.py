@@ -63,8 +63,6 @@ class Strategy:
                 n = int(raw)
             except ValueError:
                 raise ValueError(f"invalid worker count {raw!r} in {text!r}") from None
-            if n % 2 == 0 or n < 3:
-                raise ValueError(f"N must be odd and >= 3, got {n}")
             return cls(kind=StrategyKind.N_WORKERS_MAJORITY, n_workers=n)
         for kind in (StrategyKind.FIXED_WORKER, StrategyKind.ONE_WORKER, StrategyKind.MAX_THREE_WORKERS):
             if text == kind.value:

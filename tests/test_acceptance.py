@@ -49,7 +49,6 @@ from twochoice.config import load_simulate_config
 from twochoice.decision import hoeffding_tolerance, min_n_for_decision
 from twochoice.eval_model import sample_capabilities, sample_difficulties
 from twochoice.replay import (
-    AnnotatedRequest,
     AnnotationSet,
     fleiss_kappa,
     parse_annotations,
@@ -179,12 +178,9 @@ def amt_set(key):
 
 
 def make_set(vote_lists):
-    requests = tuple(
-        AnnotatedRequest(request_id=f"r{i}",
-                         votes=tuple((f"w{i}_{j}", int(v)) for j, v in enumerate(votes)))
-        for i, votes in enumerate(vote_lists))
-    workers = frozenset(w for req in requests for w, _ in req.votes)
-    return AnnotationSet(requests=requests, worker_ids=workers, experiment_label="synthetic")
+    return AnnotationSet.from_votes(
+        {f"r{i}": {f"w{i}_{j}": int(v) for j, v in enumerate(votes)}
+         for i, votes in enumerate(vote_lists)}, "synthetic")
 
 
 class TestCriterion01ReferenceEffortGrid:

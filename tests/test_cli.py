@@ -164,6 +164,48 @@ class TestReplayCommand:
         ratio = list(csv.DictReader(open(out / "decision_ratio.csv", encoding="utf-8")))
         assert [row["dataset"] for row in ratio] == ["votes"] * 4
         assert {row["strategy"] for row in ratio} == {"one-worker", "max-three"}
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+        assert manifest["failed_cells"] == []
+
+    def test_rerun_is_byte_identical_across_jobs(self, dataset, tmp_path):
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"rep{jobs}"
+            assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                         "--out", str(out), "--jobs", str(jobs)]) == 0
+            tables.append([(out / name).read_bytes()
+                           for name in ("effort.csv", "decision_ratio.csv")])
+        assert tables[0] == tables[1]
+
+    def test_partial_grid_failure_keeps_completed_rows(self, tmp_path, capsys):
+        # one request holds only 8 votes, so n-workers:9 cannot be replayed;
+        # the other cells still complete and both failed cells are reported,
+        # serially and in parallel
+        dataset = tmp_path / "short.csv"
+        dataset.write_text("request_id,worker_id,label\n" + "".join(
+            f"req{r},w{k},{(r + k) % 3 != 0:d}\n"
+            for r in range(30) for k in range(8 if r == 0 else 10)), encoding="utf-8")
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY.replace("max-three", "n-workers:9"), encoding="utf-8")
+        for jobs in (1, 2):
+            out = tmp_path / f"out{jobs}"
+            assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                         "--out", str(out), "--jobs", str(jobs)]) == 1
+            errors = capsys.readouterr().err.splitlines()
+            assert len(errors) == 2
+            assert all("n-workers:9" in line for line in errors)
+            effort = list(csv.DictReader(open(out / "effort.csv", encoding="utf-8")))
+            assert [(row["strategy"], row["delta"]) for row in effort] == \
+                [("one-worker", "0.01"), ("one-worker", "0.001")]
+            ratio = list(csv.DictReader(open(out / "decision_ratio.csv", encoding="utf-8")))
+            assert [row["strategy"] for row in ratio] == ["one-worker"] * 2
+            manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+            failed = manifest["failed_cells"]
+            assert [(cell["strategy"], cell["delta"]) for cell in failed] == \
+                [("n-workers:9", 0.01), ("n-workers:9", 0.001)]
+            assert all("needs 9" in cell["error"] for cell in failed)
 
     def test_missing_dataset_names_path(self, smoke_config, tmp_path, capsys):
         config = tmp_path / "replay.yaml"

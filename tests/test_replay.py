@@ -6,7 +6,6 @@ import pytest
 
 from twochoice.decision import Verdict
 from twochoice.replay import (
-    AnnotatedRequest,
     AnnotationSet,
     DataFormatError,
     fleiss_kappa,
@@ -22,13 +21,30 @@ def csv_stream(text):
 
 
 def make_set(vote_lists, label="synthetic"):
-    requests = tuple(
-        AnnotatedRequest(request_id=f"r{i}",
-                         votes=tuple((f"w{i}_{j}", int(v)) for j, v in enumerate(votes)))
-        for i, votes in enumerate(vote_lists)
-    )
-    workers = frozenset(w for req in requests for w, _ in req.votes)
-    return AnnotationSet(requests=requests, worker_ids=workers, experiment_label=label)
+    return AnnotationSet.from_votes(
+        {f"r{i}": {f"w{i}_{j}": int(v) for j, v in enumerate(votes)}
+         for i, votes in enumerate(vote_lists)}, label)
+
+
+class TestFromVotes:
+    def test_rows_sorted_by_worker_and_padded(self):
+        annotations = AnnotationSet.from_votes(
+            {"r2": {"w3": 1, "w1": 0, "w2": 1}, "r1": {"w9": 1}}, "set")
+        assert annotations.labels.dtype == np.int8
+        assert annotations.labels.tolist() == [[0, 1, 1], [1, 0, 0]]
+        assert annotations.counts.tolist() == [3, 1]
+        assert annotations.request_ids == ("r2", "r1")
+        assert annotations.worker_ids == {"w1", "w2", "w3", "w9"}
+        assert annotations.experiment_label == "set"
+        assert len(annotations) == 2
+
+    def test_request_without_votes_is_rejected(self):
+        with pytest.raises(DataFormatError, match="'r2' has no votes"):
+            AnnotationSet.from_votes({"r1": {"w1": 1}, "r2": {}})
+
+    def test_label_outside_binary_is_rejected(self):
+        with pytest.raises(DataFormatError, match="got 2"):
+            AnnotationSet.from_votes({"r1": {"w1": 1, "w2": 2}})
 
 
 class TestParseAnnotations:
@@ -36,7 +52,9 @@ class TestParseAnnotations:
         parsed = parse_annotations(csv_stream(
             "request_id,worker_id,label\nr1,w1,1\nr1,w2,1\nr1,w3,0"))
         assert len(parsed) == 1
-        assert parsed.requests[0].votes == (("w1", 1), ("w2", 1), ("w3", 0))
+        assert parsed.request_ids == ("r1",)
+        assert parsed.labels.tolist() == [[1, 1, 0]]
+        assert parsed.counts.tolist() == [3]
         assert parsed.worker_ids == {"w1", "w2", "w3"}
 
     def test_bad_label_cites_line_number(self):
@@ -44,6 +62,18 @@ class TestParseAnnotations:
                "\n".join(f"r1,w{i},1" for i in range(1, 6)) + "\nr1,w9,2"
         with pytest.raises(DataFormatError, match="line 7"):
             parse_annotations(csv_stream(text))
+
+    def test_blank_lines_are_skipped(self):
+        parsed = parse_annotations(csv_stream(
+            "request_id,worker_id,label\n\nr1,w1,1\n\nr2,w1,0\nr1,w2,0\n"))
+        assert parsed.request_ids == ("r1", "r2")
+        assert parsed.labels.tolist() == [[1, 0], [0, 0]]
+        assert parsed.counts.tolist() == [2, 1]
+
+    def test_short_row_cites_line_number(self):
+        with pytest.raises(DataFormatError, match="line 4: short row"):
+            parse_annotations(csv_stream(
+                "request_id,worker_id,label\nr1,w1,1\n\nr1,w2"))
 
     def test_duplicate_vote_names_the_pair(self):
         with pytest.raises(DataFormatError, match=r"'w1'.*'r1'"):
@@ -65,14 +95,18 @@ class TestParseAnnotations:
     def test_extra_columns_ignored(self):
         parsed = parse_annotations(csv_stream(
             "request_id,worker_id,label,elapsed\nr1,w1,1,12.5"))
-        assert parsed.requests[0].votes == (("w1", 1),)
+        assert parsed.request_ids == ("r1",)
+        assert parsed.labels.tolist() == [[1]]
+        assert parsed.counts.tolist() == [1]
 
     def test_mapping_adapts_foreign_schema(self):
         parsed = parse_annotations(
             csv_stream("pair,turker,choice\np1,t1,A\np1,t2,B"),
             mapping={"request_id": "pair", "worker_id": "turker", "label": "choice",
                      "label_map": {"A": 1, "B": 0}})
-        assert parsed.requests[0].votes == (("t1", 1), ("t2", 0))
+        assert parsed.request_ids == ("p1",)
+        assert parsed.labels.tolist() == [[1, 0]]
+        assert parsed.counts.tolist() == [2]
 
     def test_unmapped_label_value_is_an_error(self):
         with pytest.raises(DataFormatError, match="label_map"):
@@ -82,7 +116,9 @@ class TestParseAnnotations:
 
     def test_bytes_input(self):
         parsed = parse_annotations(io.BytesIO(b"request_id,worker_id,label\nr1,w1,0\n"))
-        assert parsed.requests[0].votes == (("w1", 0),)
+        assert parsed.request_ids == ("r1",)
+        assert parsed.labels.tolist() == [[0]]
+        assert parsed.counts.tolist() == [1]
 
     def test_file_path_input(self, tmp_path):
         path = tmp_path / "votes.csv"
