@@ -32,6 +32,7 @@ from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
 SUMMARY_HEADER = ["strategy", "mu", "delta", "mean_effort", "ci_low", "ci_high",
                   "decision_ratio", "iterations"]
 TRACE_HEADER = ["iteration", "n", "mean", "lower", "upper"]
+TRACE_FILES = "trace_[0-9][0-9][0-9].csv"
 RATIO_HEADER = ["dataset", "strategy", "delta", "decision_ratio"]
 
 
@@ -69,19 +70,41 @@ def _experiment_config(config: SimulateConfig, regime, strategy, delta) -> Exper
 
 
 def _run_simulate_cell(args):
-    config, regime, strategy, delta = args
+    """One grid cell: run it, write its trace CSV if it has one, and return
+    its summary row. The trace is written here, in the worker process under
+    --jobs, so no cell's trace rows outlive the cell."""
+    config, regime, strategy, delta, trace_path = args
     summary = run_experiment(_experiment_config(config, regime, strategy, delta),
                              trace_iterations=config.trace_iterations,
                              bootstrap_confidence=config.bootstrap_confidence,
                              bootstrap_resamples=config.bootstrap_resamples)
-    row = [strategy.name, fmt(regime.mu), fmt(delta), fmt(summary.mean_effort),
-           fmt(summary.ci_low), fmt(summary.ci_high), fmt(summary.decision_ratio),
-           str(config.iterations)]
-    traces = []
-    for i, result in enumerate(summary.per_iteration[:config.trace_iterations]):
-        for (n, mean, lower, upper) in result.trace or []:
-            traces.append([str(i), str(n), fmt(mean), fmt(lower), fmt(upper)])
-    return row, traces
+    if trace_path is not None:
+        _write_csv(trace_path, TRACE_HEADER,
+                   _CellTraceRows(summary.per_iteration[:config.trace_iterations]))
+    return [strategy.name, fmt(regime.mu), fmt(delta), fmt(summary.mean_effort),
+            fmt(summary.ci_low), fmt(summary.ci_high), fmt(summary.decision_ratio),
+            str(config.iterations)]
+
+
+def _trace_rows(iteration: int, trace: list):
+    return ([str(iteration), str(n), fmt(mean), fmt(lower), fmt(upper)]
+            for n, mean, lower, upper in trace)
+
+
+class _CellTraceRows:
+    """The trace rows of a cell's traced iterations, formatted one at a time
+    as the CSV writer takes them. len() counts them without formatting any;
+    perfbench/worker.py's row counter reads it."""
+
+    def __init__(self, results: list):
+        self.results = results
+
+    def __len__(self) -> int:
+        return sum(len(result.trace) for result in self.results)
+
+    def __iter__(self):
+        for i, result in enumerate(self.results):
+            yield from _trace_rows(i, result.trace)
 
 
 def _prepare_out(out: Path, names: list, force: bool) -> None:
@@ -93,7 +116,7 @@ def _prepare_out(out: Path, names: list, force: bool) -> None:
                 f"refusing to overwrite {existing} in {out} (use --force)")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -125,23 +148,24 @@ def cmd_simulate(args) -> int:
     config = load_simulate_config(args.config, seed_override=args.seed)
     out = Path(args.out)
     cells = simulate_grid(config)
-    trace_names = [f"trace_{i:03d}.csv" for i in range(len(cells))] if config.trace_iterations else []
-    _prepare_out(out, ["summary.csv", "manifest.yaml", *trace_names], args.force)
+    # every trace file in the directory counts as an output, this grid's or
+    # an earlier one's, and --force removes them all before the grid runs
+    old_traces = sorted(out.glob(TRACE_FILES))
+    _prepare_out(out, ["summary.csv", "manifest.yaml", *(p.name for p in old_traces)],
+                 args.force)
+    for path in old_traces:
+        path.unlink()
 
-    jobs = [(config, regime, strategy, delta) for regime, strategy, delta in cells]
+    jobs = [(config, regime, strategy, delta,
+             out / f"trace_{i:03d}.csv" if config.trace_iterations else None)
+            for i, (regime, strategy, delta) in enumerate(cells)]
     outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
     failed_cells = [{"strategy": strategy.name, "mu": regime.mu, "delta": delta,
                      "error": str(outcome)}
-                    for (_, regime, strategy, delta), outcome in zip(jobs, outcomes)
+                    for (_, regime, strategy, delta, _), outcome in zip(jobs, outcomes)
                     if isinstance(outcome, Exception)]
-    rows = []
-    for i, outcome in enumerate(outcomes):
-        if not isinstance(outcome, Exception):
-            row, traces = outcome
-            rows.append(row)
-            if traces:
-                _write_csv(out / f"trace_{i:03d}.csv", TRACE_HEADER, traces)
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
+    _write_csv(out / "summary.csv", SUMMARY_HEADER,
+               [row for row in outcomes if not isinstance(row, Exception)])
     _write_manifest(out, {"mode": "simulate", "config": _config_echo(config),
                           "failed_cells": failed_cells})
     return _report_failures(failed_cells)
@@ -236,9 +260,7 @@ def cmd_trace(args) -> int:
     pool = sample_capabilities(exp.capability_lo, exp.capability_hi, exp.pool_size,
                                substream(exp.seed, DOMAIN_POOL, 0))
     result = run_iteration(exp, requests, pool, args.iteration, record_trace=True)
-    rows = [[str(args.iteration), str(n), fmt(mean), fmt(lower), fmt(upper)]
-            for (n, mean, lower, upper) in result.trace]
-    _write_csv(out / "trace.csv", TRACE_HEADER, rows)
+    _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(args.iteration, result.trace))
     _write_manifest(out, {
         "mode": "trace",
         "cell": {"strategy": strategy.name, "mu": regime.mu, "delta": delta},

@@ -66,6 +66,11 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _flag(data: dict, key: str, where: str) -> bool:
+    """An optional on/off field: a YAML boolean, off when absent."""
+    return _require(data, key, bool, where) if key in data else False
+
+
 def _int_at_least(data: dict, key: str, where: str, minimum: int, default=None) -> int:
     if default is not None and key not in data:
         return default
@@ -80,7 +85,7 @@ def _strategies(data: dict, where: str, allow_fixed: bool = True) -> tuple:
     if not raw:
         raise ConfigError(f"{where}.strategies: must not be empty")
     out = []
-    distinct = bool(data.get("distinct_voters", False))
+    distinct = _flag(data, "distinct_voters", where)
     for i, name in enumerate(raw):
         try:
             strat = Strategy.from_name(str(name))
@@ -167,9 +172,9 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         seed=_seed(data, where, seed_override),
         bootstrap_confidence=confidence,
         bootstrap_resamples=resamples,
-        resample_difficulties_per_iteration=bool(data.get("resample_difficulties_per_iteration", False)),
-        resample_pool_per_iteration=bool(data.get("resample_pool_per_iteration", False)),
-        distinct_voters=bool(data.get("distinct_voters", False)),
+        resample_difficulties_per_iteration=_flag(data, "resample_difficulties_per_iteration", where),
+        resample_pool_per_iteration=_flag(data, "resample_pool_per_iteration", where),
+        distinct_voters=_flag(data, "distinct_voters", where),
         trace_iterations=_int_at_least(data, "trace_iterations", where, 0, default=0),
     )
 

@@ -63,13 +63,16 @@ class TestSimulateCommand:
         assert manifest["stream_layout"] == STREAM_LAYOUT
         assert manifest["failed_cells"] == []
 
-    def test_rerun_is_byte_identical_across_jobs(self, smoke_config, tmp_path):
+    def test_rerun_is_byte_identical_across_jobs(self, tmp_path):
+        config = tmp_path / "traced.yaml"
+        config.write_text(SMOKE + "trace_iterations: 3\n", encoding="utf-8")
         outs = []
         for name, jobs in (("a", 1), ("b", 1), ("c", 3)):
             out = tmp_path / name
-            assert main(["simulate", "--config", str(smoke_config), "--out", str(out),
+            assert main(["simulate", "--config", str(config), "--out", str(out),
                          "--jobs", str(jobs)]) == 0
-            outs.append((out / "summary.csv").read_bytes())
+            outs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
+        assert sorted(outs[0]) == ["summary.csv"] + [f"trace_{i:03d}.csv" for i in range(4)]
         assert outs[0] == outs[1] == outs[2]
 
     def test_seed_override_changes_results(self, smoke_config, tmp_path):
@@ -86,6 +89,32 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(smoke_config), "--out", str(out),
                      "--force"]) == 0
 
+    def test_force_removes_earlier_trace_files(self, tmp_path):
+        traced = tmp_path / "traced.yaml"
+        traced.write_text(SMOKE + "trace_iterations: 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(traced), "--out", str(out)]) == 0
+        assert len(list(out.glob("trace_*.csv"))) == 4
+        # files that only look like trace outputs stay
+        for name in ("trace_0001.csv", "trace_abc.csv", "trace_001.csv.bak", "notes.csv"):
+            (out / name).write_text("kept\n", encoding="utf-8")
+        untraced = tmp_path / "untraced.yaml"
+        untraced.write_text(SMOKE + "trace_iterations: 0\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(untraced), "--out", str(out),
+                     "--force"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.yaml", "notes.csv", "summary.csv", "trace_0001.csv",
+            "trace_001.csv.bak", "trace_abc.csv"]
+
+    def test_earlier_trace_files_refuse_a_run_without_force(self, smoke_config, tmp_path,
+                                                            capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trace_007.csv").write_text("iteration,n,mean,lower,upper\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 2
+        assert "trace_007.csv" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
     def test_even_worker_count_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text(SMOKE.replace("n-workers:3", "n-workers:4"), encoding="utf-8")
@@ -101,6 +130,27 @@ class TestSimulateCommand:
         with pytest.raises(ConfigError, match=r"config\.trace_iterations"):
             load_simulate_config(config)
 
+    @pytest.mark.parametrize("field", ["distinct_voters", "resample_difficulties_per_iteration",
+                                       "resample_pool_per_iteration"])
+    @pytest.mark.parametrize("value", ['"false"', "1", "null"])
+    def test_flag_that_is_not_a_boolean_is_a_config_error(self, tmp_path, field, value):
+        config = tmp_path / "bad.yaml"
+        config.write_text(SMOKE + f"{field}: {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"config\.{field}: expected bool"):
+            load_simulate_config(config)
+
+    @pytest.mark.parametrize("value, expected", [("true", True), ("false", False)])
+    def test_boolean_flags_load(self, tmp_path, value, expected):
+        config = tmp_path / "flags.yaml"
+        config.write_text(SMOKE + f"distinct_voters: {value}\n"
+                          f"resample_difficulties_per_iteration: {value}\n"
+                          f"resample_pool_per_iteration: {value}\n", encoding="utf-8")
+        loaded = load_simulate_config(config)
+        assert loaded.distinct_voters is expected
+        assert loaded.resample_difficulties_per_iteration is expected
+        assert loaded.resample_pool_per_iteration is expected
+        assert all(s.distinct_voters is expected for s in loaded.strategies)
+
     def test_missing_config_field_is_reported(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("workers: {lo: 0.8, hi: 1.0, pool_size: 5}\n", encoding="utf-8")
@@ -111,10 +161,12 @@ class TestSimulateCommand:
         config = tmp_path / "partial.yaml"
         config.write_text(SMOKE.replace("pool_size: 20", "pool_size: 2")
                                .replace("n-workers:3", "n-workers:5")
-                               + "distinct_voters: true\n", encoding="utf-8")
+                               + "distinct_voters: true\ntrace_iterations: 2\n",
+                          encoding="utf-8")
         # 5 distinct voters cannot come out of a 2-worker pool; the
-        # one-worker cells still complete and both failed cells are reported,
-        # serially and in parallel
+        # one-worker cells still complete, with their trace files (cells 0
+        # and 1 of the grid), and both failed cells are reported and write
+        # no trace file, serially and in parallel
         for jobs in (1, 2):
             out = tmp_path / f"out{jobs}"
             assert main(["simulate", "--config", str(config), "--out", str(out),
@@ -130,6 +182,11 @@ class TestSimulateCommand:
             assert [(cell["strategy"], cell["mu"], cell["delta"]) for cell in failed] == \
                 [("n-workers:5", 0.4, 0.01), ("n-workers:5", 0.4, 0.001)]
             assert all("distinct" in cell["error"] for cell in failed)
+            assert sorted(path.name for path in out.glob("trace_*.csv")) == \
+                ["trace_000.csv", "trace_001.csv"]
+            for i in (0, 1):
+                traced = list(csv.DictReader(open(out / f"trace_{i:03d}.csv", encoding="utf-8")))
+                assert {row["iteration"] for row in traced} == {"0", "1"}
 
     def test_summary_round_trips(self, smoke_config, tmp_path):
         out = tmp_path / "out"

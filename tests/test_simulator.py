@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twochoice import decision
+from twochoice import decision, simulator
 from twochoice.decision import DecisionConfig, DecisionState, Verdict
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
-from twochoice.rng import DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, substream
+from twochoice.rng import (
+    DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, as_generator, substream)
 from twochoice.simulator import (
     FIRST_BLOCK,
     ExperimentConfig,
@@ -303,6 +305,30 @@ class TestBootstrapCI:
         o_hi = means[int(0.995 * len(means)) - 1]
         assert lo <= 50.5 <= hi
         assert (hi - lo) == pytest.approx(o_hi - o_lo, rel=0.15)
+
+    def test_working_memory_is_bounded(self):
+        data = np.random.default_rng(3).integers(100, 5000, 1000)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(data, 0.99, 10_000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    # the default block, and blocks of one and of three rows, whose odd
+    # number of draws leaves half a 64-bit word to the next block
+    @pytest.mark.parametrize("size, block_bytes", [
+        (1000, simulator.BOOTSTRAP_BLOCK_BYTES), (7, 8 * 7), (1001, 8 * 1001 * 3)])
+    def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes):
+        data = np.random.default_rng(5).integers(100, 5000, size).astype(np.float64)
+        monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
+        lo, hi = bootstrap_ci(data, 0.99, 10_000, seed=6)
+        # reference: every resample drawn by one call
+        picks = as_generator(6).integers(0, size, size=(10_000, size))
+        alpha = (1.0 - 0.99) / 2.0
+        ref_lo, ref_hi = np.quantile(data[picks].mean(axis=1), [alpha, 1.0 - alpha])
+        assert (lo, hi) == (float(ref_lo), float(ref_hi))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
