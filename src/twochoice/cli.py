@@ -249,6 +249,9 @@ def cmd_trace(args) -> int:
     cells = simulate_grid(config)
     if not 0 <= args.cell < len(cells):
         raise ConfigError(f"--cell must be in [0, {len(cells) - 1}], got {args.cell}")
+    if not 0 <= args.iteration < config.iterations:
+        raise ConfigError(f"--iteration must be in [0, {config.iterations - 1}], "
+                          f"got {args.iteration}")
     regime, strategy, delta = cells[args.cell]
     exp = _experiment_config(config, regime, strategy, delta)
 
@@ -276,6 +279,17 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """--jobs: a process count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twochoice",
@@ -292,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common],
                          help="run the simulation grid and write summary.csv")
-    sim.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+    sim.add_argument("--jobs", type=_jobs, default=1, help="parallel grid cells")
     sim.set_defaults(func=cmd_simulate)
 
     rep = sub.add_parser("replay", parents=[common],
                          help="replay strategies over a recorded annotation CSV")
     rep.add_argument("--dataset", required=True, help="annotation CSV (request_id,worker_id,label)")
     rep.add_argument("--mapping", default=None, help="column-mapping YAML for foreign schemas")
-    rep.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+    rep.add_argument("--jobs", type=_jobs, default=1, help="parallel grid cells")
     rep.set_defaults(func=cmd_replay)
 
     tra = sub.add_parser("trace", parents=[common],

@@ -55,6 +55,25 @@ class ReplayConfig:
     bootstrap_resamples: int = 10_000
 
 
+SIMULATE_KEYS = {"workers", "regimes", "strategies", "deltas", "iterations", "seed", "bootstrap",
+                 "resample_difficulties_per_iteration", "resample_pool_per_iteration",
+                 "distinct_voters", "trace_iterations"}
+# replay's votes always come from distinct workers, so distinct_voters is
+# read there too but changes nothing
+REPLAY_KEYS = {"strategies", "deltas", "iterations", "seed", "bootstrap", "distinct_voters"}
+WORKERS_KEYS = {"lo", "hi", "pool_size"}
+REGIME_KEYS = {"mu", "sigma", "n_requests"}
+BOOTSTRAP_KEYS = {"confidence", "resamples"}
+MAPPING_KEYS = {"request_id", "worker_id", "label", "label_map"}
+
+
+def _check_keys(data: dict, allowed: set, where: str) -> None:
+    """Reject keys the loader does not read, so a typo is not silently ignored."""
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ConfigError(f"{where}: missing required field {key!r}")
@@ -123,6 +142,7 @@ def _bootstrap(data: dict, where: str) -> tuple:
     boot = data.get("bootstrap", {})
     if not isinstance(boot, dict):
         raise ConfigError(f"{where}.bootstrap: expected a mapping, got {boot!r}")
+    _check_keys(boot, BOOTSTRAP_KEYS, f"{where}.bootstrap")
     confidence = boot.get("confidence", 0.99)
     if not isinstance(confidence, float) or not 0 < confidence < 1:
         raise ConfigError(f"{where}.bootstrap.confidence: must be in (0, 1), got {confidence!r}")
@@ -135,8 +155,10 @@ def _bootstrap(data: dict, where: str) -> tuple:
 def load_simulate_config(path, seed_override=None) -> SimulateConfig:
     data = _load_yaml(path)
     where = "config"
+    _check_keys(data, SIMULATE_KEYS, where)
 
     workers = _require(data, "workers", dict, where)
+    _check_keys(workers, WORKERS_KEYS, f"{where}.workers")
     lo = _require(workers, "lo", float, f"{where}.workers")
     hi = _require(workers, "hi", float, f"{where}.workers")
     if not 0.0 <= lo <= hi <= 1.0:
@@ -151,6 +173,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         rwhere = f"{where}.regimes[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{rwhere}: expected a mapping, got {entry!r}")
+        _check_keys(entry, REGIME_KEYS, rwhere)
         mu = _require(entry, "mu", float, rwhere)
         if not -1.0 <= mu <= 1.0:
             raise ConfigError(f"{rwhere}.mu: must lie in [-1, 1], got {mu}")
@@ -182,6 +205,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
 def load_replay_config(path, seed_override=None) -> ReplayConfig:
     data = _load_yaml(path)
     where = "config"
+    _check_keys(data, REPLAY_KEYS, where)
     confidence, resamples = _bootstrap(data, where)
     return ReplayConfig(
         strategies=_strategies(data, where, allow_fixed=False),
@@ -195,10 +219,7 @@ def load_replay_config(path, seed_override=None) -> ReplayConfig:
 
 def load_mapping(path) -> dict:
     data = _load_yaml(path)
-    allowed = {"request_id", "worker_id", "label", "label_map"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"mapping: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+    _check_keys(data, MAPPING_KEYS, "mapping")
     return data
 
 

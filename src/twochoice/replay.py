@@ -1,12 +1,12 @@
 """Replay labelling strategies over a recorded two-choice annotation set.
 
 The input is real crowd data: request pairs, each voted on by several
-workers. A replay iteration shuffles the requests, samples the votes a
+workers. A replay iteration runs through the simulator's block driver: it
+reveals a shuffled request order block by block and samples the votes a
 strategy needs per request without replacement from that request's
-recorded votes, and feeds them through the simulator's block driver, so
-votes are picked block by block and none past the stopping block. No label
-is ever fabricated and no recorded vote is reused within one (request,
-iteration).
+recorded votes, so no row past the stopping block is revealed or picked.
+No label is ever fabricated and no recorded vote is reused within one
+(request, iteration).
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
 who voted on every request.
@@ -158,19 +158,18 @@ def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: floa
                      iteration_index: int, seed: int) -> IterationResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop.
 
-    The rows are permuted once; each block then picks its own rows' votes.
+    The block driver reveals the shuffled rows block by block; each block
+    then picks its own rows' votes.
     """
     _check_replayable(annotations, strategy)
     labels, counts = annotations.labels, annotations.counts
     rng = substream(seed, DOMAIN_ITERATION, iteration_index)
-    order = rng.permutation(counts.size)
 
-    def draw(start, stop):
-        rows = order[start:stop]
+    def draw(rows):
         picks = distinct_columns(rng, counts[rows], strategy.votes_needed())
         return np.take_along_axis(labels[rows], picks, axis=1)
 
-    return run_blocks(draw, counts.size, strategy, delta)
+    return run_blocks(draw, counts.size, strategy, delta, rng)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,

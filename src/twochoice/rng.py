@@ -24,7 +24,10 @@ DOMAIN_BOOTSTRAP = 3
 # 3: simulate's votes and replay's picks are drawn in doubling blocks of
 #    requests (simulator.FIRST_BLOCK rows first), only up to the stopping
 #    block.
-STREAM_LAYOUT = 3
+# 4: the request order is revealed block by block (simulator.reveal_order),
+#    and with-replacement votes are drawn at the pool's mean capability
+#    without voter indices.
+STREAM_LAYOUT = 4
 
 _MAX_SEED = 2**64
 

@@ -6,20 +6,21 @@ band clears the 0.5 midline. An experiment repeats that over independent
 per-iteration random substreams and aggregates the labelling effort of the
 decided iterations with a percentile-bootstrap confidence interval.
 
-Votes are drawn lazily in blocks of the shuffled request order: the first
-block holds FIRST_BLOCK requests, each later block twice as many as the one
-before, and the last is cut at the request supply. Each block is scanned as
-soon as it is drawn, and no block past the first crossing is drawn. Within
-an iteration's substream the draws are: the permutation; the fixed worker
-(fixed-worker only, once); then per block the voter indices, their uniforms,
-and for max-three the third voter and vote of the block's disagreeing
-requests in request order. The block schedule is fixed, so results depend
-only on (seed, iteration index) and never on scheduling. Replay runs its
-picks through the same block driver, ``run_blocks``, and aggregates its
-iterations with the same ``summarize``.
+Each iteration reveals a uniformly random order of the requests one block
+at a time (``reveal_order``): the first block holds FIRST_BLOCK requests,
+each later block twice as many as the one before, and the last is cut at
+the request supply. Each block's votes are drawn and scanned as soon as
+its rows are revealed, and no block past the first crossing is revealed or
+drawn. Within an iteration's substream the draws are: the fixed worker
+(fixed-worker only, once); then per block the block's rows, then its votes
+as ``draw_votes`` lays them out. The block schedule is fixed, so results
+depend only on (seed, iteration index) and never on scheduling. Replay
+runs its picks through the same block driver, ``run_blocks``, and
+aggregates its iterations with the same ``summarize``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -116,55 +117,92 @@ def draw_votes(
 ) -> np.ndarray:
     """(n, votes_needed()) votes for every request, in order.
 
-    Draw order: voter indices, then their votes; for max-three, then the
-    third voter and vote of the rows whose first two votes disagree, in
-    row order. Column 2 stays 0 where the first two agree, since the third
-    vote cannot change that majority. Fixed-worker labels with ``worker``,
-    drawn here first when not given.
+    A vote for A at difficulty d comes from a voter of capability c with
+    probability (c * d + 1) / 2. A voter drawn with replacement is a
+    uniform pick from the pool, so, averaged over the pick, its vote is a
+    Bernoulli draw at the pool's mean capability, independent of the
+    request's other votes; no voter index is drawn. Fixed-worker votes at
+    the capability of ``worker``, drawn here first when not given. Only
+    ``distinct_voters`` draws voter indices: k distinct voters per request
+    (max-three reserves its potential third up front), before the votes.
+
+    Draw order: the voter indices (distinct_voters only); the uniforms of
+    the first k votes (two for max-three) as one (k, n) block, every row's
+    first vote, then every row's second, and so on; for max-three, then
+    the uniform of the third vote of each row whose first two votes
+    disagree, in row order. Column 2 stays 0 where the first two agree,
+    since the third vote cannot change that majority.
     """
     n = difficulties.size
-    pool_size = capabilities.size
     k = strategy.votes_needed()
     max_three = strategy.kind is StrategyKind.MAX_THREE_WORKERS
     upfront = 2 if max_three else k
 
     if strategy.kind is StrategyKind.FIXED_WORKER:
-        idx = np.full((n, 1), rng.integers(0, pool_size) if worker is None else worker)
+        capability = capabilities[rng.integers(0, capabilities.size) if worker is None else worker]
     elif strategy.distinct_voters and k > 1:
-        # max-three reserves its potential third voter up front
-        idx = distinct_columns(rng, np.full(n, pool_size), k)
+        capability = capabilities[distinct_columns(rng, np.full(n, capabilities.size), k).T]
     else:
-        idx = rng.integers(0, pool_size, size=(n, upfront))
-    # column-major, so the per-row majority sums whole columns at a time
-    votes = np.zeros((n, k), dtype=np.int8, order="F")
-    prob = (capabilities[idx[:, :upfront]] * difficulties[:, None] + 1.0) / 2.0
-    votes[:, :upfront] = rng.random((n, upfront)) < prob
+        capability = capabilities.mean()
+    # one row of vote probabilities shared by every vote of a request, or
+    # one row per distinct voter
+    prob = np.atleast_2d((capability * difficulties + 1.0) / 2.0)
+    # votes are laid out vote by vote and returned transposed, so the
+    # (n, k) matrix is column-major and the per-row majority sums whole
+    # columns at a time
+    votes = np.zeros((k, n), dtype=np.int8)
+    votes[:upfront] = rng.random((upfront, n)) < prob[:upfront]
     if max_three:
-        disagree = votes[:, 0] != votes[:, 1]
-        m = int(disagree.sum())
-        third = idx[disagree, 2] if strategy.distinct_voters else rng.integers(0, pool_size, m)
-        prob = (capabilities[third] * difficulties[disagree] + 1.0) / 2.0
-        votes[disagree, 2] = rng.random(m) < prob
-    return votes
+        disagree = votes[0] != votes[1]
+        votes[2, disagree] = rng.random(int(disagree.sum())) < prob[-1, disagree]
+    return votes.T
+
+
+def reveal_order(rng: np.random.Generator, n_total: int, sizes):
+    """Yield a uniformly random order of rows 0..n_total-1, one block of
+    rows per entry of ``sizes``, until the rows run out.
+
+    The first block is ``rng.choice(n_total, size, replace=False)``; each
+    later block is a choice without replacement from the rows not yet
+    revealed. A block that takes every remaining row is a permutation of
+    them, so a supply that fits in the first block is ``rng.permutation``.
+    A block's draws happen when it is asked for, so no random number is
+    spent on rows past the last block taken.
+    """
+    seen = np.zeros(n_total, dtype=bool)
+    left = n_total
+    for size in sizes:
+        last = size >= left
+        rows = rng.permutation(left) if last else rng.choice(left, size, replace=False)
+        if left < n_total:
+            # the picks index the rows not yet revealed, in row order; only
+            # the mask is kept between blocks
+            rows = np.flatnonzero(~seen)[rows]
+        yield rows
+        if last:
+            return
+        seen[rows] = True
+        left -= size
 
 
 def run_blocks(draw, n_total: int, strategy: Strategy, delta: float,
-               record_trace: bool = False) -> IterationResult:
+               rng: np.random.Generator, record_trace: bool = False) -> IterationResult:
     """Sequential stopping over votes drawn in doubling blocks.
 
-    ``draw(start, stop)`` returns the vote matrix of rows start..stop-1 of
-    a supply of n_total rows. Blocks run FIRST_BLOCK, 2 * FIRST_BLOCK, ...
-    rows, the last cut at n_total; each is scanned by ``first_crossing``
-    with the n and count carried over from the blocks before it, and the
-    scan stops at the first crossing, so no later row is ever drawn.
-    Exhausting the supply without a verdict is a normal outcome
-    (decided=False, effort covers everything spent).
+    ``draw(rows)`` returns the vote matrix of the given rows of a supply of
+    n_total rows. The rows come from ``reveal_order`` on ``rng`` in blocks
+    of FIRST_BLOCK, 2 * FIRST_BLOCK, ... rows, the last cut at n_total;
+    each block is scanned by ``first_crossing`` with the n and count
+    carried over from the blocks before it, and the scan stops at the first
+    crossing, so no later row is ever revealed or drawn. Exhausting the
+    supply without a verdict is a normal outcome (decided=False, effort
+    covers everything spent).
     """
     n = count = effort = 0
-    size = FIRST_BLOCK
     trace = [] if record_trace else None
-    while True:
-        votes = draw(n, min(n + size, n_total))
+    sizes = (FIRST_BLOCK << i for i in itertools.count())
+    for rows in reveal_order(rng, n_total, sizes):
+        votes = draw(rows)
         finals = majority_vote(votes)
         verdict, n_at, means, tolerances = first_crossing(finals, delta, n, count)
         effort += strategy.total_effort(votes, n_at - n)
@@ -174,7 +212,7 @@ def run_blocks(draw, n_total: int, strategy: Strategy, delta: float,
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
             return IterationResult(decided=verdict is not Verdict.UNDECIDED, verdict=verdict,
                                    n_at_decision=n_at, effort=effort, trace=trace)
-        n, count, size = n_at, count + int(finals.sum()), 2 * size
+        n, count = n_at, count + int(finals.sum())
 
 
 def run_iteration(
@@ -191,16 +229,15 @@ def run_iteration(
     if config.resample_pool_per_iteration:
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
 
-    order = rng.permutation(requests.size)
     worker = None
     if config.strategy.kind is StrategyKind.FIXED_WORKER:
         worker = rng.integers(0, pool.pool_size)
 
-    def draw(start, stop):
-        return draw_votes(config.strategy, requests.difficulties[order[start:stop]],
-                          pool.capabilities, rng, worker)
+    def draw(rows):
+        return draw_votes(config.strategy, requests.difficulties[rows], pool.capabilities,
+                          rng, worker)
 
-    return run_blocks(draw, requests.size, config.strategy, config.delta, record_trace)
+    return run_blocks(draw, requests.size, config.strategy, config.delta, rng, record_trace)
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,

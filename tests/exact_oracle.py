@@ -30,11 +30,11 @@ How a cell's realized pool and request set become q:
   over the pool's workers of the law at q_w = mean over requests of
   (c_w * d + 1) / 2.
 
-The simulator walks a permutation of a fixed request set, so its labels are
-drawn without replacement. That changes only the part of the label variance
-that comes from difficulty, a few per cent of q(1-q) in the default
-regimes, so the i.i.d. law is exact to well below the Monte Carlo error of
-a 1000-iteration cell.
+The simulator walks a uniformly random order of a fixed request set,
+revealed block by block, so its requests are drawn without replacement.
+That changes only the part of the label variance that comes from
+difficulty, a few per cent of q(1-q) in the default regimes, so the i.i.d.
+law is exact to well below the Monte Carlo error of a 1000-iteration cell.
 """
 from __future__ import annotations
 

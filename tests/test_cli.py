@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from twochoice.cli import fmt, main
-from twochoice.config import ConfigError, load_simulate_config
+from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import STREAM_LAYOUT
 from twochoice.simulator import run_experiment
 from twochoice.cli import _experiment_config, simulate_grid
@@ -151,6 +151,31 @@ class TestSimulateCommand:
         assert loaded.resample_pool_per_iteration is expected
         assert all(s.distinct_voters is expected for s in loaded.strategies)
 
+    # a misspelt key at each level of the config: top level, workers, a
+    # regime, bootstrap
+    @pytest.mark.parametrize("old, new, where", [
+        ("iterations: 25", "iterations: 25\ntrace_iteration: 2",
+         r"config: unknown keys \['trace_iteration'\]"),
+        ("pool_size: 20", "size: 3", r"config\.workers: unknown keys \['size'\]"),
+        ("n_requests: 300", "n_request: 9", r"config\.regimes\[0\]: unknown keys \['n_request'\]"),
+        ("resamples: 2000", "resample: 5", r"config\.bootstrap: unknown keys \['resample'\]"),
+    ])
+    def test_unknown_key_is_a_config_error(self, tmp_path, old, new, where):
+        config = tmp_path / "typo.yaml"
+        assert old in SMOKE
+        config.write_text(SMOKE.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=where):
+            load_simulate_config(config)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_rejected(self, smoke_config, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(smoke_config), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_field_is_reported(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("workers: {lo: 0.8, hi: 1.0, pool_size: 5}\n", encoding="utf-8")
@@ -264,6 +289,27 @@ class TestReplayCommand:
                 [("n-workers:9", 0.01), ("n-workers:9", 0.001)]
             assert all("needs 9" in cell["error"] for cell in failed)
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("seed: 3", "seed: 3\nregimes: []", r"config: unknown keys \['regimes'\]"),
+        ("confidence: 0.99", "confidense: 0.99",
+         r"config\.bootstrap: unknown keys \['confidense'\]"),
+    ])
+    def test_unknown_key_is_a_config_error(self, tmp_path, old, new, where):
+        config = tmp_path / "typo.yaml"
+        assert old in REPLAY
+        config.write_text(REPLAY.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=where):
+            load_replay_config(config)
+
+    def test_jobs_below_one_is_rejected(self, dataset, tmp_path, capsys):
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--config", str(config), "--dataset", str(dataset),
+                  "--out", str(tmp_path / "o"), "--jobs", "0"])
+        assert exc.value.code == 2
+        assert "--jobs: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_missing_dataset_names_path(self, smoke_config, tmp_path, capsys):
         config = tmp_path / "replay.yaml"
         config.write_text(REPLAY, encoding="utf-8")
@@ -306,6 +352,19 @@ class TestTraceCommand:
                      "--cell", "99"]) == 2
         assert "--cell" in capsys.readouterr().err
 
+
+    # the smoke config runs 25 iterations, 0..24
+    @pytest.mark.parametrize("iteration", ["-1", "25", "5000"])
+    def test_iteration_out_of_range(self, smoke_config, tmp_path, capsys, iteration):
+        out = tmp_path / "t"
+        assert main(["trace", "--config", str(smoke_config), "--out", str(out),
+                     "--iteration", iteration]) == 2
+        assert f"--iteration must be in [0, 24], got {iteration}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_iteration_traces(self, smoke_config, tmp_path):
+        assert main(["trace", "--config", str(smoke_config), "--out", str(tmp_path / "t"),
+                     "--iteration", "24"]) == 0
 
 class TestFloatFormat:
     def test_six_significant_digits(self):

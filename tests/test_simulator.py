@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,10 +17,13 @@ from twochoice.simulator import (
     ExperimentConfig,
     bootstrap_ci,
     run_blocks,
+    reveal_order,
     run_experiment,
     run_iteration,
 )
 from twochoice.strategies import Strategy
+
+from test_acceptance import FALSE_ALARM_RATE
 
 
 def make_config(**overrides):
@@ -94,15 +98,20 @@ class TestRunIteration:
     def test_trace_matches_scalar_decision_updates(self):
         # reconstruct the label stream from the trace means and replay it
         # through the scalar update path: verdicts and bounds must agree.
-        # The second case stops at n = 4162, past two block boundaries.
-        for overrides, iteration in ((dict(n_requests=300), 7),
-                                     (dict(mu=0.05, n_requests=8000), 2)):
-            config = make_config(**overrides)
-            requests, pool = base_inputs(config)
-            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+        # The second case takes the first iteration that decides past
+        # three blocks' worth of requests, so past two block boundaries.
+        short = make_config(n_requests=300)
+        long = make_config(mu=0.05, n_requests=8000)
+        cases = [(short, run_iteration(short, *base_inputs(short), 7, record_trace=True))]
+        for iteration in range(50):
+            result = run_iteration(long, *base_inputs(long), iteration, record_trace=True)
+            if result.decided and result.n_at_decision > 3 * FIRST_BLOCK:
+                cases.append((long, result))
+                break
+        else:
+            pytest.fail("no iteration decides past three blocks")
+        for config, result in cases:
             assert len(result.trace) == result.n_at_decision
-            if config.n_requests == 8000:
-                assert result.decided and result.n_at_decision > 3 * FIRST_BLOCK
             dconfig = DecisionConfig(delta=config.delta)
             state = DecisionState()
             prev_count = 0
@@ -127,14 +136,25 @@ class TestRunIteration:
         pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
         requests = RequestSet(difficulties=np.tile([1.0, -1.0], 2500), mu=0.0, sigma=0.0)
         for iteration in range(20):
+            # the twin replays layout 4: the worker, then per block of
+            # 1024, 2048 and the remaining 1928 requests the block's rows
+            # and one vote's uniform per row
             twin = substream(config.seed, DOMAIN_ITERATION, iteration)
-            order = twin.permutation(requests.size)
-            if twin.integers(0, pool.pool_size) == 1:
+            if twin.integers(0, pool.pool_size) != 1:
+                continue
+            unseen, blocks = np.arange(requests.size), []
+            for size in (1024, 2048):
+                rows = unseen[twin.choice(unseen.size, size, replace=False)]
+                twin.random((1, size))
+                blocks.append(rows)
+                unseen = np.setdiff1d(unseen, rows)
+            blocks.append(unseen[twin.permutation(unseen.size)])
+            order = np.concatenate(blocks)
+            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            if result.n_at_decision > 3 * FIRST_BLOCK:
                 break
         else:
-            pytest.fail("no iteration picks the capability-1 worker")
-        result = run_iteration(config, requests, pool, iteration, record_trace=True)
-        assert result.n_at_decision > 3 * FIRST_BLOCK
+            pytest.fail("no iteration picks the capability-1 worker and runs past three blocks")
         counts = [round(mean * n) for (n, mean, _, _) in result.trace]
         votes = np.diff(counts, prepend=0)
         expected = requests.difficulties[order[:result.n_at_decision]] > 0
@@ -197,14 +217,20 @@ class TestBlockDriver:
 
     def _check(self, labels, delta, expected_blocks):
         votes, effort = _max_three_votes(labels, seed=len(expected_blocks))
-        drawn = []
+        drawn, revealed = [], []
 
-        def draw(start, stop):
-            drawn.append((start, stop))
-            return votes[start:stop]
+        def draw(rows):
+            # the crafted stream is laid out in the order the rows arrive
+            start = drawn[-1][1] if drawn else 0
+            drawn.append((start, start + len(rows)))
+            revealed.extend(rows.tolist())
+            return votes[start:start + len(rows)]
 
         max_three = Strategy.from_name("max-three")
-        result = run_blocks(draw, len(votes), max_three, delta, record_trace=True)
+        result = run_blocks(draw, len(votes), max_three, delta, np.random.default_rng(0),
+                            record_trace=True)
+        assert len(set(revealed)) == len(revealed) == drawn[-1][1]
+        assert set(revealed) <= set(range(len(votes)))
         states = _fold(labels, delta)
         assert result.verdict is states[-1].verdict
         assert result.decided is (states[-1].verdict is not Verdict.UNDECIDED)
@@ -230,6 +256,57 @@ class TestBlockDriver:
         labels = np.tile(np.array([1, 0], dtype=np.int8), 2500)
         result = self._check(labels, 0.01, [(0, 1024), (1024, 3072), (3072, 5000)])
         assert not result.decided and result.n_at_decision == 5000
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X ~ chi-square(df): one minus the regularised lower
+    incomplete gamma function at (df / 2, x / 2), summed as its series."""
+    a, half = df / 2.0, x / 2.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= half / (a + n)
+        total += term
+    return 1.0 - total * math.exp(a * math.log(half) - half - math.lgamma(a))
+
+
+class TestRevealOrder:
+    """reveal_order: a uniform random order, revealed one block at a time."""
+
+    def test_chi2_sf_closed_forms(self):
+        # df 2 is exp(-x / 2); df 1 is erfc(sqrt(x / 2))
+        for x in (0.5, 3.0, 40.0):
+            assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-9)
+            assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-9)
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 2)])
+    def test_every_order_of_four_rows_is_equally_likely(self, sizes):
+        trials = 12_000
+        rng = np.random.default_rng(sum(sizes) * 10 + len(sizes))
+        orders = list(itertools.permutations(range(4)))
+        tally = dict.fromkeys(orders, 0)
+        for _ in range(trials):
+            blocks = list(reveal_order(rng, 4, sizes))
+            assert [len(rows) for rows in blocks] == list(sizes)
+            order = tuple(np.concatenate(blocks).tolist())
+            assert sorted(order) == [0, 1, 2, 3]  # every row exactly once
+            tally[order] += 1
+        expected = trials / len(orders)
+        statistic = sum((count - expected) ** 2 / expected for count in tally.values())
+        # two schedules share the family-wise rate
+        assert chi2_sf(statistic, len(orders) - 1) > FALSE_ALARM_RATE / 2
+
+    @pytest.mark.parametrize("sizes", [(4,), (9, 3)])
+    def test_a_block_taking_the_whole_supply_is_a_permutation(self, sizes):
+        blocks = list(reveal_order(np.random.default_rng(11), 4, sizes))
+        assert len(blocks) == 1
+        assert blocks[0].tolist() == np.random.default_rng(11).permutation(4).tolist()
+
+    def test_stops_when_the_rows_run_out(self):
+        blocks = list(reveal_order(np.random.default_rng(12), 5, itertools.repeat(2)))
+        assert [len(rows) for rows in blocks] == [2, 2, 1]
+        assert sorted(np.concatenate(blocks).tolist()) == [0, 1, 2, 3, 4]
 
 
 class TestRunExperiment:

@@ -8,6 +8,8 @@ from twochoice.rng import distinct_columns
 from twochoice.simulator import draw_votes
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
+from test_acceptance import FALSE_ALARM_RATE
+
 
 def pool_of(value, size):
     return sample_capabilities(value, value, size, seed=0)
@@ -69,18 +71,16 @@ class TestMaxThreeFinal:
             for row in ([[1, 0, third]], [[0, 1, third]]):
                 assert majority_vote(row).tolist() == [third]
                 assert strategy.effort(row).tolist() == [3]
-        # one third voter and one third vote per split row, drawn in row
-        # order after the first two columns
+        # one third vote per split row, drawn in row order after the first
+        # two columns, each at the pool's mean capability
         pool = sample_capabilities(0.5, 1.0, 10, seed=1)
         difficulties = np.linspace(-0.3, 0.3, 400)
         votes, _, _ = apply(strategy, difficulties, pool, 21)
         twin = np.random.default_rng(21)
-        idx = twin.integers(0, 10, size=(400, 2))
-        first_two = twin.random((400, 2)) < (pool.capabilities[idx] * difficulties[:, None] + 1) / 2
+        prob = (pool.capabilities.mean() * difficulties + 1) / 2
+        first_two = (twin.random((2, 400)) < prob).T
         split = first_two[:, 0] != first_two[:, 1]
-        third_idx = twin.integers(0, 10, size=int(split.sum()))
-        third = twin.random(int(split.sum())) < (pool.capabilities[third_idx]
-                                                 * difficulties[split] + 1) / 2
+        third = twin.random(int(split.sum())) < prob[split]
         assert np.array_equal(votes[:, :2], first_two)
         assert np.array_equal(votes[split, 2], third)
         assert not votes[~split, 2].any()
@@ -185,6 +185,87 @@ class TestApplyStrategy:
         # five distinct voters out of a pool of five: every worker once
         picks = distinct_columns(np.random.default_rng(0), np.full(20, 5), 5)
         assert all(sorted(row) == [0, 1, 2, 3, 4] for row in picks.tolist())
+
+
+def binomial_p_value(k, n, p):
+    """Two-sided p-value of k successes in n Binomial(n, p) trials: twice
+    the smaller tail, summed from log pmf terms so that no term underflows
+    at large n."""
+    j = np.arange(n)
+    log_ratio = np.log((n - j) / (j + 1)) + math.log(p / (1 - p))
+    pmf = np.exp(n * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(log_ratio))))
+    return min(1.0, 2 * min(pmf[:k + 1].sum(), pmf[k:].sum()))
+
+
+def two_stage_votes(capabilities, difficulty, shape, rng):
+    """Reference sampler: a uniform voter from the pool for every vote, then
+    a Bernoulli vote at that voter's own capability."""
+    voters = rng.integers(0, capabilities.size, size=shape)
+    return (rng.random(shape) < (capabilities[voters] * difficulty + 1) / 2).astype(np.int8)
+
+
+class TestVoterFreeVotes:
+    """Votes drawn at the pool's mean capability, without voter indices,
+    against the exact rates and a two-stage voter-then-vote sampler."""
+
+    TRIALS = 100_000
+    D = 0.6
+    POOLS = {"zero-one": np.array([0.0, 1.0]),
+             "uniform": sample_capabilities(0.5, 1.0, 7, seed=4).capabilities}
+    # 3 rates x 2 pools x 2 samplers share the family-wise rate
+    CHECKS = 12
+
+    def rates(self, votes_of):
+        """One-worker's pick rate, the n-workers:3 majority rate and
+        max-three's disagreement rate from a vote source."""
+        one = votes_of("one-worker", 1)[:, 0].sum()
+        majority = majority_vote(votes_of("n-workers:3", 3)).sum()
+        max_three = votes_of("max-three", 3)
+        return one, majority, (max_three[:, 0] != max_three[:, 1]).sum()
+
+    @pytest.mark.parametrize("pool_name", sorted(POOLS))
+    @pytest.mark.parametrize("sampler", ["draw_votes", "two-stage"])
+    def test_rates_match_exact_values(self, pool_name, sampler):
+        capabilities = self.POOLS[pool_name]
+        p = (capabilities.mean() * self.D + 1) / 2
+        exact = (p, 3 * p**2 * (1 - p) + p**3, 2 * p * (1 - p))
+        rng = np.random.default_rng(len(pool_name) + len(sampler))
+        difficulties = np.full(self.TRIALS, self.D)
+
+        def votes_of(name, k):
+            if sampler == "two-stage":
+                return two_stage_votes(capabilities, self.D, (self.TRIALS, k), rng)
+            return draw_votes(Strategy.from_name(name), difficulties, capabilities, rng)
+
+        for count, rate in zip(self.rates(votes_of), exact):
+            assert binomial_p_value(int(count), self.TRIALS, rate) > FALSE_ALARM_RATE / self.CHECKS
+
+    def test_fixed_worker_votes_at_its_own_capability(self):
+        # a capability-1 worker always picks A at d = 1; the pool's mean
+        # capability would pick it only 3 times in 4
+        votes = draw_votes(Strategy.from_name("fixed-worker"), np.full(1000, 1.0),
+                           np.array([0.0, 1.0]), np.random.default_rng(0), worker=1)
+        assert votes.all()
+
+    @pytest.mark.parametrize("name", ["n-workers:3", "max-three"])
+    def test_distinct_voters_never_repeat_a_voter(self, name):
+        # two workers always pick A and one flips coins: three distinct
+        # voters always include both sure ones, so every final label is A,
+        # which a repeated coin-flipper would break on some row
+        base = Strategy.from_name(name)
+        strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=True)
+        capabilities = np.array([1.0, 0.0, 1.0])
+        difficulties = np.full(20_000, 1.0)
+        votes = draw_votes(strategy, difficulties, capabilities, np.random.default_rng(6))
+        assert majority_vote(votes).all()
+        # the voters are distinct_columns' picks, drawn before the votes
+        twin = np.random.default_rng(6)
+        voters = distinct_columns(twin, np.full(difficulties.size, 3), 3)
+        assert all(len(set(row)) == 3 for row in voters.tolist())
+        upfront = 2 if name == "max-three" else 3
+        first = twin.random((upfront, difficulties.size)).T
+        assert np.array_equal(votes[:, :upfront],
+                              first < (capabilities[voters[:, :upfront]] + 1) / 2)
 
 
 class TestDistinctColumns:
