@@ -24,7 +24,7 @@ from .config import (
     load_replay_config,
     load_simulate_config,
 )
-from .replay import DataFormatError, fleiss_kappa, parse_annotations, replay_experiment
+from .replay import fleiss_kappa, parse_annotations, replay_experiment
 from .simulator import ExperimentConfig, run_experiment, run_iteration
 from .eval_model import sample_capabilities, sample_difficulties
 from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
@@ -210,9 +210,6 @@ def cmd_replay(args) -> int:
     config = load_replay_config(args.config, seed_override=args.seed)
     mapping = load_mapping(args.mapping) if args.mapping else None
     dataset = Path(args.dataset)
-    if not dataset.exists():
-        print(f"error: dataset not found: {dataset}", file=sys.stderr)
-        return 2
     annotations = parse_annotations(dataset, mapping)
 
     out = Path(args.out)
@@ -328,10 +325,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ConfigError and DataFormatError are ValueErrors; an OSError names the
+    # path it could not open or create
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

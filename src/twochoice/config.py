@@ -59,9 +59,7 @@ class ReplayConfig:
 SIMULATE_KEYS = {"workers", "regimes", "strategies", "deltas", "iterations", "seed", "bootstrap",
                  "resample_difficulties_per_iteration", "resample_pool_per_iteration",
                  "distinct_voters", "trace_iterations"}
-# replay's votes always come from distinct workers, so distinct_voters is
-# read there too but changes nothing
-REPLAY_KEYS = {"strategies", "deltas", "iterations", "seed", "bootstrap", "distinct_voters"}
+REPLAY_KEYS = {"strategies", "deltas", "iterations", "seed", "bootstrap"}
 WORKERS_KEYS = {"lo", "hi", "pool_size"}
 REGIME_KEYS = {"mu", "sigma", "n_requests"}
 BOOTSTRAP_KEYS = {"confidence", "resamples"}

@@ -6,10 +6,10 @@ d in [-1, 1]. The chance of picking the first model's item is
     P(a) = (c * d + 1) / 2
 
 so c*d = 0 is a coin flip and c*d = +/-1 is a certain pick. One judgement
-is a single Bernoulli trial at that probability. The simulator draws each
-request's final label and effort from the closed-form law of its votes
-(``simulator.final_law``), and votes one by one only for distinct voters
-(``simulator.draw_distinct_votes``).
+is a single Bernoulli trial at that probability. The simulator never draws
+single votes: it draws each request's final label and effort from the law
+of its votes (``simulator.final_law``), at the pool's mean capability, at
+fixed-worker's worker's, or at each request's distinct voters.
 """
 from __future__ import annotations
 

@@ -2,10 +2,11 @@
 
 The input is real crowd data: request pairs, each voted on by several
 workers. A replay iteration runs through the simulator's block driver: it
-reveals a shuffled request order block by block and samples the votes a
-strategy needs per request without replacement from that request's
-recorded votes, so no row past the stopping block is revealed or picked.
-No label is ever fabricated and no recorded vote is reused within one
+reveals a shuffled request order block by block and draws each revealed
+request's final label and effort from the exact law of the votes a
+strategy would pick, without replacement, from that request's recorded
+votes, so no row past the stopping block is revealed or drawn. No label is
+ever fabricated and no recorded vote is counted twice within one
 (request, iteration).
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
@@ -24,11 +25,13 @@ import numpy as np
 
 from .decision import hoeffding_band
 from .rng import DOMAIN_ITERATION, as_generator, distinct_columns, substream
-# bootstrap_ci is unused here but stays importable: perfbench/worker.py
-# wraps replay.bootstrap_ci in its traced launches
+# bootstrap_ci and majority_vote are unused here but stay importable:
+# perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
+# its traced launches
 from .simulator import (  # noqa: F401
-    ExperimentSummary, IterationResult, bootstrap_ci, run_blocks, summarize)
-from .strategies import Strategy, StrategyKind, majority_vote
+    ExperimentSummary, IterationResult, bootstrap_ci, draw_finals, run_blocks, summarize,
+    vote_law)
+from .strategies import Strategy, StrategyKind, majority_vote  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -154,28 +157,34 @@ def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
             f"but some request has only {shortest}")
 
 
-def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                     iteration_index: int, seed: int,
-                     band: Optional[np.ndarray] = None) -> IterationResult:
-    """One replay pass: shuffled requests, recorded votes, sequential stop.
-
-    The block driver reveals the shuffled rows block by block; each block
-    then picks its own rows' votes, and their majorities and effort are
-    what the stopping rule reads. ``band`` is ``hoeffding_band`` over the
-    requests, computed here when not given.
+def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
+    """``vote_law`` of each request's votes, picked uniformly without
+    replacement from its recorded votes: with j A-votes among the first t
+    picks of a request holding ``ones`` A-votes in ``count``, pick t is A
+    with probability (ones - j) / (count - t).
     """
     _check_replayable(annotations, strategy)
-    labels, counts = annotations.labels, annotations.counts
-    rng = substream(seed, DOMAIN_ITERATION, iteration_index)
+    ones, counts = annotations.labels.sum(axis=1), annotations.counts
+    return vote_law(strategy, lambda t, j: (ones - j) / (counts - t))
+
+
+def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
+                     iteration_index: int, seed: int,
+                     band: Optional[np.ndarray] = None,
+                     law: Optional[np.ndarray] = None) -> IterationResult:
+    """One replay pass: shuffled requests, recorded votes, sequential stop.
+
+    The block driver reveals the shuffled rows block by block and draws
+    each block's final labels and effort from ``law``, the cell's
+    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests. Each
+    is computed here when not given.
+    """
+    if law is None:
+        law = replay_law(annotations, strategy)
     if band is None:
-        band = hoeffding_band(delta, counts.size)
-
-    def draw(rows):
-        picks = distinct_columns(rng, counts[rows], strategy.votes_needed())
-        votes = np.take_along_axis(labels[rows], picks, axis=1)
-        return majority_vote(votes), strategy.effort(votes)
-
-    return run_blocks(draw, band, rng)
+        band = hoeffding_band(delta, len(annotations))
+    rng = substream(seed, DOMAIN_ITERATION, iteration_index)
+    return run_blocks(lambda rows: draw_finals(strategy, law[:, rows], rng), band, rng)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
@@ -185,8 +194,9 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     """Aggregate replay iterations the same way the simulator aggregates."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
-    results = [replay_iteration(annotations, strategy, delta, i, seed, band=band)
+    results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law)
                for i in range(iterations)]
     return summarize(results, seed, bootstrap_confidence, bootstrap_resamples)
 

@@ -30,7 +30,10 @@ DOMAIN_BOOTSTRAP = 3
 # 5: with-replacement n-workers:N and max-three draw one uniform per request
 #    and read its final label and effort off the closed-form law
 #    (simulator.final_law) instead of drawing each vote.
-STREAM_LAYOUT = 5
+# 6: every final label comes from the law of its votes (simulator.vote_law):
+#    replay draws its rows, then one uniform per row; distinct_voters draws
+#    its rows, then the voter picks, then one uniform per row.
+STREAM_LAYOUT = 6
 
 _MAX_SEED = 2**64
 

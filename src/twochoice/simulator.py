@@ -12,15 +12,15 @@ each later block twice as many as the one before, and the last is cut at
 the request supply. Each block's final labels are drawn and scanned as
 soon as its rows are revealed, and no block past the first crossing is
 revealed or drawn. The stopping rule reads only each request's final label
-and its effort, so those are drawn from their closed-form law
-(``final_law``): one uniform per request, whatever the strategy, except
-under ``distinct_voters``, whose votes are drawn voter by voter
-(``draw_distinct_votes``). Within an iteration's substream the draws are:
-the fixed worker (fixed-worker only, once); then per block the block's
-rows, then its uniforms. The block schedule is fixed, so results depend
-only on (seed, iteration index) and never on scheduling. Replay runs its
-picks through the same block driver, ``run_blocks``, and aggregates its
-iterations with the same ``summarize``.
+and its effort, so those are drawn from the law of the request's votes
+(``vote_law``): one uniform per request, whatever the strategy. Within an
+iteration's substream the draws are: the fixed worker (fixed-worker only,
+once); then per block the block's rows, the block's distinct voters
+(``distinct_voters`` only), then its uniforms. The block schedule is fixed,
+so results depend only on (seed, iteration index) and never on scheduling.
+Replay draws from the law of its recorded votes through the same block
+driver, ``run_blocks``, and aggregates its iterations with the same
+``summarize``.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .rng import (
     distinct_columns,
     substream,
 )
-from .strategies import Strategy, StrategyKind, majority_vote
+from .strategies import Strategy, StrategyKind
 
 # Rows in the first vote block; each later block is twice the one before.
 # On a 2-vCPU x86 VM a block cost a fixed 70-100 us of dispatch plus
@@ -116,50 +116,57 @@ class ExperimentSummary:
     per_iteration: list = field(repr=False, default_factory=list)
 
 
-def final_law(strategy: Strategy, difficulties: np.ndarray, capability) -> np.ndarray:
+def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
     """The law of each request's final label and effort, as cut points of
     one uniform u per request; a (1, n) array, (3, n) for max-three.
 
-    Votes at difficulty d are independent Bernoulli(p) draws with
-    p = (capability * d + 1) / 2. Row 0 is q = P(final label is A):
-    p for one vote, the majority tail sum over j > N/2 of
-    C(N, j) p^j (1 - p)^(N - j) for n-workers:N, and p^2 (3 - 2p) for
-    max-three. Max-three's rows 1 and 2 are p^2 and p^2 + 2p(1 - p): its
-    first two votes split, and a third is spent, when u falls between them.
+    ``vote_prob(t, j)`` is the chance that vote t (from 0) is A, given j
+    A-votes among the votes before it, an array over the requests. The law
+    of the A-count is built one vote at a time; a count that reaches a
+    majority, k // 2 + 1 of the k votes, is moved into the tail. Row 0 is
+    q = P(final label is A). Max-three's rows 1 and 2 are P(the first two
+    votes are A) and that plus P(they split), read after vote 1: its first
+    two votes split, and a third label is spent, when u falls between them.
     Only element-wise products and sums are used, so each element is the
-    same float whether the law is computed over a whole request set or a
-    block of it.
+    same float whether the law is computed over all requests or a block.
     """
-    p = (capability * difficulties + 1.0) / 2.0
-    if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
-        law = np.empty((3, p.size))
-        np.multiply(p, p, out=law[1])
-        np.multiply(law[1], 3.0 - 2.0 * p, out=law[0])
-        np.multiply(p, 1.0 - p, out=law[2])
-        law[2] *= 2.0
-        law[2] += law[1]
-        return law
     k = strategy.votes_needed()
+    majority = k // 2 + 1
+    p = vote_prob(0, 0)
     if k == 1:
         return p[None, :]
-    # With m = k // 2 + 1 and r = k - m = m - 1, the tail is p^m times
-    # sum_i C(k, m + i) p^i (1 - p)^(r - i), a polynomial of positive terms
-    # summed Horner-style in (p, 1 - p) in place: a few arrays of the
-    # supply's size at a time, however large k is.
-    m = k // 2 + 1
-    q = 1.0 - p
-    tail = np.full_like(p, math.comb(k, m))
-    power = p.copy()
-    for i in range(1, k - m + 1):
-        tail *= q
-        tail += math.comb(k, m + i) * power
-        power *= p
-    tail *= power
+    # below[j] = P(j A-votes so far, no majority yet), for j < majority
+    below, tail = [1.0 - p, p], 0.0
+    for t in range(1, k):
+        if t == 2 and strategy.kind is StrategyKind.MAX_THREE_WORKERS:
+            cuts = (tail, tail + below[1])
+        prob = [vote_prob(t, j) for j in range(len(below))]
+        # vote t keeps each A-count j, or raises it to j + 1 if it is A
+        after = [b * (1.0 - a) for b, a in zip(below, prob)] + [0.0]
+        for j, (b, a) in enumerate(zip(below, prob)):
+            after[j + 1] = after[j + 1] + b * a
+        below = after
+        if len(below) > majority:
+            tail = tail + below.pop()
+    if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
+        return np.stack((tail, *cuts))
     return tail[None, :]
 
 
+def final_law(strategy: Strategy, difficulties: np.ndarray, capability) -> np.ndarray:
+    """``vote_law`` of votes at difficulty d from voters of the given
+    capability, each A with probability (capability * d + 1) / 2.
+
+    ``capability`` is one number when the votes are drawn with replacement
+    (the pool's mean, or fixed-worker's worker), or a (k, n) array holding
+    row t's voter of each request under ``distinct_voters``.
+    """
+    p = (capability * difficulties + 1.0) / 2.0
+    return vote_law(strategy, (lambda t, j: p[t]) if p.ndim == 2 else (lambda t, j: p))
+
+
 def draw_finals(strategy: Strategy, law: np.ndarray, rng: np.random.Generator):
-    """Final labels of the requests whose ``final_law`` columns are given,
+    """Final labels of the requests whose ``vote_law`` columns are given,
     and their effort: an int array for max-three, else labels per request.
 
     One uniform per request, drawn as ``rng.random(n)``: the final label is
@@ -170,37 +177,6 @@ def draw_finals(strategy: Strategy, law: np.ndarray, rng: np.random.Generator):
     if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
         return finals, 2 + ((law[1] <= u) & (u < law[2]))
     return finals, strategy.votes_needed()
-
-
-def draw_distinct_votes(strategy: Strategy, difficulties: np.ndarray,
-                        capabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(n, votes_needed()) votes, each request's from k distinct voters.
-
-    A vote for A at difficulty d comes from a voter of capability c with
-    probability (c * d + 1) / 2. Draw order: k distinct voter indices per
-    request (max-three reserves its potential third up front); the
-    uniforms of the first k votes (two for max-three) as one (k, n) block,
-    every row's first vote, then every row's second, and so on; for
-    max-three, then the uniform of the third vote of each row whose first
-    two votes disagree, in row order. Column 2 stays 0 where the first two
-    agree, since the third vote cannot change that majority.
-    """
-    n = difficulties.size
-    k = strategy.votes_needed()
-    max_three = strategy.kind is StrategyKind.MAX_THREE_WORKERS
-    upfront = 2 if max_three else k
-    capability = capabilities[distinct_columns(rng, np.full(n, capabilities.size), k).T]
-    # one row of vote probabilities per distinct voter
-    prob = (capability * difficulties + 1.0) / 2.0
-    # votes are laid out vote by vote and returned transposed, so the
-    # (n, k) matrix is column-major and the per-row majority sums whole
-    # columns at a time
-    votes = np.zeros((k, n), dtype=np.int8)
-    votes[:upfront] = rng.random((upfront, n)) < prob[:upfront]
-    if max_three:
-        disagree = votes[0] != votes[1]
-        votes[2, disagree] = rng.random(int(disagree.sum())) < prob[-1, disagree]
-    return votes.T
 
 
 def reveal_order(rng: np.random.Generator, n_total: int, sizes):
@@ -283,40 +259,40 @@ def run_iteration(
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
-    ``law`` is ``final_law`` over the whole shared request set at the pool's
-    mean capability and ``band`` is ``hoeffding_band`` over the supply;
-    ``run_experiment`` computes each once per cell. Without a law, and
-    whenever a resample flag redraws the requests or the pool, each block's
-    law is computed from its own rows; fixed-worker's always is, at its
-    worker's capability. Either way a row's law is the same float.
+    ``law`` is ``final_law`` over the whole request set, given only when
+    every iteration of the cell shares it (``run_experiment`` decides), and
+    ``band`` is ``hoeffding_band`` over the supply. Without a law each
+    block's law is computed from its own rows: at the pool's mean
+    capability, at fixed-worker's worker's, or at the distinct voters the
+    block picks. A row's law is the same float either way.
     """
     rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
-        law = None
     if config.resample_pool_per_iteration:
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
-        law = None
     if band is None:
         band = hoeffding_band(config.delta, requests.size)
 
     strategy, difficulties = config.strategy, requests.difficulties
-    fixed = strategy.kind is StrategyKind.FIXED_WORKER
-    if strategy.distinct_voters and strategy.votes_needed() > 1:
-        def draw(rows):
-            votes = draw_distinct_votes(strategy, difficulties[rows], pool.capabilities, rng)
-            return majority_vote(votes), strategy.effort(votes)
-    elif law is not None and not fixed:
-        def draw(rows):
-            return draw_finals(strategy, law[:, rows], rng)
+    k = strategy.votes_needed()
+    if law is not None:
+        def law_of(rows):
+            return law[:, rows]
+    elif strategy.distinct_voters and k > 1:
+        def law_of(rows):
+            voters = distinct_columns(rng, np.full(rows.size, pool.pool_size), k)
+            return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
     else:
-        capability = (pool.capabilities[rng.integers(0, pool.pool_size)] if fixed
+        capability = (pool.capabilities[rng.integers(0, pool.pool_size)]
+                      if strategy.kind is StrategyKind.FIXED_WORKER
                       else pool.capabilities.mean())
 
-        def draw(rows):
-            return draw_finals(strategy, final_law(strategy, difficulties[rows], capability), rng)
+        def law_of(rows):
+            return final_law(strategy, difficulties[rows], capability)
 
-    return run_blocks(draw, band, rng, record_trace)
+    return run_blocks(lambda rows: draw_finals(strategy, law_of(rows), rng), band, rng,
+                      record_trace)
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
@@ -335,6 +311,8 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size,
                                substream(config.seed, DOMAIN_POOL, 0))
     strategy = config.strategy
+    # one law serves every iteration unless an iteration draws its own
+    # requests, pool, fixed worker or distinct voters
     shared = not (config.resample_difficulties_per_iteration
                   or config.resample_pool_per_iteration
                   or strategy.kind is StrategyKind.FIXED_WORKER

@@ -1,4 +1,4 @@
-"""The four labelling strategies, their final-label kernel and effort accounting.
+"""The four labelling strategies, the vote-matrix majority and effort accounting.
 
 Every strategy holds a row of k votes per request and its final label is
 the majority of that row: k = 1 for fixed-worker and one-worker, N for
@@ -8,6 +8,11 @@ when the first two disagree and cannot change the majority otherwise.
 Effort counts raw worker labels consumed to produce one final label:
 fixed-worker and one-worker spend 1, majority-of-N spends N, and
 max-three spends 2 when the first two workers agree, else 3.
+
+Simulate and replay draw each final label and its effort from the law of
+the votes (``simulator.vote_law``) rather than from a vote matrix;
+``majority_vote`` and ``Strategy.effort`` are the reference the tests
+check that law against.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,14 @@ class TestSimulateCommand:
         assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_that_is_a_file_is_reported(self, smoke_config, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
     def test_missing_config_field_is_reported(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
         config.write_text("workers: {lo: 0.8, hi: 1.0, pool_size: 5}\n", encoding="utf-8")
@@ -305,6 +314,8 @@ class TestReplayCommand:
         ("seed: 3", "seed: 3\nregimes: []", r"config: unknown keys \['regimes'\]"),
         ("confidence: 0.99", "confidense: 0.99",
          r"config\.bootstrap: unknown keys \['confidense'\]"),
+        # replay always picks distinct recorded votes
+        ("seed: 3", "seed: 3\ndistinct_voters: true", r"config: unknown keys \['distinct_voters'\]"),
     ])
     def test_unknown_key_is_a_config_error(self, tmp_path, old, new, where):
         config = tmp_path / "typo.yaml"
@@ -329,6 +340,17 @@ class TestReplayCommand:
         assert main(["replay", "--config", str(config), "--dataset", str(missing),
                      "--out", str(tmp_path / "o")]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_dataset_that_is_a_directory_is_reported(self, tmp_path, capsys):
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        folder = tmp_path / "votes"
+        folder.mkdir()
+        assert main(["replay", "--config", str(config), "--dataset", str(folder),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert "Traceback" not in err
 
     def test_fixed_worker_rejected_in_replay_config(self, dataset, tmp_path, capsys):
         config = tmp_path / "replay.yaml"
@@ -377,6 +399,34 @@ class TestTraceCommand:
     def test_last_iteration_traces(self, smoke_config, tmp_path):
         assert main(["trace", "--config", str(smoke_config), "--out", str(tmp_path / "t"),
                      "--iteration", "24"]) == 0
+
+    @pytest.mark.parametrize("distinct, names", [(False, ("max-three", "fixed-worker")),
+                                                  (True, ("n-workers:3",))])
+    def test_trace_writes_the_rows_simulate_traced(self, tmp_path, distinct, names):
+        # simulate hands each iteration the cell's law, where trace computes
+        # each block's own, or picks the block's distinct voters
+        smoke = (Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml").read_text(
+            encoding="utf-8")
+        config = tmp_path / "smoke.yaml"
+        config.write_text(smoke.replace("n-workers:3]", "n-workers:3, fixed-worker]")
+                          + f"trace_iterations: 2\ndistinct_voters: {str(distinct).lower()}\n",
+                          encoding="utf-8")
+        cells = [i for i, (regime, strategy, delta)
+                 in enumerate(simulate_grid(load_simulate_config(config)))
+                 if strategy.name in names and regime.mu == 0.2 and delta == 0.001]
+        assert len(cells) == len(names)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        for cell in cells:
+            simulated = (tmp_path / "sim" / f"trace_{cell:03d}.csv").read_text(
+                encoding="utf-8").splitlines()
+            for iteration in (0, 1):
+                out = tmp_path / f"trace_{cell}_{iteration}"
+                assert main(["trace", "--config", str(config), "--out", str(out),
+                             "--cell", str(cell), "--iteration", str(iteration)]) == 0
+                traced = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+                rows = [line for line in simulated[1:] if line.startswith(f"{iteration},")]
+                assert traced[0] == simulated[0]
+                assert len(rows) > 1 and traced[1:] == rows
 
 class TestFloatFormat:
     def test_six_significant_digits(self):

@@ -317,51 +317,96 @@ class TestRevealOrder:
 
 def layout4_labels(config, requests, pool, iteration, n):
     """The first n final labels and their effort as stream layout 4 drew
-    them for one-worker, fixed-worker and distinct voters: the worker
-    (fixed-worker), then per block the rows, then the votes, the voter
-    indices first under distinct voters, vote by vote."""
+    them for one-worker and fixed-worker: the worker (fixed-worker), then
+    per block the rows, then one vote per row."""
+    twin = substream(config.seed, DOMAIN_ITERATION, iteration)
+    capability = pool.capabilities.mean()
+    if config.strategy.kind is StrategyKind.FIXED_WORKER:
+        capability = pool.capabilities[twin.integers(0, pool.pool_size)]
+    labels = []
+    for rows in reveal_order(twin, requests.size, (FIRST_BLOCK << i for i in itertools.count())):
+        votes = twin.random((1, rows.size)) < (capability * requests.difficulties[rows] + 1.0) / 2.0
+        labels.extend(majority_vote(votes.T).tolist())
+        if len(labels) >= n:
+            return labels[:n], n
+
+
+def enumerated_law(strategy, prob):
+    """P(final label A), P(first two votes A) and that plus P(they split)
+    for votes at the (n, k) probabilities ``prob``: each row's vote
+    patterns, all 2^k of them, weighed and summed exactly (math.fsum)."""
+    k = strategy.votes_needed()
+    patterns = np.array(list(itertools.product((0, 1), repeat=k)), dtype=bool)
+    weight = np.where(patterns, prob[:, None, :], 1.0 - prob[:, None, :]).prod(axis=2)
+
+    def total(mask):
+        return np.array([math.fsum(row) for row in weight[:, mask].tolist()])
+
+    final = total(patterns.sum(axis=1) > k // 2)
+    if k == 1:
+        return final, None, None
+    both = total(patterns[:, 0] & patterns[:, 1])
+    return final, both, both + total(patterns[:, 0] ^ patterns[:, 1])
+
+
+def layout6_distinct_labels(config, requests, pool, iteration, n):
+    """The first n final labels and their effort under distinct voters in
+    stream layout 6: per block the rows, then k distinct voters per row,
+    then one uniform per row, read off the law of the voters' votes."""
     twin = substream(config.seed, DOMAIN_ITERATION, iteration)
     strategy, k = config.strategy, config.strategy.votes_needed()
-    capability = pool.capabilities.mean()
-    if strategy.kind is StrategyKind.FIXED_WORKER:
-        capability = pool.capabilities[twin.integers(0, pool.pool_size)]
     labels, effort = [], []
     for rows in reveal_order(twin, requests.size, (FIRST_BLOCK << i for i in itertools.count())):
         d = requests.difficulties[rows]
-        if strategy.distinct_voters and k > 1:
-            capability = pool.capabilities[distinct_columns(twin, np.full(d.size, pool.pool_size),
-                                                            k).T]
-        prob = np.atleast_2d((capability * d + 1.0) / 2.0)
-        upfront = 2 if strategy.kind is StrategyKind.MAX_THREE_WORKERS else k
-        votes = np.zeros((k, d.size), dtype=np.int8)
-        votes[:upfront] = twin.random((upfront, d.size)) < prob[:upfront]
-        if upfront < k:
-            split = votes[0] != votes[1]
-            votes[2, split] = twin.random(int(split.sum())) < prob[-1, split]
-        labels.extend(majority_vote(votes.T).tolist())
-        effort.extend(strategy.effort(votes.T).tolist())
+        voters = distinct_columns(twin, np.full(d.size, pool.pool_size), k)
+        final, both, either = enumerated_law(strategy, (pool.capabilities[voters] * d[:, None]
+                                                        + 1.0) / 2.0)
+        u = twin.random(d.size)
+        labels.extend((u < final).astype(int).tolist())
+        if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
+            effort.extend(np.where((both <= u) & (u < either), 3, 2).tolist())
+        else:
+            effort.extend([k] * d.size)
         if len(labels) >= n:
             return labels[:n], sum(effort[:n])
 
 
-class TestLayoutFourPins:
-    """One-worker, fixed-worker and distinct voters draw what layout 4 drew."""
+def traced_labels(result):
+    """Each request's final label, recovered from the running means."""
+    counts = [round(mean * n) for n, mean, _, _ in result.trace]
+    return np.diff(counts, prepend=0).tolist()
 
-    @pytest.mark.parametrize("name, distinct", [
-        ("one-worker", False), ("fixed-worker", False), ("n-workers:3", True),
-        ("max-three", True)])
-    def test_labels_and_effort_match_layout_four(self, name, distinct):
+
+class TestLayoutFourPins:
+    """One-worker and fixed-worker draw what layout 4 drew."""
+
+    @pytest.mark.parametrize("name", ["one-worker", "fixed-worker"])
+    def test_labels_and_effort_match_layout_four(self, name):
+        config = make_config(mu=0.05, n_requests=4000, strategy=Strategy.from_name(name))
+        requests, pool = base_inputs(config)
+        past_first_block = 0
+        for iteration in range(6):
+            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            assert (traced_labels(result), result.effort) == layout4_labels(
+                config, requests, pool, iteration, result.n_at_decision)
+            past_first_block += result.n_at_decision > FIRST_BLOCK
+        assert past_first_block
+
+
+class TestLayoutSixPins:
+    """Distinct voters draw the rows, the voters, then one uniform per row."""
+
+    @pytest.mark.parametrize("name", ["n-workers:3", "max-three", "n-workers:5"])
+    def test_distinct_voter_labels_and_effort_match_layout_six(self, name):
         base = Strategy.from_name(name)
-        strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=distinct)
+        strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=True)
         config = make_config(mu=0.05, n_requests=4000, strategy=strategy)
         requests, pool = base_inputs(config)
         past_first_block = 0
         for iteration in range(6):
             result = run_iteration(config, requests, pool, iteration, record_trace=True)
-            counts = [round(mean * n) for n, mean, _, _ in result.trace]
-            labels = np.diff(counts, prepend=0).tolist()
-            assert (labels, result.effort) == layout4_labels(config, requests, pool, iteration,
-                                                            result.n_at_decision)
+            assert (traced_labels(result), result.effort) == layout6_distinct_labels(
+                config, requests, pool, iteration, result.n_at_decision)
             past_first_block += result.n_at_decision > FIRST_BLOCK
         assert past_first_block
 

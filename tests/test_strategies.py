@@ -1,16 +1,19 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities
+from twochoice.replay import AnnotationSet, replay_law
 from twochoice.rng import DOMAIN_ITERATION, distinct_columns, substream
 from twochoice.simulator import (
-    ExperimentConfig, draw_distinct_votes, draw_finals, final_law, run_iteration)
+    ExperimentConfig, draw_finals, final_law, run_iteration, vote_law)
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
 from test_acceptance import FALSE_ALARM_RATE, binomial_tails
-from test_simulator import chi2_sf
+from test_simulator import chi2_sf, enumerated_law
 
 
 def pool_of(value, size):
@@ -19,17 +22,20 @@ def pool_of(value, size):
 
 def apply(name_or_strategy, difficulties, pool, seed):
     """Final labels and per-request effort of a strategy over a run of
-    requests, drawn as the simulator draws them: voter by voter under
-    distinct_voters, else from the law at the pool's mean capability."""
+    requests, drawn as the simulator draws them: from the law at k distinct
+    voters per request under distinct_voters, else at the pool's mean
+    capability."""
     strategy = name_or_strategy
     if isinstance(strategy, str):
         strategy = Strategy.from_name(strategy)
     difficulties = np.asarray(difficulties, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    if strategy.distinct_voters:
-        votes = draw_distinct_votes(strategy, difficulties, pool.capabilities, rng)
-        return majority_vote(votes), strategy.effort(votes)
-    law = final_law(strategy, difficulties, pool.capabilities.mean())
+    capability = pool.capabilities.mean()
+    k = strategy.votes_needed()
+    if strategy.distinct_voters and k > 1:
+        capability = pool.capabilities[distinct_columns(rng, np.full(difficulties.size,
+                                                                     pool.pool_size), k).T]
+    law = final_law(strategy, difficulties, capability)
     finals, effort = draw_finals(strategy, law, rng)
     return finals, np.broadcast_to(effort, difficulties.size)
 
@@ -300,19 +306,153 @@ class TestVoterFreeVotes:
         # which a repeated coin-flipper would break on some row
         base = Strategy.from_name(name)
         strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=True)
-        capabilities = np.array([1.0, 0.0, 1.0])
-        difficulties = np.full(20_000, 1.0)
-        votes = draw_distinct_votes(strategy, difficulties, capabilities,
-                                    np.random.default_rng(6))
-        assert majority_vote(votes).all()
-        # layout 4's draws: distinct_columns' picks, then the votes
-        twin = np.random.default_rng(6)
-        voters = distinct_columns(twin, np.full(difficulties.size, 3), 3)
-        assert all(len(set(row)) == 3 for row in voters.tolist())
-        upfront = 2 if name == "max-three" else 3
-        first = twin.random((upfront, difficulties.size)).T
-        assert np.array_equal(votes[:, :upfront],
-                              first < (capabilities[voters[:, :upfront]] + 1) / 2)
+        pool = WorkerPool(capabilities=np.array([1.0, 0.0, 1.0]))
+        finals, _ = apply(strategy, np.full(20_000, 1.0), pool, 6)
+        assert finals.all()
+
+
+def hypergeometric_law(strategy, ones, count):
+    """P(final label A), P(first two picks A) and P(they split), exactly,
+    for k picks without replacement from ``count`` votes of which ``ones``
+    are A."""
+    k = strategy.votes_needed()
+    final = sum(Fraction(math.comb(ones, j) * math.comb(count - ones, k - j), math.comb(count, k))
+                for j in range(k // 2 + 1, k + 1))
+    if count < 2:
+        return final, None, None
+    pairs = Fraction(1, count * (count - 1))
+    return final, ones * (ones - 1) * pairs, 2 * ones * (count - ones) * pairs
+
+
+STRATEGY_NAMES = ["one-worker", "n-workers:3", "n-workers:5", "n-workers:7", "n-workers:9",
+                  "n-workers:11", "max-three"]
+
+
+class TestVoteLaw:
+    """vote_law's cut points against exact closed forms and enumerations,
+    within a few float64 rounding errors."""
+
+    TOLERANCE = 1e-15
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_majority_is_the_binomial_tail(self, k):
+        p = np.linspace(0.0, 1.0, 41)
+        law = vote_law(Strategy.from_name(f"n-workers:{k}"), lambda t, j: p)
+        exact = [float(sum(math.comb(k, j) * Fraction(x) ** j * (1 - Fraction(x)) ** (k - j)
+                           for j in range(k // 2 + 1, k + 1))) for x in p.tolist()]
+        assert law.shape == (1, p.size)
+        assert np.abs(law[0] - exact).max() < self.TOLERANCE
+
+    def test_max_three_closed_forms(self):
+        p = np.linspace(0.0, 1.0, 41)
+        law = vote_law(Strategy.from_name("max-three"), lambda t, j: p)
+        assert law.shape == (3, p.size)
+        assert np.abs(law[0] - p * p * (3 - 2 * p)).max() < self.TOLERANCE
+        assert np.array_equal(law[1], p * p)
+        assert np.abs(law[2] - law[1] - 2 * p * (1 - p)).max() < self.TOLERANCE
+        # the split stretch holds the split rows whose final label is A
+        assert (law[1] <= law[0]).all() and (law[0] <= law[2]).all()
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_replay_law_is_hypergeometric(self, name):
+        # every (ones, count) with count <= 11 the strategy can replay
+        strategy = Strategy.from_name(name)
+        k = strategy.votes_needed()
+        cases = [(ones, count) for count in range(k, 12) for ones in range(count + 1)]
+        annotations = AnnotationSet.from_votes(
+            {f"r{i}": {f"w{j:02d}": int(j < ones) for j in range(count)}
+             for i, (ones, count) in enumerate(cases)})
+        law = replay_law(annotations, strategy)
+        exact = [hypergeometric_law(strategy, ones, count) for ones, count in cases]
+        assert np.abs(law[0] - [float(final) for final, _, _ in exact]).max() < self.TOLERANCE
+        if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
+            assert np.abs(law[1] - [float(both) for _, both, _ in exact]).max() < self.TOLERANCE
+            assert np.abs(law[2] - [float(both + split) for _, both, split in exact]).max() \
+                < self.TOLERANCE
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_distinct_voter_law_is_poisson_binomial(self, name):
+        # a different probability for every vote, against all 2^k patterns
+        strategy = Strategy.from_name(name)
+        k = strategy.votes_needed()
+        prob = np.random.default_rng(k).random((300, k))
+        prob[:20] = np.round(prob[:20])  # certain votes
+        law = vote_law(strategy, lambda t, j: prob[:, t])
+        final, both, either = enumerated_law(strategy, prob)
+        assert np.abs(law[0] - final).max() < self.TOLERANCE
+        if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
+            assert np.abs(law[1] - both).max() < self.TOLERANCE
+            assert np.abs(law[2] - either).max() < self.TOLERANCE
+
+    def test_caller_probabilities_are_not_mutated(self):
+        p = np.linspace(0.0, 1.0, 11)
+        before = p.copy()
+        for name in STRATEGY_NAMES:
+            vote_law(Strategy.from_name(name), lambda t, j: p)
+        assert np.array_equal(p, before)
+
+
+class TestLawDrawsMatchVoteSamplers:
+    """Replay's and distinct voters' law draws, one uniform per request,
+    against reference samplers that pick each request's votes and count
+    them, both against the exact final-label and max-three split rates."""
+
+    TRIALS = 100_000
+    # request 0 holds 5 A-votes in 9, padded to the 11 of request 1
+    RECORDED = {"r0": {f"w{j}": v for j, v in enumerate([1, 0, 1, 1, 0, 0, 1, 0, 1])},
+                "r1": {f"w{j}": 1 for j in range(11)}}
+    D = 0.6
+    CAPABILITIES = sample_capabilities(0.5, 1.0, 7, seed=4).capabilities
+    NAMES = ["one-worker", "n-workers:3", "n-workers:5", "n-workers:7", "max-three"]
+    # 6 rates x 2 sources x 2 samplers share the family-wise rate
+    CHECKS = 24
+
+    def exact_rates(self, source):
+        """One-worker's, the n-workers:3/5/7 and max-three final-label
+        rates, and max-three's split rate."""
+        if source == "replay":
+            laws = [hypergeometric_law(Strategy.from_name(name), 5, 9) for name in self.NAMES]
+            return [float(final) for final, _, _ in laws] + [float(laws[-1][2])]
+        p = (self.CAPABILITIES * self.D + 1) / 2
+        rates = []
+        for name in self.NAMES:
+            # distinct voters are a uniform ordered draw without replacement
+            voters = np.array(list(itertools.permutations(range(p.size),
+                                                          Strategy.from_name(name).votes_needed())))
+            final, both, either = enumerated_law(Strategy.from_name(name), p[voters])
+            rates.append(final.mean())
+        return rates + [(either - both).mean()]
+
+    def draw(self, source, sampler, strategy, rng):
+        k = strategy.votes_needed()
+        if source == "replay":
+            annotations = AnnotationSet.from_votes(self.RECORDED)
+            rows = np.zeros(self.TRIALS, dtype=np.int64)
+            if sampler == "law":
+                return draw_finals(strategy, replay_law(annotations, strategy)[:, rows], rng)
+            picks = distinct_columns(rng, annotations.counts[rows], k)
+            votes = np.take_along_axis(annotations.labels[rows], picks, axis=1)
+        else:
+            if sampler == "law":
+                distinct = Strategy(kind=strategy.kind, n_workers=strategy.n_workers,
+                                    distinct_voters=True)
+                return apply(distinct, np.full(self.TRIALS, self.D),
+                             WorkerPool(capabilities=self.CAPABILITIES), rng)
+            voters = distinct_columns(rng, np.full(self.TRIALS, self.CAPABILITIES.size), k)
+            votes = rng.random((self.TRIALS, k)) < (self.CAPABILITIES[voters] * self.D + 1) / 2
+        return majority_vote(votes), strategy.effort(votes)
+
+    @pytest.mark.parametrize("source", ["replay", "distinct"])
+    @pytest.mark.parametrize("sampler", ["law", "votes"])
+    def test_rates_match_exact_values(self, source, sampler):
+        rng = np.random.default_rng(len(source) * 10 + len(sampler))
+        counts = []
+        for name in self.NAMES:
+            finals, effort = self.draw(source, sampler, Strategy.from_name(name), rng)
+            counts.append(int(finals.sum()))
+        counts.append(int((np.broadcast_to(effort, self.TRIALS) == 3).sum()))
+        for count, rate in zip(counts, self.exact_rates(source)):
+            assert binomial_p_value(count, self.TRIALS, rate) > FALSE_ALARM_RATE / self.CHECKS
 
 
 class TestDistinctColumns:
