@@ -98,12 +98,11 @@ def _int_at_least(data: dict, key: str, where: str, minimum: int, default=None) 
     return value
 
 
-def _strategies(data: dict, where: str, allow_fixed: bool = True) -> tuple:
+def _strategies(data: dict, where: str, distinct: bool = False, allow_fixed: bool = True) -> tuple:
     raw = _require(data, "strategies", list, where)
     if not raw:
         raise ConfigError(f"{where}.strategies: must not be empty")
     out = []
-    distinct = _flag(data, "distinct_voters", where)
     for i, name in enumerate(raw):
         try:
             strat = Strategy.from_name(str(name))
@@ -185,12 +184,13 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
                               n_requests=_int_at_least(entry, "n_requests", rwhere, 1)))
 
     confidence, resamples = _bootstrap(data, where)
+    distinct = _flag(data, "distinct_voters", where)
     return SimulateConfig(
         capability_lo=lo,
         capability_hi=hi,
         pool_size=pool_size,
         regimes=tuple(regimes),
-        strategies=_strategies(data, where),
+        strategies=_strategies(data, where, distinct),
         deltas=_deltas(data, where),
         iterations=_int_at_least(data, "iterations", where, 1),
         seed=_seed(data, where, seed_override),
@@ -198,7 +198,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         bootstrap_resamples=resamples,
         resample_difficulties_per_iteration=_flag(data, "resample_difficulties_per_iteration", where),
         resample_pool_per_iteration=_flag(data, "resample_pool_per_iteration", where),
-        distinct_voters=_flag(data, "distinct_voters", where),
+        distinct_voters=distinct,
         trace_iterations=_int_at_least(data, "trace_iterations", where, 0, default=0),
     )
 

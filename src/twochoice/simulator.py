@@ -140,12 +140,13 @@ def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
     for t in range(1, k):
         if t == 2 and strategy.kind is StrategyKind.MAX_THREE_WORKERS:
             cuts = (tail, tail + below[1])
-        prob = [vote_prob(t, j) for j in range(len(below))]
-        # vote t keeps each A-count j, or raises it to j + 1 if it is A
-        after = [b * (1.0 - a) for b, a in zip(below, prob)] + [0.0]
-        for j, (b, a) in enumerate(zip(below, prob)):
-            after[j + 1] = after[j + 1] + b * a
-        below = after
+        # vote t keeps each A-count j, or raises it to j + 1 if it is A;
+        # from the top count down, so one vote_prob array is alive at a time
+        below.append(0.0)
+        for j in range(len(below) - 2, -1, -1):
+            a = vote_prob(t, j)
+            below[j + 1] = below[j + 1] + below[j] * a
+            below[j] = below[j] * (1.0 - a)
         if len(below) > majority:
             tail = tail + below.pop()
     if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
