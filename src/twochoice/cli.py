@@ -87,7 +87,9 @@ def _run_simulate_cell(args):
 
 
 def _trace_rows(iteration: int, trace: list):
-    return ([str(iteration), str(n), fmt(mean), fmt(lower), fmt(upper)]
+    # "%.6g" is fmt's f"{value:.6g}" through the same float formatter, at
+    # one format per float; the writer turns the ints into str()
+    return ((iteration, n, "%.6g" % mean, "%.6g" % lower, "%.6g" % upper)
             for n, mean, lower, upper in trace)
 
 

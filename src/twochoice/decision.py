@@ -123,14 +123,16 @@ def first_crossing(finals, band: np.ndarray, n: int = 0,
     end = n + len(finals)
     ns = np.arange(n + 1, end + 1, dtype=np.int64)
     counts = np.cumsum(finals, dtype=np.int64)
-    counts += count
+    if count:
+        counts += count
     means = counts / ns
     tolerances = band[n:end]
     a_hit = means - tolerances > MIDLINE
-    hit = a_hit | (means + tolerances < MIDLINE)
-    if not hit.any():
+    hit = means + tolerances < MIDLINE
+    hit |= a_hit
+    stop = int(hit.argmax())
+    if not hit[stop]:
         return Verdict.UNDECIDED, end, means, tolerances
-    stop = int(np.argmax(hit))
     verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
     return verdict, n + stop + 1, means[:stop + 1], tolerances[:stop + 1]
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .decision import hoeffding_band
-from .rng import DOMAIN_ITERATION, as_generator, distinct_columns, substream
+from .rng import DOMAIN_ITERATION, as_generator, distinct_columns, iteration_streams, substream
 # bootstrap_ci and majority_vote are unused here but stay importable:
 # perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
 # its traced launches
@@ -171,20 +171,24 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
                      iteration_index: int, seed: int,
                      band: Optional[np.ndarray] = None,
-                     law: Optional[np.ndarray] = None) -> IterationResult:
+                     law: Optional[np.ndarray] = None,
+                     rng: Optional[np.random.Generator] = None) -> IterationResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop.
 
     The block driver reveals the shuffled rows block by block and draws
     each block's final labels and effort from ``law``, the cell's
-    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests. Each
-    is computed here when not given.
+    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests.
+    ``rng`` is the iteration's generator, in the state of ``substream(seed,
+    DOMAIN_ITERATION, iteration_index)``; ``replay_experiment`` passes the
+    cell's ``iteration_streams``. Each is computed here when not given.
     """
     if law is None:
         law = replay_law(annotations, strategy)
     if band is None:
         band = hoeffding_band(delta, len(annotations))
-    rng = substream(seed, DOMAIN_ITERATION, iteration_index)
-    return run_blocks(lambda rows: draw_finals(strategy, law[:, rows], rng), band, rng)
+    if rng is None:
+        rng = substream(seed, DOMAIN_ITERATION, iteration_index)
+    return run_blocks(lambda rows: draw_finals(strategy, law.take(rows, axis=1), rng), band, rng)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
@@ -196,8 +200,10 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
-    results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law)
-               for i in range(iterations)]
+    streams = iteration_streams(seed, DOMAIN_ITERATION, range(iterations))
+    results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law,
+                                rng=rng)
+               for i, rng in enumerate(streams)]
     return summarize(results, seed, bootstrap_confidence, bootstrap_resamples)
 
 

@@ -42,6 +42,7 @@ from .rng import (
     as_generator,
     check_seed,
     distinct_columns,
+    iteration_streams,
     substream,
 )
 from .strategies import Strategy, StrategyKind
@@ -191,18 +192,22 @@ def reveal_order(rng: np.random.Generator, n_total: int, sizes):
     A block's draws happen when it is asked for, so no random number is
     spent on rows past the last block taken.
     """
-    seen = np.zeros(n_total, dtype=bool)
+    seen = None
     left = n_total
     for size in sizes:
         last = size >= left
         rows = rng.permutation(left) if last else rng.choice(left, size, replace=False)
-        if left < n_total:
+        if seen is not None:
             # the picks index the rows not yet revealed, in row order; only
             # the mask is kept between blocks
             rows = np.flatnonzero(~seen)[rows]
         yield rows
         if last:
             return
+        if seen is None:
+            # made only when a second block is asked for; most iterations
+            # stop in their first
+            seen = np.zeros(n_total, dtype=bool)
         seen[rows] = True
         left -= size
 
@@ -229,7 +234,7 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
     for rows in reveal_order(rng, n_total, sizes):
         finals, per_row = draw(rows)
         verdict, n_at, means, tolerances = first_crossing(finals, band, n, count)
-        if np.ndim(per_row):
+        if isinstance(per_row, np.ndarray):
             # summed over a slice of the block's counts rather than counts
             # made for the first rows only: an array that long is a new
             # small size almost every call, and numpy keeps freed buffers
@@ -257,6 +262,7 @@ def run_iteration(
     record_trace: bool = False,
     law: Optional[np.ndarray] = None,
     band: Optional[np.ndarray] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
@@ -265,9 +271,13 @@ def run_iteration(
     ``band`` is ``hoeffding_band`` over the supply. Without a law each
     block's law is computed from its own rows: at the pool's mean
     capability, at fixed-worker's worker's, or at the distinct voters the
-    block picks. A row's law is the same float either way.
+    block picks. A row's law is the same float either way. ``rng`` is the
+    iteration's generator, in the state of ``substream(config.seed,
+    DOMAIN_ITERATION, iteration_index)``, which is taken when it is not
+    given; ``run_experiment`` passes the cell's ``iteration_streams``.
     """
-    rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
+    if rng is None:
+        rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
     if config.resample_pool_per_iteration:
@@ -279,7 +289,7 @@ def run_iteration(
     k = strategy.votes_needed()
     if law is not None:
         def law_of(rows):
-            return law[:, rows]
+            return law.take(rows, axis=1)
     elif strategy.distinct_voters and k > 1:
         def law_of(rows):
             voters = distinct_columns(rng, np.full(rows.size, pool.pool_size), k)
@@ -304,8 +314,9 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     The request difficulties and the worker pool are drawn once from the
     experiment seed and shared by every iteration, unless the per-iteration
     resample flags say otherwise. Iterations run on substreams keyed by
-    (seed, iteration index), so the per-iteration results are identical
-    under any execution order.
+    (seed, iteration index), seeded for the whole cell in one pass
+    (``iteration_streams``), so the per-iteration results are identical
+    under any execution order and to standalone ``run_iteration`` calls.
     """
     requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
                                    substream(config.seed, DOMAIN_REQUESTS, 0))
@@ -320,10 +331,11 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
                   or strategy.distinct_voters and strategy.votes_needed() > 1)
     law = final_law(strategy, requests.difficulties, pool.capabilities.mean()) if shared else None
     band = hoeffding_band(config.delta, requests.size)
+    streams = iteration_streams(config.seed, DOMAIN_ITERATION, range(config.iterations))
     results = [
         run_iteration(config, requests, pool, i, record_trace=i < trace_iterations,
-                      law=law, band=band)
-        for i in range(config.iterations)
+                      law=law, band=band, rng=rng)
+        for i, rng in enumerate(streams)
     ]
     # freed before the bootstrap, so the cell's peak memory is that of the
     # iterations or of the bootstrap, not of both

@@ -1,4 +1,5 @@
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import STREAM_LAYOUT
 from twochoice.simulator import run_experiment
-from twochoice.cli import _experiment_config, simulate_grid
+from twochoice.cli import _experiment_config, _trace_rows, simulate_grid
 
 SMOKE = """
 workers: {lo: 0.8, hi: 1.0, pool_size: 20}
@@ -435,3 +436,25 @@ class TestFloatFormat:
         assert fmt(1.0) == "1"
         assert fmt(float("nan")) == "nan"
         assert fmt(13302) == "13302"
+
+    @staticmethod
+    def _csv(rows):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        return text.getvalue()
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 0.5, 1e-7, 123456.5, 1234567.0, -0.0, -0.25, -1e-7, -123456.5, -1234567.0,
+         0.1 + 0.2, 2.0 / 3.0, 5e-5, 999999.5, 9999995.0],
+        np.random.default_rng(17).uniform(-2.0, 2.0, 1000).tolist(),
+    ], ids=["edge values", "random doubles"])
+    def test_trace_rows_format_like_fmt(self, values):
+        # the rows as they were formatted one fmt call per float
+        trace = [(n, mean, mean - abs(lower), upper)
+                 for n, (mean, lower, upper) in enumerate(zip(values, values[1:] + values[:1],
+                                                              values[2:] + values[:2]), 1)]
+        old = [[str(12), str(n), fmt(mean), fmt(lower), fmt(upper)]
+               for n, mean, lower, upper in trace]
+        new = list(_trace_rows(12, trace))
+        assert [[str(field) for field in row] for row in new] == old
+        assert self._csv(new) == self._csv(old)

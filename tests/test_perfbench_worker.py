@@ -4,8 +4,8 @@ perfbench/worker.py imports twochoice from a source tree, stamps the first
 iteration call, wraps named functions in spans and checks every grid cell's
 iterations as the cell returns. A refactor of the package that renames or
 reshapes what the worker relies on breaks its launches; these tests launch
-the worker the way the benchmark does, in traced mode, so such a break
-shows here and not only in a benchmark run.
+the worker the way the benchmark does, in traced and in set-up mode, so
+such a break shows here and not only in a benchmark run.
 """
 import csv
 import json
@@ -24,10 +24,10 @@ WORKER = ROOT / "perfbench" / "worker.py"
 SMOKE = ROOT / "configs" / "simulate_smoke.yaml"
 
 
-def launch(tmp_path, args):
-    """Run one traced worker launch and return its report."""
+def launch(tmp_path, args, mode="trace"):
+    """Run one worker launch, traced by default, and return its report."""
     report = tmp_path / "report.json"
-    done = subprocess.run([sys.executable, str(WORKER), str(ROOT / "src"), str(report), "trace",
+    done = subprocess.run([sys.executable, str(WORKER), str(ROOT / "src"), str(report), mode,
                            *args], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(report.read_text(encoding="utf-8"))
@@ -42,6 +42,17 @@ def test_traced_simulate_launch(tmp_path):
     assert [cell["strategy"] for cell in report["cells"]] == [s.name for _, s, _ in cells]
     assert all(cell["violations"] == 0 for cell in report["cells"])
     assert (tmp_path / "report.json.spans.npz").exists()
+
+
+def test_setup_launch_stops_at_the_first_iteration(tmp_path):
+    # setup_s is measured by launches that stop at the first run_iteration
+    # call, so simulate must reach it through the hooked module attribute
+    report = launch(tmp_path, ["simulate", "--config", str(SMOKE), "--out", str(tmp_path / "out"),
+                               "--jobs", "1"], mode="setup")
+    assert report["exit_code"] == 0
+    assert isinstance(report["first_iteration"], float)
+    assert report["cells"] == []
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_traced_replay_launch(tmp_path):

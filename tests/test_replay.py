@@ -218,6 +218,18 @@ class TestReplayExperiment:
         assert ratios[0] >= ratios[1] >= ratios[2]
         assert 0.0 < ratios[2] and ratios[0] <= 1.0
 
+    @pytest.mark.parametrize("name", ["one-worker", "max-three"])
+    def test_per_iteration_matches_standalone_runs(self, name):
+        # replay_experiment seeds its iterations in one pass and hands each
+        # the cell's law and band; a standalone run takes its own substream
+        rng = np.random.default_rng(4)
+        votes = make_set([[int(rng.random() < 0.52) for _ in range(9)] for _ in range(2500)])
+        strategy = Strategy.from_name(name)
+        summary = replay_experiment(votes, strategy, 0.001, 12, seed=9)
+        assert max(r.n_at_decision for r in summary.per_iteration) > 1024
+        for i, result in enumerate(summary.per_iteration):
+            assert result == replay_iteration(votes, strategy, 0.001, i, seed=9)
+
     def test_never_fabricates_labels(self):
         # a request with a lone dissent can outvote it at most once per iteration
         votes = make_set([[0] * 9 + [1] for _ in range(30)])
