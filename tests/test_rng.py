@@ -1,5 +1,4 @@
 """iteration_streams against substream, the per-key reference."""
-import numpy as np
 import pytest
 
 from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, iteration_streams, substream
@@ -9,6 +8,9 @@ INDICES = [*range(50), 1000, 2**31, 2**32 - 1]
 
 
 def assert_same_stream(stream, reference):
+    # the generator is reused: the odd count of bounded integers below
+    # leaves half a 64-bit word buffered, and the next stream's state
+    # check fails if that half word carried over
     assert stream.bit_generator.state == reference.bit_generator.state
     assert stream.random(4).tolist() == reference.random(4).tolist()
     assert stream.integers(0, 1000, 5).tolist() == reference.integers(0, 1000, 5).tolist()
@@ -21,20 +23,6 @@ def test_streams_equal_substream(seed, domain):
     streams = iteration_streams(seed, domain, INDICES)
     for index, stream in zip(INDICES, streams, strict=True):
         assert_same_stream(stream, substream(seed, domain, index))
-
-
-def test_a_range_of_indices():
-    for index, stream in enumerate(iteration_streams(7, DOMAIN_ITERATION, range(20))):
-        assert_same_stream(stream, substream(7, DOMAIN_ITERATION, index))
-
-
-def test_each_stream_starts_fresh():
-    # the generator is reused: drawing a 32-bit integer leaves half a
-    # 64-bit word buffered, which the next stream must not see
-    for index, stream in enumerate(iteration_streams(3, DOMAIN_ITERATION, range(4))):
-        reference = substream(3, DOMAIN_ITERATION, index)
-        assert stream.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
-               reference.integers(0, 2**32, 3, dtype=np.uint32).tolist()
 
 
 @pytest.mark.parametrize("indices", [[2**32], [5, 2**32 + 7, 2**40], [2**64 - 1]])
