@@ -43,47 +43,43 @@ def fmt(value) -> str:
 
 
 def simulate_grid(config: SimulateConfig) -> list:
-    """Grid cells in their canonical order: regimes, then strategies, then deltas."""
+    """One ExperimentConfig per grid cell, in canonical order: regimes, then
+    strategies, then deltas."""
     return [
-        (regime, strategy, delta)
+        ExperimentConfig(
+            capability_lo=config.capability_lo,
+            capability_hi=config.capability_hi,
+            pool_size=config.pool_size,
+            mu=regime.mu,
+            sigma=regime.sigma,
+            n_requests=regime.n_requests,
+            strategy=strategy,
+            delta=delta,
+            iterations=config.iterations,
+            seed=config.seed,
+            resample_difficulties_per_iteration=config.resample_difficulties_per_iteration,
+            resample_pool_per_iteration=config.resample_pool_per_iteration,
+        )
         for regime in config.regimes
         for strategy in config.strategies
         for delta in config.deltas
     ]
 
 
-def _experiment_config(config: SimulateConfig, regime, strategy, delta) -> ExperimentConfig:
-    return ExperimentConfig(
-        capability_lo=config.capability_lo,
-        capability_hi=config.capability_hi,
-        pool_size=config.pool_size,
-        mu=regime.mu,
-        sigma=regime.sigma,
-        n_requests=regime.n_requests,
-        strategy=strategy,
-        delta=delta,
-        iterations=config.iterations,
-        seed=config.seed,
-        resample_difficulties_per_iteration=config.resample_difficulties_per_iteration,
-        resample_pool_per_iteration=config.resample_pool_per_iteration,
-    )
-
-
 def _run_simulate_cell(args):
     """One grid cell: run it, write its trace CSV if it has one, and return
     its summary row. The trace is written here, in the worker process under
     --jobs, so no cell's trace rows outlive the cell."""
-    config, regime, strategy, delta, trace_path = args
-    summary = run_experiment(_experiment_config(config, regime, strategy, delta),
-                             trace_iterations=config.trace_iterations,
+    config, cell, trace_path = args
+    summary = run_experiment(cell, trace_iterations=config.trace_iterations,
                              bootstrap_confidence=config.bootstrap_confidence,
                              bootstrap_resamples=config.bootstrap_resamples)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _CellTraceRows(summary.per_iteration[:config.trace_iterations]))
-    return [strategy.name, fmt(regime.mu), fmt(delta), fmt(summary.mean_effort),
+    return [cell.strategy.name, fmt(cell.mu), fmt(cell.delta), fmt(summary.mean_effort),
             fmt(summary.ci_low), fmt(summary.ci_high), fmt(summary.decision_ratio),
-            str(config.iterations)]
+            str(cell.iterations)]
 
 
 def _trace_rows(iteration: int, trace: list):
@@ -158,13 +154,12 @@ def cmd_simulate(args) -> int:
     for path in old_traces:
         path.unlink()
 
-    jobs = [(config, regime, strategy, delta,
-             out / f"trace_{i:03d}.csv" if config.trace_iterations else None)
-            for i, (regime, strategy, delta) in enumerate(cells)]
+    jobs = [(config, cell, out / f"trace_{i:03d}.csv" if config.trace_iterations else None)
+            for i, cell in enumerate(cells)]
     outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
-    failed_cells = [{"strategy": strategy.name, "mu": regime.mu, "delta": delta,
+    failed_cells = [{"strategy": cell.strategy.name, "mu": cell.mu, "delta": cell.delta,
                      "error": str(outcome)}
-                    for (_, regime, strategy, delta, _), outcome in zip(jobs, outcomes)
+                    for cell, outcome in zip(cells, outcomes)
                     if isinstance(outcome, Exception)]
     _write_csv(out / "summary.csv", SUMMARY_HEADER,
                [row for row in outcomes if not isinstance(row, Exception)])
@@ -217,9 +212,12 @@ def cmd_replay(args) -> int:
     out = Path(args.out)
     _prepare_out(out, ["effort.csv", "decision_ratio.csv", "manifest.yaml"], args.force)
 
-    kappa = fleiss_kappa(annotations)
+    # kappa needs two votes on every request; with fewer it is undefined,
+    # and each cell still runs or fails on its own
+    kappa = fleiss_kappa(annotations) if annotations.counts.min() >= 2 else None
     print(f"dataset {annotations.experiment_label}: {len(annotations)} requests, "
-          f"{len(annotations.worker_ids)} workers, fleiss kappa = {kappa:.4f}")
+          f"{len(annotations.worker_ids)} workers, "
+          f"fleiss kappa = {'n/a' if kappa is None else f'{kappa:.4f}'}")
 
     jobs = [(config, annotations, strategy, delta)
             for strategy in config.strategies for delta in config.deltas]
@@ -236,7 +234,7 @@ def cmd_replay(args) -> int:
         "mode": "replay",
         "dataset": str(dataset),
         "mapping": mapping,
-        "fleiss_kappa": float(kappa),
+        "fleiss_kappa": kappa,
         "config": _config_echo(config),
         "failed_cells": failed_cells,
     })
@@ -251,8 +249,7 @@ def cmd_trace(args) -> int:
     if not 0 <= args.iteration < config.iterations:
         raise ConfigError(f"--iteration must be in [0, {config.iterations - 1}], "
                           f"got {args.iteration}")
-    regime, strategy, delta = cells[args.cell]
-    exp = _experiment_config(config, regime, strategy, delta)
+    exp = cells[args.cell]
 
     out = Path(args.out)
     _prepare_out(out, ["trace.csv", "manifest.yaml"], args.force)
@@ -265,7 +262,7 @@ def cmd_trace(args) -> int:
     _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(args.iteration, result.trace))
     _write_manifest(out, {
         "mode": "trace",
-        "cell": {"strategy": strategy.name, "mu": regime.mu, "delta": delta},
+        "cell": {"strategy": exp.strategy.name, "mu": exp.mu, "delta": exp.delta},
         "iteration": args.iteration,
         "decided": result.decided,
         "verdict": result.verdict.value,
@@ -273,8 +270,9 @@ def cmd_trace(args) -> int:
         "effort": result.effort,
         "config": _config_echo(config),
     })
-    print(f"{strategy.name} mu={fmt(regime.mu)} delta={fmt(delta)} iteration {args.iteration}: "
-          f"{result.verdict.value} at n={result.n_at_decision}, effort {result.effort}")
+    print(f"{exp.strategy.name} mu={fmt(exp.mu)} delta={fmt(exp.delta)} iteration "
+          f"{args.iteration}: {result.verdict.value} at n={result.n_at_decision}, "
+          f"effort {result.effort}")
     return 0
 
 

@@ -221,6 +221,12 @@ def load_replay_config(path, seed_override=None) -> ReplayConfig:
 def load_mapping(path) -> dict:
     data = _load_yaml(path)
     _check_keys(data, MAPPING_KEYS, "mapping")
+    label_map = data.get("label_map")
+    if label_map is not None and not (
+            isinstance(label_map, dict)
+            and all(type(label) is int and label in (0, 1) for label in label_map.values())):
+        raise ConfigError(f"mapping.label_map: expected a mapping from raw labels to 0 or 1, "
+                          f"got {label_map!r}")
     return data
 
 

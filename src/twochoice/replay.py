@@ -178,9 +178,10 @@ def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: floa
     The block driver reveals the shuffled rows block by block and draws
     each block's final labels and effort from ``law``, the cell's
     ``replay_law``; ``band`` is ``hoeffding_band`` over the requests.
-    ``rng`` is the iteration's generator, in the state of ``substream(seed,
+    ``rng`` is the iteration's generator, ``substream(seed,
     DOMAIN_ITERATION, iteration_index)``; ``replay_experiment`` passes the
-    cell's ``iteration_streams``. Each is computed here when not given.
+    same stream from the cell's ``iteration_streams``, on a Generator it
+    reuses for the next iteration. Each is computed here when not given.
     """
     if law is None:
         law = replay_law(annotations, strategy)
@@ -200,7 +201,7 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
-    streams = iteration_streams(seed, DOMAIN_ITERATION, range(iterations))
+    streams = iteration_streams(seed, DOMAIN_ITERATION, iterations)
     results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law,
                                 rng=rng)
                for i, rng in enumerate(streams)]

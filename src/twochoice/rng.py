@@ -3,11 +3,12 @@
 Every random draw in this package flows through a ``numpy.random.Generator``
 derived here. Substreams are keyed by (seed, domain, index), so iteration i
 always sees the same stream no matter how many other iterations ran before
-it or in parallel. ``substream`` is the reference: a fresh SeedSequence,
-PCG64 and Generator per key. ``iteration_streams`` yields the same streams
-for a run of indices, a grid cell's iterations, from one hashing pass and
-one reused Generator, so a cell does not pay for a SeedSequence per
-iteration; it changes no drawn number.
+it or in parallel. One derivation serves every key: stream i is row
+i % 256 of the words numpy's ``SeedSequence([seed, domain, i // 256])``
+generates, set straight into a PCG64. ``substream`` takes one stream, at
+the same cost for any index. ``iteration_streams`` walks a grid cell's
+streams a block of 256 at a time on one reused Generator, so a cell does
+not pay for a SeedSequence per iteration, and gives the same numbers.
 """
 from __future__ import annotations
 
@@ -37,22 +38,14 @@ DOMAIN_BOOTSTRAP = 3
 # 6: every final label comes from the law of its votes (simulator.vote_law):
 #    replay draws its rows, then one uniform per row; distinct_voters draws
 #    its rows, then the voter picks, then one uniform per row.
-STREAM_LAYOUT = 6
+# 7: stream (seed, domain, i) is row i % 256 of
+#    SeedSequence([seed, domain, i // 256]).generate_state(1024, np.uint64),
+#    set straight into a PCG64, in place of PCG64(SeedSequence([seed,
+#    domain, i])).
+STREAM_LAYOUT = 7
 
 _MAX_SEED = 2**64
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) over a pool of
-# four 32-bit words, and PCG64's multiplier (numpy/random/src/pcg64/pcg64.h).
-# What they make of a seed is fixed by numpy's stream-compatibility policy
-# (NEP 19); tests/test_rng.py checks iteration_streams against substream.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_BLOCK_STREAMS = 256  # streams per SeedSequence
 
 
 def check_seed(seed: int) -> int:
@@ -72,93 +65,40 @@ def as_generator(seed) -> np.random.Generator:
 
 def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Independent generator for (seed, domain, index)."""
-    ss = np.random.SeedSequence([check_seed(seed), domain, index])
-    return np.random.Generator(np.random.PCG64(ss))
+    return next(_streams(check_seed(seed), domain, index, index + 1))
 
 
-def iteration_streams(seed: int, domain: int, indices):
-    """Yield ``substream(seed, domain, i)`` for each i in ``indices``, bit
-    for bit, as one Generator whose state is reset before each yield.
+def iteration_streams(seed: int, domain: int, count: int):
+    """Yield ``substream(seed, domain, i)`` for i = 0 .. count - 1, bit for
+    bit, as one Generator whose state is reset before each yield.
 
     Each stream is valid only until the next one is taken: the caller must
-    be done drawing from it by then. SeedSequence([seed, domain, i]) is
-    hashed for every index at once in uint32 array arithmetic, and PCG64's
-    seeding (pcg_setseq_128_srandom_r) is applied to one index at a time.
-    A domain or an index outside [0, 2**32) spans more entropy words than
-    that pass covers, and falls back to ``substream`` per index.
+    be done drawing from it by then. The seed is checked here, at the call.
     """
-    seed = check_seed(seed)
-    if not (0 <= domain <= _MASK32
-            and all(isinstance(i, (int, np.integer)) and 0 <= i <= _MASK32 for i in indices)):
-        return (substream(seed, domain, i) for i in indices)
-    return _reseeded(_pcg64_seeds(seed, domain, np.asarray(indices, dtype=np.uint32)))
+    return _streams(check_seed(seed), domain, 0, count)
 
 
-def _entropy_words(value: int) -> list:
-    """An entropy integer as SeedSequence splits it: 32-bit words, least
-    significant first, one word for 0."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _streams(seed: int, domain: int, start: int, stop: int):
+    """Streams start .. stop - 1 of (seed, domain) on one reused Generator.
 
-
-def _pcg64_seeds(seed: int, domain: int, indices: np.ndarray) -> np.ndarray:
-    """``SeedSequence([seed, domain, i]).generate_state(4, np.uint64)`` for
-    every i, as a (len(indices), 4) little-endian uint64 array.
-
-    The entropy is seed's words, domain, then i, at most four words, so it
-    fits the pool and only SeedSequence's pool-filling and all-pairs mixing
-    rounds apply. The hash constants advance the same way for every index,
-    so each round is one array operation over all of them.
+    Row r of a block's words sets the PCG64 directly: words 0-1 are its
+    state and words 2-3 its increment, high word first, the increment made
+    odd. generate_state's words depend only on their position, so a block
+    is generated only up to the last row wanted.
     """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    entropy = [*_entropy_words(seed), domain]
-    entropy = [np.full(indices.shape, word, dtype=np.uint32) for word in entropy] + [indices]
-    entropy += [np.zeros(indices.shape, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    const = _INIT_B
-    words = np.empty((indices.size, 2 * _POOL_SIZE), dtype=np.uint32)
-    for w in range(2 * _POOL_SIZE):
-        value = pool[w % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        words[:, w] = value ^ (value >> _XSHIFT)
-    # generate_state reads its uint32 words as little-endian uint64 pairs
-    return words.astype("<u4", copy=False).view("<u8")
-
-
-def _reseeded(seeds: np.ndarray):
-    """One Generator, set in turn to the PCG64 state each row of ``seeds``
-    gives: PCG64 takes words 0-1 as the initial state and words 2-3 as the
-    sequence, high word first, and steps twice."""
     rng = np.random.Generator(np.random.PCG64(0))  # its state is replaced before each yield
     bit_generator = rng.bit_generator
-    for row in seeds:
-        hi_state, lo_state, hi_seq, lo_seq = row.tolist()
-        inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-        state = ((inc + (hi_state << 64 | lo_state)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
+    while start < stop:
+        block, row = divmod(start, _BLOCK_STREAMS)
+        rows = min(_BLOCK_STREAMS, row + stop - start)
+        words = np.random.SeedSequence([seed, domain, block]).generate_state(4 * rows, np.uint64)
+        for hi_state, lo_state, hi_inc, lo_inc in words.reshape(rows, 4)[row:].tolist():
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": hi_state << 64 | lo_state,
+                                             "inc": hi_inc << 64 | lo_inc | 1},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
+        start += rows - row
 
 
 def distinct_columns(rng: np.random.Generator, counts, k: int) -> np.ndarray:

@@ -272,9 +272,10 @@ def run_iteration(
     block's law is computed from its own rows: at the pool's mean
     capability, at fixed-worker's worker's, or at the distinct voters the
     block picks. A row's law is the same float either way. ``rng`` is the
-    iteration's generator, in the state of ``substream(config.seed,
-    DOMAIN_ITERATION, iteration_index)``, which is taken when it is not
-    given; ``run_experiment`` passes the cell's ``iteration_streams``.
+    iteration's generator, ``substream(config.seed, DOMAIN_ITERATION,
+    iteration_index)`` when not given; ``run_experiment`` passes the same
+    stream from the cell's ``iteration_streams``, on a Generator it reuses
+    for the next iteration.
     """
     if rng is None:
         rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
@@ -314,7 +315,7 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     The request difficulties and the worker pool are drawn once from the
     experiment seed and shared by every iteration, unless the per-iteration
     resample flags say otherwise. Iterations run on substreams keyed by
-    (seed, iteration index), seeded for the whole cell in one pass
+    (seed, iteration index), seeded 256 at a time from one SeedSequence
     (``iteration_streams``), so the per-iteration results are identical
     under any execution order and to standalone ``run_iteration`` calls.
     """
@@ -331,7 +332,7 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
                   or strategy.distinct_voters and strategy.votes_needed() > 1)
     law = final_law(strategy, requests.difficulties, pool.capabilities.mean()) if shared else None
     band = hoeffding_band(config.delta, requests.size)
-    streams = iteration_streams(config.seed, DOMAIN_ITERATION, range(config.iterations))
+    streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
     results = [
         run_iteration(config, requests, pool, i, record_trace=i < trace_iterations,
                       law=law, band=band, rng=rng)

@@ -44,7 +44,7 @@ import numpy as np
 import pytest
 import yaml
 
-from twochoice.cli import _experiment_config, main, simulate_grid
+from twochoice.cli import main, simulate_grid
 from twochoice.config import load_simulate_config
 from twochoice.decision import hoeffding_tolerance, min_n_for_decision
 from twochoice.eval_model import sample_capabilities, sample_difficulties
@@ -450,7 +450,7 @@ class TestSmokeGridExactLaw:
     # plausible Binomial draw, at the same family-wise FALSE_ALARM_RATE.
     def test_every_cell_matches_exact_law(self):
         config = load_simulate_config(Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml")
-        cells = [_experiment_config(config, *cell) for cell in simulate_grid(config)]
+        cells = simulate_grid(config)
         z = z_bound(len(cells))
         per_side = FALSE_ALARM_RATE / (2 * len(cells))
         failures = []

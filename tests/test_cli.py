@@ -10,7 +10,7 @@ from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import STREAM_LAYOUT
 from twochoice.simulator import run_experiment
-from twochoice.cli import _experiment_config, _trace_rows, simulate_grid
+from twochoice.cli import _trace_rows, simulate_grid
 
 SMOKE = """
 workers: {lo: 0.8, hi: 1.0, pool_size: 20}
@@ -240,13 +240,12 @@ class TestSimulateCommand:
         main(["simulate", "--config", str(smoke_config), "--out", str(out)])
         config = load_simulate_config(smoke_config)
         rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
-        for row, (regime, strategy, delta) in zip(rows, simulate_grid(config)):
-            summary = run_experiment(_experiment_config(config, regime, strategy, delta),
-                                     bootstrap_confidence=config.bootstrap_confidence,
+        for row, cell in zip(rows, simulate_grid(config)):
+            summary = run_experiment(cell, bootstrap_confidence=config.bootstrap_confidence,
                                      bootstrap_resamples=config.bootstrap_resamples)
-            assert row["strategy"] == strategy.name
-            assert row["mu"] == fmt(regime.mu)
-            assert row["delta"] == fmt(delta)
+            assert row["strategy"] == cell.strategy.name
+            assert row["mu"] == fmt(cell.mu)
+            assert row["delta"] == fmt(cell.delta)
             assert row["mean_effort"] == fmt(summary.mean_effort)
             assert row["ci_low"] == fmt(summary.ci_low)
             assert row["ci_high"] == fmt(summary.ci_high)
@@ -360,6 +359,37 @@ class TestReplayCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "fixed-worker" in capsys.readouterr().err
 
+    def test_single_vote_request_leaves_kappa_undefined(self, tmp_path, capsys):
+        # r2 holds one vote: Fleiss kappa is undefined, one-worker still
+        # replays and n-workers:3 fails on its own
+        dataset = tmp_path / "votes.csv"
+        dataset.write_text("request_id,worker_id,label\n"
+                           "r1,w1,1\nr1,w2,1\nr2,w1,0\nr3,w1,1\nr3,w2,0\n", encoding="utf-8")
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY.replace("max-three", "n-workers:3").replace(
+            "deltas: [0.01, 0.001]", "deltas: [0.01]"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                     "--out", str(out)]) == 1
+        assert "fleiss kappa = n/a" in capsys.readouterr().out
+        effort = list(csv.DictReader(open(out / "effort.csv", encoding="utf-8")))
+        assert [row["strategy"] for row in effort] == ["one-worker"]
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+        assert manifest["fleiss_kappa"] is None
+        assert [cell["strategy"] for cell in manifest["failed_cells"]] == ["n-workers:3"]
+
+    @pytest.mark.parametrize("label_map", ["[a, b]", "yes", "{A: 1, B: 2}", "{A: true, B: 0}"])
+    def test_malformed_label_map_is_a_config_error(self, dataset, tmp_path, capsys, label_map):
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        mapping = tmp_path / "mapping.yaml"
+        mapping.write_text(f"label_map: {label_map}\n", encoding="utf-8")
+        assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                     "--mapping", str(mapping), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mapping.label_map: ")
+        assert "Traceback" not in err
+
     def test_malformed_dataset_reports_line(self, tmp_path, capsys):
         config = tmp_path / "replay.yaml"
         config.write_text(REPLAY, encoding="utf-8")
@@ -412,9 +442,8 @@ class TestTraceCommand:
         config.write_text(smoke.replace("n-workers:3]", "n-workers:3, fixed-worker]")
                           + f"trace_iterations: 2\ndistinct_voters: {str(distinct).lower()}\n",
                           encoding="utf-8")
-        cells = [i for i, (regime, strategy, delta)
-                 in enumerate(simulate_grid(load_simulate_config(config)))
-                 if strategy.name in names and regime.mu == 0.2 and delta == 0.001]
+        cells = [i for i, cell in enumerate(simulate_grid(load_simulate_config(config)))
+                 if cell.strategy.name in names and cell.mu == 0.2 and cell.delta == 0.001]
         assert len(cells) == len(names)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
         for cell in cells:

@@ -39,7 +39,7 @@ def test_traced_simulate_launch(tmp_path):
     assert report["exit_code"] == 0
     assert isinstance(report["first_iteration"], float)
     cells = simulate_grid(load_simulate_config(SMOKE))
-    assert [cell["strategy"] for cell in report["cells"]] == [s.name for _, s, _ in cells]
+    assert [cell["strategy"] for cell in report["cells"]] == [c.strategy.name for c in cells]
     assert all(cell["violations"] == 0 for cell in report["cells"])
     assert (tmp_path / "report.json.spans.npz").exists()
 

@@ -220,7 +220,7 @@ class TestReplayExperiment:
 
     @pytest.mark.parametrize("name", ["one-worker", "max-three"])
     def test_per_iteration_matches_standalone_runs(self, name):
-        # replay_experiment seeds its iterations in one pass and hands each
+        # replay_experiment takes its streams from iteration_streams and hands each
         # the cell's law and band; a standalone run takes its own substream
         rng = np.random.default_rng(4)
         votes = make_set([[int(rng.random() < 0.52) for _ in range(9)] for _ in range(2500)])

@@ -1,10 +1,14 @@
-"""iteration_streams against substream, the per-key reference."""
+"""The stream derivation: iteration_streams against substream, and substream
+against SeedSequence's words."""
+import time
+
+import numpy as np
 import pytest
 
 from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, iteration_streams, substream
 
 SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
-INDICES = [*range(50), 1000, 2**31, 2**32 - 1]
+COUNT = 600  # two full blocks of 256 streams and a partial one
 
 
 def assert_same_stream(stream, reference):
@@ -20,19 +24,40 @@ def assert_same_stream(stream, reference):
 @pytest.mark.parametrize("domain", [DOMAIN_ITERATION, DOMAIN_BOOTSTRAP])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_streams_equal_substream(seed, domain):
-    streams = iteration_streams(seed, domain, INDICES)
-    for index, stream in zip(INDICES, streams, strict=True):
+    streams = iteration_streams(seed, domain, COUNT)
+    for index, stream in enumerate(streams):
         assert_same_stream(stream, substream(seed, domain, index))
+    assert index == COUNT - 1
 
 
-@pytest.mark.parametrize("indices", [[2**32], [5, 2**32 + 7, 2**40], [2**64 - 1]])
-def test_indices_past_32_bits_fall_back_to_substream(indices):
-    streams = iteration_streams(2**63 + 5, DOMAIN_ITERATION, indices)
-    for index, stream in zip(indices, streams, strict=True):
-        assert_same_stream(stream, substream(2**63 + 5, DOMAIN_ITERATION, index))
+@pytest.mark.parametrize("index", [0, 1, 255, 256, 511, 10**6, 2**40])
+@pytest.mark.parametrize("seed, domain", [(0, DOMAIN_ITERATION), (2**63 + 5, DOMAIN_ITERATION),
+                                          (2**64 - 1, DOMAIN_BOOTSTRAP)])
+def test_substream_is_its_row_of_seedsequence_words(seed, domain, index):
+    words = np.random.SeedSequence([seed, domain, index // 256]).generate_state(1024, np.uint64)
+    w0, w1, w2, w3 = (int(word) for word in words.reshape(256, 4)[index % 256])
+    assert substream(seed, domain, index).bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": w0 * 2**64 + w1, "inc": (w2 * 2**64 + w3) | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def test_random_access_is_constant_time():
+    def cost(index):
+        start = time.perf_counter()
+        for _ in range(50):
+            substream(12345, DOMAIN_ITERATION, index)
+        return time.perf_counter() - start
+
+    cost(255)  # warm up
+    last_row = min(cost(255) for _ in range(3))
+    for index in (10**6, 2**40):
+        assert min(cost(index) for _ in range(3)) < 2 * last_row
 
 
 @pytest.mark.parametrize("seed", [-1, True, 2**64, 1.5])
 def test_rejects_what_check_seed_rejects(seed):
     with pytest.raises(ValueError, match="seed"):
-        iteration_streams(seed, DOMAIN_ITERATION, range(3))
+        iteration_streams(seed, DOMAIN_ITERATION, 3)
