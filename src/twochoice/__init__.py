@@ -6,7 +6,6 @@ each labelling strategy needs before one model is provably better.
 """
 
 from .decision import (
-    DecisionConfig,
     DecisionState,
     Verdict,
     first_crossing,
@@ -20,7 +19,6 @@ from .eval_model import (
     WorkerPool,
     sample_capabilities,
     sample_difficulties,
-    selection_probability,
 )
 from .replay import (
     AnnotationSet,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotationSet",
     "DataFormatError",
-    "DecisionConfig",
     "DecisionState",
     "ExperimentConfig",
     "ExperimentSummary",
@@ -69,6 +66,5 @@ __all__ = [
     "run_iteration",
     "sample_capabilities",
     "sample_difficulties",
-    "selection_probability",
     "update",
 ]

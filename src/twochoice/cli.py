@@ -59,6 +59,7 @@ def simulate_grid(config: SimulateConfig) -> list:
             seed=config.seed,
             resample_difficulties_per_iteration=config.resample_difficulties_per_iteration,
             resample_pool_per_iteration=config.resample_pool_per_iteration,
+            distinct_voters=config.distinct_voters,
         )
         for regime in config.regimes
         for strategy in config.strategies

@@ -98,7 +98,7 @@ def _int_at_least(data: dict, key: str, where: str, minimum: int, default=None) 
     return value
 
 
-def _strategies(data: dict, where: str, distinct: bool = False, allow_fixed: bool = True) -> tuple:
+def _strategies(data: dict, where: str, allow_fixed: bool = True) -> tuple:
     raw = _require(data, "strategies", list, where)
     if not raw:
         raise ConfigError(f"{where}.strategies: must not be empty")
@@ -108,8 +108,6 @@ def _strategies(data: dict, where: str, distinct: bool = False, allow_fixed: boo
             strat = Strategy.from_name(str(name))
         except ValueError as exc:
             raise ConfigError(f"{where}.strategies[{i}]: {exc}") from None
-        if distinct:
-            strat = Strategy(kind=strat.kind, n_workers=strat.n_workers, distinct_voters=True)
         if not allow_fixed and strat.kind is StrategyKind.FIXED_WORKER:
             raise ConfigError(f"{where}.strategies[{i}]: fixed-worker cannot be replayed")
         out.append(strat)
@@ -184,13 +182,12 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
                               n_requests=_int_at_least(entry, "n_requests", rwhere, 1)))
 
     confidence, resamples = _bootstrap(data, where)
-    distinct = _flag(data, "distinct_voters", where)
     return SimulateConfig(
         capability_lo=lo,
         capability_hi=hi,
         pool_size=pool_size,
         regimes=tuple(regimes),
-        strategies=_strategies(data, where, distinct),
+        strategies=_strategies(data, where),
         deltas=_deltas(data, where),
         iterations=_int_at_least(data, "iterations", where, 1),
         seed=_seed(data, where, seed_override),
@@ -198,7 +195,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
         bootstrap_resamples=resamples,
         resample_difficulties_per_iteration=_flag(data, "resample_difficulties_per_iteration", where),
         resample_pool_per_iteration=_flag(data, "resample_pool_per_iteration", where),
-        distinct_voters=distinct,
+        distinct_voters=_flag(data, "distinct_voters", where),
         trace_iterations=_int_at_least(data, "trace_iterations", where, 0, default=0),
     )
 
@@ -222,11 +219,22 @@ def load_mapping(path) -> dict:
     data = _load_yaml(path)
     _check_keys(data, MAPPING_KEYS, "mapping")
     label_map = data.get("label_map")
-    if label_map is not None and not (
-            isinstance(label_map, dict)
+    if label_map is None:
+        return data
+    if not (isinstance(label_map, dict)
             and all(type(label) is int and label in (0, 1) for label in label_map.values())):
         raise ConfigError(f"mapping.label_map: expected a mapping from raw labels to 0 or 1, "
                           f"got {label_map!r}")
+    # the CSV reader yields text, so an integer raw label (YAML's 1:) is
+    # matched as its decimal string
+    data["label_map"] = {}
+    for raw, label in label_map.items():
+        if type(raw) not in (str, int):
+            raise ConfigError(f"mapping.label_map: raw label {raw!r} is not a string or an "
+                              f"integer")
+        if str(raw) in data["label_map"]:
+            raise ConfigError(f"mapping.label_map: two raw labels read as {str(raw)!r}")
+        data["label_map"][str(raw)] = label
     return data
 
 

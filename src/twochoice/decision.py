@@ -32,17 +32,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DecisionConfig:
-    """delta is the allowed failure probability; decisions come at 1 - delta."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
 class DecisionState:
     """Running tally after n final labels.
 
@@ -74,8 +63,9 @@ def hoeffding_tolerance(delta: float, n: int) -> float:
     return math.sqrt(-math.log(delta) / (2.0 * n))
 
 
-def update(state: DecisionState, label: int, config: DecisionConfig) -> DecisionState:
-    """Fold one final label into the state and re-evaluate the verdict.
+def update(state: DecisionState, label: int, delta: float) -> DecisionState:
+    """Fold one final label into the state and re-evaluate the verdict at
+    failure probability ``delta``.
 
     Callers normally stop at the first non-undecided verdict; updating past
     it is legal (the verdict keeps tracking the current band) so traces can
@@ -86,7 +76,7 @@ def update(state: DecisionState, label: int, config: DecisionConfig) -> Decision
     n = state.n + 1
     count_a = state.count_a + label
     mean = count_a / n
-    tol = hoeffding_tolerance(config.delta, n)
+    tol = hoeffding_tolerance(delta, n)
     if mean - tol > MIDLINE:
         verdict = Verdict.A_IS_BETTER
     elif mean + tol < MIDLINE:
@@ -122,7 +112,7 @@ def first_crossing(finals, band: np.ndarray, n: int = 0,
     """
     end = n + len(finals)
     ns = np.arange(n + 1, end + 1, dtype=np.int64)
-    counts = np.cumsum(finals, dtype=np.int64)
+    counts = finals.cumsum(dtype=np.int64)
     if count:
         counts += count
     means = counts / ns

@@ -48,11 +48,9 @@ class WorkerPool:
 
 @dataclass(frozen=True)
 class RequestSet:
-    """Per-request difficulties in [-1, 1], plus the generating parameters."""
+    """Per-request difficulties in [-1, 1]."""
 
     difficulties: np.ndarray
-    mu: float
-    sigma: float
 
     def __post_init__(self):
         diffs = _readonly(self.difficulties)
@@ -99,14 +97,5 @@ def sample_difficulties(mu: float, sigma: float, n: int, seed: SeedLike) -> Requ
         keep = draw[(draw >= -1.0) & (draw <= 1.0)]
         out[filled:filled + keep.size] = keep
         filled += keep.size
-    return RequestSet(difficulties=out, mu=float(mu), sigma=float(sigma))
-
-
-def selection_probability(c: float, d: float) -> float:
-    """P(first model's item is picked) for capability c and difficulty d."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"capability must lie in [0, 1], got {c}")
-    if not -1.0 <= d <= 1.0:
-        raise ValueError(f"difficulty must lie in [-1, 1], got {d}")
-    return (c * d + 1.0) / 2.0
+    return RequestSet(difficulties=out)
 

@@ -77,6 +77,7 @@ class ExperimentConfig:
     seed: int
     resample_difficulties_per_iteration: bool = False
     resample_pool_per_iteration: bool = False
+    distinct_voters: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.capability_lo <= self.capability_hi <= 1.0:
@@ -128,8 +129,6 @@ def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
     q = P(final label is A). Max-three's rows 1 and 2 are P(the first two
     votes are A) and that plus P(they split), read after vote 1: its first
     two votes split, and a third label is spent, when u falls between them.
-    Only element-wise products and sums are used, so each element is the
-    same float whether the law is computed over all requests or a block.
     """
     k = strategy.votes_needed()
     majority = k // 2 + 1
@@ -266,42 +265,44 @@ def run_iteration(
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
-    ``law`` is ``final_law`` over the whole request set, given only when
-    every iteration of the cell shares it (``run_experiment`` decides), and
-    ``band`` is ``hoeffding_band`` over the supply. Without a law each
-    block's law is computed from its own rows: at the pool's mean
-    capability, at fixed-worker's worker's, or at the distinct voters the
-    block picks. A row's law is the same float either way. ``rng`` is the
-    iteration's generator, ``substream(config.seed, DOMAIN_ITERATION,
-    iteration_index)`` when not given; ``run_experiment`` passes the same
-    stream from the cell's ``iteration_streams``, on a Generator it reuses
-    for the next iteration.
+    The law has one of two sources. Most iterations read one ``final_law``
+    over the whole request supply, column by column: ``law``, the cell's
+    law at the pool's mean capability, computed here when not given. An
+    iteration that draws its own requests or pool (a resample flag) or its
+    own fixed worker computes its own whole-supply law and ignores
+    ``law``. Only ``distinct_voters`` with k > 1 votes builds each block's
+    law from the voters that block picks. ``band`` is ``hoeffding_band``
+    over the supply. ``rng`` is the iteration's generator,
+    ``substream(config.seed, DOMAIN_ITERATION, iteration_index)`` when not
+    given; ``run_experiment`` passes the same stream from the cell's
+    ``iteration_streams``, on a Generator it reuses for the next iteration.
     """
     if rng is None:
         rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
+        law = None
     if config.resample_pool_per_iteration:
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
+        law = None
     if band is None:
         band = hoeffding_band(config.delta, requests.size)
 
     strategy, difficulties = config.strategy, requests.difficulties
     k = strategy.votes_needed()
-    if law is not None:
-        def law_of(rows):
-            return law.take(rows, axis=1)
-    elif strategy.distinct_voters and k > 1:
+    if config.distinct_voters and k > 1:
         def law_of(rows):
             voters = distinct_columns(rng, np.full(rows.size, pool.pool_size), k)
             return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
     else:
-        capability = (pool.capabilities[rng.integers(0, pool.pool_size)]
-                      if strategy.kind is StrategyKind.FIXED_WORKER
-                      else pool.capabilities.mean())
+        if strategy.kind is StrategyKind.FIXED_WORKER:
+            law = final_law(strategy, difficulties,
+                            pool.capabilities[rng.integers(0, pool.pool_size)])
+        elif law is None:
+            law = final_law(strategy, difficulties, pool.capabilities.mean())
 
         def law_of(rows):
-            return final_law(strategy, difficulties[rows], capability)
+            return law.take(rows, axis=1)
 
     return run_blocks(lambda rows: draw_finals(strategy, law_of(rows), rng), band, rng,
                       record_trace)
@@ -323,14 +324,7 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
                                    substream(config.seed, DOMAIN_REQUESTS, 0))
     pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size,
                                substream(config.seed, DOMAIN_POOL, 0))
-    strategy = config.strategy
-    # one law serves every iteration unless an iteration draws its own
-    # requests, pool, fixed worker or distinct voters
-    shared = not (config.resample_difficulties_per_iteration
-                  or config.resample_pool_per_iteration
-                  or strategy.kind is StrategyKind.FIXED_WORKER
-                  or strategy.distinct_voters and strategy.votes_needed() > 1)
-    law = final_law(strategy, requests.difficulties, pool.capabilities.mean()) if shared else None
+    law = final_law(config.strategy, requests.difficulties, pool.capabilities.mean())
     band = hoeffding_band(config.delta, requests.size)
     streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
     results = [

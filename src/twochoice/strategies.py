@@ -32,16 +32,10 @@ class StrategyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A labelling strategy; n_workers applies to majority voting only.
-
-    distinct_voters is a sensitivity knob: when set, the voters for one
-    request are drawn without replacement from the pool instead of the
-    default with-replacement draw.
-    """
+    """A labelling strategy; n_workers applies to majority voting only."""
 
     kind: StrategyKind
     n_workers: Optional[int] = None
-    distinct_voters: bool = False
 
     def __post_init__(self):
         if self.kind is StrategyKind.N_WORKERS_MAJORITY:

@@ -151,7 +151,7 @@ class TestSimulateCommand:
         assert loaded.distinct_voters is expected
         assert loaded.resample_difficulties_per_iteration is expected
         assert loaded.resample_pool_per_iteration is expected
-        assert all(s.distinct_voters is expected for s in loaded.strategies)
+        assert all(cell.distinct_voters is expected for cell in simulate_grid(loaded))
 
     # a misspelt key at each level of the config: top level, workers, a
     # regime, bootstrap
@@ -378,7 +378,11 @@ class TestReplayCommand:
         assert manifest["fleiss_kappa"] is None
         assert [cell["strategy"] for cell in manifest["failed_cells"]] == ["n-workers:3"]
 
-    @pytest.mark.parametrize("label_map", ["[a, b]", "yes", "{A: 1, B: 2}", "{A: true, B: 0}"])
+    # the last three: a raw label that is neither text nor an integer, and
+    # two raw labels that both read as the CSV text 1
+    @pytest.mark.parametrize("label_map", ["[a, b]", "yes", "{A: 1, B: 2}", "{A: true, B: 0}",
+                                           "{1.5: 1, B: 0}", "{true: 1, B: 0}",
+                                           "{1: 1, '1': 0}"])
     def test_malformed_label_map_is_a_config_error(self, dataset, tmp_path, capsys, label_map):
         config = tmp_path / "replay.yaml"
         config.write_text(REPLAY, encoding="utf-8")
@@ -389,6 +393,22 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: mapping.label_map: ")
         assert "Traceback" not in err
+
+    def test_integer_label_map_keys_match_the_csv_text(self, dataset, tmp_path):
+        # YAML reads `1: 1` as an integer key; the CSV holds the text "1"
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        recoded = tmp_path / "recoded.csv"
+        recoded.write_text(dataset.read_text(encoding="utf-8").replace(",0\n", ",2\n"),
+                           encoding="utf-8")
+        mapping = tmp_path / "mapping.yaml"
+        mapping.write_text("label_map: {1: 1, 2: 0}\n", encoding="utf-8")
+        assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert main(["replay", "--config", str(config), "--dataset", str(recoded),
+                     "--mapping", str(mapping), "--out", str(tmp_path / "mapped")]) == 0
+        assert (tmp_path / "mapped" / "effort.csv").read_bytes() == \
+            (tmp_path / "plain" / "effort.csv").read_bytes()
 
     def test_malformed_dataset_reports_line(self, tmp_path, capsys):
         config = tmp_path / "replay.yaml"
@@ -435,7 +455,7 @@ class TestTraceCommand:
                                                   (True, ("n-workers:3",))])
     def test_trace_writes_the_rows_simulate_traced(self, tmp_path, distinct, names):
         # simulate hands each iteration the cell's law, where trace computes
-        # each block's own, or picks the block's distinct voters
+        # it, or draws its own worker, or picks each block's distinct voters
         smoke = (Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml").read_text(
             encoding="utf-8")
         config = tmp_path / "smoke.yaml"

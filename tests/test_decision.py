@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twochoice.decision import (
-    DecisionConfig,
     DecisionState,
     Verdict,
     first_crossing,
@@ -63,41 +62,42 @@ class TestHoeffdingBand:
 
 class TestUpdate:
     def test_crossing_decides_for_a(self):
-        config = DecisionConfig(delta=0.001)
         state = DecisionState(n=999, count_a=560, mean=560 / 999,
                               tolerance=hoeffding_tolerance(0.001, 999))
-        state = update(state, 1, config)
+        state = update(state, 1, 0.001)
         assert state.n == 1000
         assert state.mean == pytest.approx(0.561)
         assert state.tolerance == pytest.approx(0.0587697, abs=1e-7)
         assert state.verdict is Verdict.A_IS_BETTER
 
     def test_short_of_the_line_stays_undecided(self):
-        config = DecisionConfig(delta=0.001)
         state = DecisionState(n=999, count_a=550, mean=550 / 999,
                               tolerance=hoeffding_tolerance(0.001, 999))
-        state = update(state, 0, config)
+        state = update(state, 0, 0.001)
         assert state.n == 1000
         assert state.mean == pytest.approx(0.550)
         assert state.verdict is Verdict.UNDECIDED
 
     def test_first_label_cannot_decide(self):
-        config = DecisionConfig(delta=0.001)
-        state = update(DecisionState(), 1, config)
+        state = update(DecisionState(), 1, 0.001)
         assert state.n == 1
         assert state.mean == 1.0
         assert state.tolerance > 0.5
         assert state.verdict is Verdict.UNDECIDED
 
     def test_bounds_exposed_for_tracing(self):
-        config = DecisionConfig(delta=0.01)
-        state = update(DecisionState(), 1, config)
+        state = update(DecisionState(), 1, 0.01)
         assert state.lower == state.mean - state.tolerance
         assert state.upper == state.mean + state.tolerance
 
     def test_rejects_non_binary_label(self):
         with pytest.raises(ValueError):
-            update(DecisionState(), 2, DecisionConfig(delta=0.01))
+            update(DecisionState(), 2, 0.01)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_rejects_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            update(DecisionState(), 1, delta)
 
 
 class TestMinNForDecision:
@@ -122,11 +122,10 @@ class TestMinNForDecision:
 
 
 def _run_stream(labels, delta):
-    config = DecisionConfig(delta=delta)
     state = DecisionState()
     states = []
     for label in labels:
-        state = update(state, int(label), config)
+        state = update(state, int(label), delta)
         states.append(state)
     return states
 
@@ -160,12 +159,10 @@ class TestStreamProperties:
                 assert mirror[a.verdict] is b.verdict
 
     def test_verdict_monotone_in_evidence_at_fixed_n(self):
-        config = DecisionConfig(delta=0.01)
-
         def state_at(n, count):
             label = int(count > 0)
             prev = DecisionState(n=n - 1, count_a=count - label)
-            return update(prev, label, config)
+            return update(prev, label, 0.01)
 
         for n in (20, 57, 200):
             decided = [state_at(n, count).verdict is Verdict.A_IS_BETTER

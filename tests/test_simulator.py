@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twochoice import decision, simulator
-from twochoice.decision import DecisionConfig, DecisionState, Verdict, hoeffding_band
+from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
 from twochoice.rng import (
     DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, as_generator, distinct_columns, substream)
@@ -112,12 +112,11 @@ class TestRunIteration:
             pytest.fail("no iteration decides past three blocks")
         for config, result in cases:
             assert len(result.trace) == result.n_at_decision
-            dconfig = DecisionConfig(delta=config.delta)
             state = DecisionState()
             prev_count = 0
             for (n, mean, lower, upper) in result.trace:
                 count = round(mean * n)
-                state = decision.update(state, count - prev_count, dconfig)
+                state = decision.update(state, count - prev_count, config.delta)
                 prev_count = count
                 assert state.n == n
                 assert state.mean == pytest.approx(mean, abs=0)
@@ -134,7 +133,7 @@ class TestRunIteration:
         config = make_config(capability_lo=0.0, capability_hi=1.0, pool_size=2,
                              n_requests=5000, strategy=Strategy.from_name("fixed-worker"))
         pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
-        requests = RequestSet(difficulties=np.tile([1.0, -1.0], 2500), mu=0.0, sigma=0.0)
+        requests = RequestSet(difficulties=np.tile([1.0, -1.0], 2500))
         for iteration in range(20):
             # the twin replays the worker, then per block of 1024, 2048
             # and the remaining 1928 requests the block's rows and one
@@ -159,6 +158,22 @@ class TestRunIteration:
         votes = np.diff(counts, prepend=0)
         expected = requests.difficulties[order[:result.n_at_decision]] > 0
         assert np.array_equal(votes, expected)
+
+    @pytest.mark.parametrize("name, flag", [
+        ("fixed-worker", None), ("one-worker", "resample_difficulties_per_iteration"),
+        ("one-worker", "resample_pool_per_iteration"), ("n-workers:3", "distinct_voters")])
+    def test_given_law_is_ignored_where_the_iteration_draws_its_own(self, name, flag):
+        # an all-A law decides at the first n that can; the cell's law
+        # reaches only iterations on the shared requests, pool and mean
+        flags = {flag: True} if flag else {}
+        config = make_config(mu=0.05, strategy=Strategy.from_name(name), **flags)
+        requests, pool = base_inputs(config)
+        all_a = np.ones((1, requests.size))
+        shared = run_iteration(make_config(mu=0.05), requests, pool, 0, law=all_a)
+        assert shared.n_at_decision == decision.min_n_for_decision(config.delta)
+        for i in range(3):
+            assert run_iteration(config, requests, pool, i, record_trace=True, law=all_a) == \
+                run_iteration(config, requests, pool, i, record_trace=True)
 
     def test_majority_first_label_matches_binomial_closed_form(self):
         # vectorised voting path vs the same closed form as the scalar one
@@ -198,9 +213,9 @@ def _max_three_effort(n, seed):
 def _fold(labels, delta):
     """Scalar reference: fold decision.update over the labels, stopping at
     the first verdict."""
-    state, states, config = DecisionState(), [], DecisionConfig(delta=delta)
+    state, states = DecisionState(), []
     for label in labels.tolist():
-        state = decision.update(state, label, config)
+        state = decision.update(state, label, delta)
         states.append(state)
         if state.verdict is not Verdict.UNDECIDED:
             break
@@ -398,9 +413,8 @@ class TestLayoutSixPins:
 
     @pytest.mark.parametrize("name", ["n-workers:3", "max-three", "n-workers:5"])
     def test_distinct_voter_labels_and_effort_match_layout_six(self, name):
-        base = Strategy.from_name(name)
-        strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=True)
-        config = make_config(mu=0.05, n_requests=4000, strategy=strategy)
+        config = make_config(mu=0.05, n_requests=4000, strategy=Strategy.from_name(name),
+                             distinct_voters=True)
         requests, pool = base_inputs(config)
         past_first_block = 0
         for iteration in range(6):
@@ -426,7 +440,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name", ["one-worker", "fixed-worker", "max-three", "n-workers:5"])
     def test_per_iteration_matches_standalone_runs_past_first_block(self, name):
         # run_experiment hands each iteration the cell's law and band; a
-        # standalone run computes its own, block by block
+        # standalone run computes its own
         config = make_config(iterations=5, mu=0.08, n_requests=3000,
                              strategy=Strategy.from_name(name))
         requests, pool = base_inputs(config)

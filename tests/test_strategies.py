@@ -20,7 +20,7 @@ def pool_of(value, size):
     return sample_capabilities(value, value, size, seed=0)
 
 
-def apply(name_or_strategy, difficulties, pool, seed):
+def apply(name_or_strategy, difficulties, pool, seed, distinct_voters=False):
     """Final labels and per-request effort of a strategy over a run of
     requests, drawn as the simulator draws them: from the law at k distinct
     voters per request under distinct_voters, else at the pool's mean
@@ -32,7 +32,7 @@ def apply(name_or_strategy, difficulties, pool, seed):
     rng = np.random.default_rng(seed)
     capability = pool.capabilities.mean()
     k = strategy.votes_needed()
-    if strategy.distinct_voters and k > 1:
+    if distinct_voters and k > 1:
         capability = pool.capabilities[distinct_columns(rng, np.full(difficulties.size,
                                                                      pool.pool_size), k).T]
     law = final_law(strategy, difficulties, capability)
@@ -179,13 +179,11 @@ class TestApplyStrategy:
         assert np.array_equal(pool.capabilities, before)
 
     def test_distinct_voters_needs_a_big_enough_pool(self):
-        strategy = Strategy(kind=StrategyKind.N_WORKERS_MAJORITY, n_workers=5, distinct_voters=True)
         with pytest.raises(ValueError, match="distinct"):
-            apply(strategy, [0.5], pool_of(1.0, 3), 0)
+            apply("n-workers:5", [0.5], pool_of(1.0, 3), 0, distinct_voters=True)
 
     def test_distinct_voters_smoke(self):
-        strategy = Strategy(kind=StrategyKind.N_WORKERS_MAJORITY, n_workers=5, distinct_voters=True)
-        finals, effort = apply(strategy, [1.0], pool_of(1.0, 5), 0)
+        finals, effort = apply("n-workers:5", [1.0], pool_of(1.0, 5), 0, distinct_voters=True)
         assert finals.tolist() == [1]
         assert effort.tolist() == [5]
         # five distinct voters out of a pool of five: every worker once
@@ -277,7 +275,7 @@ class TestVoterFreeVotes:
                                   strategy=Strategy.from_name("fixed-worker"), delta=1e-9,
                                   iterations=1, seed=0)
         pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
-        requests = RequestSet(difficulties=np.full(1000, 1.0), mu=1.0, sigma=0.0)
+        requests = RequestSet(difficulties=np.full(1000, 1.0))
         checked = 0
         for iteration in range(10):
             # the iteration's first draw is its worker
@@ -304,10 +302,8 @@ class TestVoterFreeVotes:
         # two workers always pick A and one flips coins: three distinct
         # voters always include both sure ones, so every final label is A,
         # which a repeated coin-flipper would break on some row
-        base = Strategy.from_name(name)
-        strategy = Strategy(kind=base.kind, n_workers=base.n_workers, distinct_voters=True)
         pool = WorkerPool(capabilities=np.array([1.0, 0.0, 1.0]))
-        finals, _ = apply(strategy, np.full(20_000, 1.0), pool, 6)
+        finals, _ = apply(name, np.full(20_000, 1.0), pool, 6, distinct_voters=True)
         assert finals.all()
 
 
@@ -434,10 +430,9 @@ class TestLawDrawsMatchVoteSamplers:
             votes = np.take_along_axis(annotations.labels[rows], picks, axis=1)
         else:
             if sampler == "law":
-                distinct = Strategy(kind=strategy.kind, n_workers=strategy.n_workers,
-                                    distinct_voters=True)
-                return apply(distinct, np.full(self.TRIALS, self.D),
-                             WorkerPool(capabilities=self.CAPABILITIES), rng)
+                return apply(strategy, np.full(self.TRIALS, self.D),
+                             WorkerPool(capabilities=self.CAPABILITIES), rng,
+                             distinct_voters=True)
             voters = distinct_columns(rng, np.full(self.TRIALS, self.CAPABILITIES.size), k)
             votes = rng.random((self.TRIALS, k)) < (self.CAPABILITIES[voters] * self.D + 1) / 2
         return majority_vote(votes), strategy.effort(votes)
