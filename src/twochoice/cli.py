@@ -170,9 +170,10 @@ def cmd_simulate(args) -> int:
 
 
 def _run_grid(run_cell, jobs: list, workers: int) -> list:
-    """run_cell(job) for every job, in ``workers`` processes when more than
-    one. Each entry is the cell's result or the exception it raised, so that
-    one failing grid cell keeps every other cell's row."""
+    """run_cell(job) for every job, in min(workers, len(jobs)) processes, or
+    in this one when that is 1. Each entry is the cell's result or the
+    exception it raised, so one failing grid cell keeps every other cell's row."""
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, job) for job in jobs]

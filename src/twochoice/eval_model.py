@@ -18,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeedLike, as_generator
 
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
+def _check_record(record, name: str, lo: float, hi: float) -> None:
+    """Replace field ``name`` of a frozen record with a read-only float64
+    copy, after checking that it is a nonempty 1-d array with every entry
+    in [lo, hi]; NaN fails the range test. The caller's array is untouched."""
+    arr = np.array(getattr(record, name), dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a nonempty 1-d array")
+    if not ((arr >= lo) & (arr <= hi)).all():
+        raise ValueError(f"all {name} must lie in [{lo:g}, {hi:g}]")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(record, name, arr)
 
 
 @dataclass(frozen=True)
@@ -34,12 +39,7 @@ class WorkerPool:
     capabilities: np.ndarray
 
     def __post_init__(self):
-        caps = _readonly(self.capabilities)
-        if caps.ndim != 1 or caps.size < 1:
-            raise ValueError("capabilities must be a nonempty 1-d array")
-        if np.any(caps < 0.0) or np.any(caps > 1.0):
-            raise ValueError("all capabilities must lie in [0, 1]")
-        object.__setattr__(self, "capabilities", caps)
+        _check_record(self, "capabilities", 0.0, 1.0)
 
     @property
     def pool_size(self) -> int:
@@ -53,31 +53,28 @@ class RequestSet:
     difficulties: np.ndarray
 
     def __post_init__(self):
-        diffs = _readonly(self.difficulties)
-        if diffs.ndim != 1 or diffs.size < 1:
-            raise ValueError("difficulties must be a nonempty 1-d array")
-        if np.any(diffs < -1.0) or np.any(diffs > 1.0):
-            raise ValueError("all difficulties must lie in [-1, 1]")
-        object.__setattr__(self, "difficulties", diffs)
+        _check_record(self, "difficulties", -1.0, 1.0)
 
     @property
     def size(self) -> int:
         return int(self.difficulties.size)
 
 
-def sample_capabilities(lo: float, hi: float, pool_size: int, seed: SeedLike) -> WorkerPool:
-    """Draw pool_size worker capabilities i.i.d. from Unif(lo, hi)."""
+def sample_capabilities(lo: float, hi: float, pool_size: int,
+                        rng: np.random.Generator) -> WorkerPool:
+    """Draw pool_size worker capabilities i.i.d. from Unif(lo, hi) with the
+    Generator ``rng``."""
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"capability bounds must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    rng = as_generator(seed)
-    caps = rng.uniform(lo, hi, size=pool_size)
-    return WorkerPool(capabilities=caps)
+    return WorkerPool(capabilities=rng.uniform(lo, hi, size=pool_size))
 
 
-def sample_difficulties(mu: float, sigma: float, n: int, seed: SeedLike) -> RequestSet:
-    """Draw n difficulties from N(mu, sigma) restricted to [-1, 1].
+def sample_difficulties(mu: float, sigma: float, n: int,
+                        rng: np.random.Generator) -> RequestSet:
+    """Draw n difficulties from N(mu, sigma) restricted to [-1, 1] with the
+    Generator ``rng``.
 
     Out-of-range draws are rejected and redrawn, which keeps the shape of
     the normal intact (clamping would pile mass onto the endpoints).
@@ -89,7 +86,6 @@ def sample_difficulties(mu: float, sigma: float, n: int, seed: SeedLike) -> Requ
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = as_generator(seed)
     out = np.empty(n, dtype=np.float64)
     filled = 0
     while filled < n:

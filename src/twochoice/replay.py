@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .decision import hoeffding_band
-from .rng import DOMAIN_ITERATION, as_generator, distinct_columns, iteration_streams, substream
+from .rng import DOMAIN_ITERATION, distinct_columns, iteration_streams, substream
 # bootstrap_ci and majority_vote are unused here but stay importable:
 # perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
 # its traced launches
@@ -90,11 +90,12 @@ def parse_annotations(source, mapping: Optional[dict] = None,
                       experiment_label: str = "") -> AnnotationSet:
     """Read request/worker/label rows from CSV into an AnnotationSet.
 
-    The expected header is request_id,worker_id,label with binary labels;
-    extra columns are ignored and blank lines skipped. ``mapping`` adapts
-    foreign schemas: keys request_id/worker_id/label name the actual
-    columns, and an optional label_map dict translates raw label values
-    to 0/1.
+    ``source`` is a path, a binary stream (read as UTF-8) or a text stream;
+    a byte-order mark before the header is ignored. The expected header is
+    request_id,worker_id,label with binary labels; extra columns are ignored
+    and blank lines skipped. ``mapping`` adapts foreign schemas: keys
+    request_id/worker_id/label name the actual columns, and an optional
+    label_map dict translates raw label values to 0/1.
     """
     mapping = mapping or {}
     columns = {key: mapping.get(key, key) for key in REQUIRED_COLUMNS}
@@ -103,16 +104,14 @@ def parse_annotations(source, mapping: Optional[dict] = None,
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return parse_annotations(handle, mapping, experiment_label or Path(source).stem)
-    if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, io.RawIOBase) or (hasattr(source, "read") and
-                                              isinstance(source.read(0), bytes)):
+    if isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
     reader = csv.reader(source)
     header = next(reader, None)
     if not header:
         raise DataFormatError("empty annotation file")
+    header[0] = header[0].removeprefix("\ufeff")  # a spreadsheet export's byte-order mark
     missing = [col for col in columns.values() if col not in header]
     if missing:
         raise DataFormatError(f"missing columns {missing} in header {header}")
@@ -228,7 +227,8 @@ def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
     if counts.max() != k:
         log.warning("unequal vote counts (%d..%d); subsampling every request to k=%d",
                     k, counts.max(), k)
-        labels = np.take_along_axis(labels, distinct_columns(as_generator(seed), counts, k), axis=1)
+        picks = distinct_columns(np.random.default_rng(seed), counts, k)
+        labels = np.take_along_axis(labels, picks, axis=1)
 
     ones = labels.sum(axis=1, dtype=np.float64)
     zeros = k - ones

@@ -1,20 +1,19 @@
 """Seeding helpers: one experiment seed fans out into independent substreams.
 
-Every random draw in this package flows through a ``numpy.random.Generator``
-derived here. Substreams are keyed by (seed, domain, index), so iteration i
-always sees the same stream no matter how many other iterations ran before
-it or in parallel. One derivation serves every key: stream i is row
-i % 256 of the words numpy's ``SeedSequence([seed, domain, i // 256])``
-generates, set straight into a PCG64. ``substream`` takes one stream, at
-the same cost for any index. ``iteration_streams`` walks a grid cell's
-streams a block of 256 at a time on one reused Generator, so a cell does
-not pay for a SeedSequence per iteration, and gives the same numbers.
+Every random draw in this package but Fleiss kappa's subsample (seeded by
+``np.random.default_rng``) flows through a Generator derived here.
+Substreams are keyed by (seed, domain, index), so iteration i always sees
+the same stream no matter how many other iterations ran before it or in
+parallel. One derivation serves every key: stream i is row i % 256 of the
+words numpy's ``SeedSequence([seed, domain, i // 256])`` generates, set
+straight into a PCG64. ``substream`` takes one stream, at the same cost for
+any index. ``iteration_streams`` walks a grid cell's streams a block of 256
+at a time on one reused Generator, so a cell does not pay for a SeedSequence
+per iteration, and gives the same numbers.
 """
 from __future__ import annotations
 
 import numpy as np
-
-SeedLike = int | np.random.Generator
 
 # Substream domains. Values are part of the reproducibility contract:
 # changing them changes every sampled number.
@@ -54,13 +53,6 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return int(seed)
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Accept either a seed integer or an existing Generator (used as-is)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(check_seed(seed))))
 
 
 def substream(seed: int, domain: int, index: int) -> np.random.Generator:

@@ -38,8 +38,6 @@ from .rng import (
     DOMAIN_ITERATION,
     DOMAIN_POOL,
     DOMAIN_REQUESTS,
-    SeedLike,
-    as_generator,
     check_seed,
     distinct_columns,
     iteration_streams,
@@ -357,8 +355,9 @@ def summarize(results: list, seed: int, confidence: float, resamples: int) -> Ex
                              per_iteration=results)
 
 
-def bootstrap_ci(samples, confidence: float, resamples: int, seed: SeedLike) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of the samples."""
+def bootstrap_ci(samples, confidence: float, resamples: int,
+                 rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile bootstrap interval for the mean of the samples; ``rng`` is a Generator."""
     data = np.asarray(samples, dtype=np.float64)
     if data.size == 0:
         raise ValueError("bootstrap_ci needs a nonempty sample")
@@ -366,7 +365,6 @@ def bootstrap_ci(samples, confidence: float, resamples: int, seed: SeedLike) -> 
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    rng = as_generator(seed)
     means = np.empty(resamples, dtype=np.float64)
     block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * data.size))
     for start in range(0, resamples, block):

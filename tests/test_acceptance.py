@@ -307,7 +307,7 @@ class TestCriterion06BinomialMajorityOracle:
     def test_majority_of_three_matches_closed_form(self):
         p = 0.6125  # all capabilities 1.0, difficulty 0.225
         expected = 3 * p**2 * (1 - p) + p**3
-        pool = sample_capabilities(1.0, 1.0, 10, seed=0)
+        pool = sample_capabilities(1.0, 1.0, 10, np.random.default_rng(0))
         strategy = Strategy.from_name("n-workers:3")
         rng = np.random.default_rng(2024)
         trials = 10**5

@@ -1,11 +1,13 @@
 import csv
 import io
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from twochoice import cli
 from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import STREAM_LAYOUT
@@ -52,6 +54,28 @@ def dataset(tmp_path):
     return path
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers in
+    ``built`` and runs every submitted job at once, in this process."""
+
+    def __init__(self, built: list, max_workers: int):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class TestSimulateCommand:
     def test_writes_summary_and_manifest(self, smoke_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -76,6 +100,21 @@ class TestSimulateCommand:
             outs.append({path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))})
         assert sorted(outs[0]) == ["summary.csv"] + [f"trace_{i:03d}.csv" for i in range(4)]
         assert outs[0] == outs[1] == outs[2]
+
+    def test_jobs_start_at_most_one_process_per_cell(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            lambda max_workers: InlineExecutor(built, max_workers))
+        grid = Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml"
+        assert main(["simulate", "--config", str(grid), "--out", str(tmp_path / "grid"),
+                     "--jobs", "64"]) == 0
+        assert built == [12]  # one worker per cell of the smoke grid
+        one_cell = tmp_path / "one.yaml"
+        one_cell.write_text(SMOKE.replace("[one-worker, n-workers:3]", "[one-worker]")
+                                 .replace("[0.01, 0.001]", "[0.01]"), encoding="utf-8")
+        assert main(["simulate", "--config", str(one_cell), "--out", str(tmp_path / "one"),
+                     "--jobs", "64"]) == 0
+        assert built == [12]
 
     def test_seed_override_changes_results(self, smoke_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -269,6 +308,18 @@ class TestReplayCommand:
         assert {row["strategy"] for row in ratio} == {"one-worker", "max-three"}
         manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
         assert manifest["failed_cells"] == []
+
+    def test_byte_order_mark_replays_like_the_plain_file(self, dataset, tmp_path):
+        # a spreadsheet's UTF-8 export starts with a byte-order mark
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes("\ufeff".encode("utf-8") + dataset.read_bytes())
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        for name, source in (("plain", dataset), ("marked", marked)):
+            assert main(["replay", "--config", str(config), "--dataset", str(source),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "marked" / "effort.csv").read_bytes() == \
+            (tmp_path / "plain" / "effort.csv").read_bytes()
 
     def test_rerun_is_byte_identical_across_jobs(self, dataset, tmp_path):
         config = tmp_path / "replay.yaml"

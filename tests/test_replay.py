@@ -120,6 +120,20 @@ class TestParseAnnotations:
         assert parsed.labels.tolist() == [[0]]
         assert parsed.counts.tolist() == [1]
 
+    def test_byte_order_mark_is_ignored_from_every_source(self, tmp_path):
+        # a byte-order mark left on the header would hide request_id
+        text = "\ufeffrequest_id,worker_id,label\nr2,w1,1\nr1,w1,0\nr1,w2,1\n"
+        path = tmp_path / "votes.csv"
+        path.write_text(text, encoding="utf-8")
+        sources = (path, io.BytesIO(text.encode("utf-8")), io.StringIO(text))
+        for source in sources:
+            parsed = parse_annotations(source, experiment_label="votes")
+            assert parsed.request_ids == ("r2", "r1")
+            assert parsed.labels.tolist() == [[1, 0], [0, 1]]
+            assert parsed.counts.tolist() == [1, 2]
+            assert parsed.worker_ids == {"w1", "w2"}
+            assert parsed.experiment_label == "votes"
+
     def test_file_path_input(self, tmp_path):
         path = tmp_path / "votes.csv"
         path.write_text("request_id,worker_id,label\nr1,w1,1\n", encoding="utf-8")

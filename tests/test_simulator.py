@@ -11,7 +11,8 @@ from twochoice import decision, simulator
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
 from twochoice.rng import (
-    DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, as_generator, distinct_columns, substream)
+    DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, distinct_columns, iteration_streams,
+    substream)
 from twochoice.simulator import (
     FIRST_BLOCK,
     ExperimentConfig,
@@ -183,8 +184,10 @@ class TestRunIteration:
         requests, pool = base_inputs(config)
         trials = 4000
         wins = 0
-        for i in range(trials):
-            first = run_iteration(config, requests, pool, i, record_trace=True).trace[0]
+        # the same streams as standalone calls, seeded 256 at a time
+        streams = iteration_streams(config.seed, DOMAIN_ITERATION, trials)
+        for i, rng in enumerate(streams):
+            first = run_iteration(config, requests, pool, i, record_trace=True, rng=rng).trace[0]
             wins += int(first[1] == 1.0)
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         assert abs(wins / trials - expected) < tolerance
@@ -491,16 +494,16 @@ class TestRunExperiment:
 
 class TestBootstrapCI:
     def test_constant_sample(self):
-        assert bootstrap_ci([5, 5, 5, 5], 0.99, 1000, seed=0) == (5.0, 5.0)
+        assert bootstrap_ci([5, 5, 5, 5], 0.99, 1000, np.random.default_rng(0)) == (5.0, 5.0)
 
     def test_bounded_by_sample_range(self):
-        lo, hi = bootstrap_ci([0, 100], 0.99, 10_000, seed=1)
+        lo, hi = bootstrap_ci([0, 100], 0.99, 10_000, np.random.default_rng(1))
         assert 0.0 <= lo <= hi <= 100.0
 
     def test_against_independent_bootstrap(self):
         # oracle: a separately coded percentile bootstrap on the stdlib RNG
         data = list(range(1, 101))
-        lo, hi = bootstrap_ci(data, 0.99, 10_000, seed=2)
+        lo, hi = bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(2))
         oracle = random.Random(2)
         means = sorted(
             sum(oracle.choice(data) for _ in range(len(data))) / len(data)
@@ -515,7 +518,7 @@ class TestBootstrapCI:
         data = np.random.default_rng(3).integers(100, 5000, 1000)
         tracemalloc.start()
         try:
-            bootstrap_ci(data, 0.99, 10_000, seed=4)
+            bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -528,20 +531,20 @@ class TestBootstrapCI:
     def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes):
         data = np.random.default_rng(5).integers(100, 5000, size).astype(np.float64)
         monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
-        lo, hi = bootstrap_ci(data, 0.99, 10_000, seed=6)
+        lo, hi = bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(6))
         # reference: every resample drawn by one call
-        picks = as_generator(6).integers(0, size, size=(10_000, size))
+        picks = np.random.default_rng(6).integers(0, size, size=(10_000, size))
         alpha = (1.0 - 0.99) / 2.0
         ref_lo, ref_hi = np.quantile(data[picks].mean(axis=1), [alpha, 1.0 - alpha])
         assert (lo, hi) == (float(ref_lo), float(ref_hi))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            bootstrap_ci([], 0.99, 100, seed=0)
+            bootstrap_ci([], 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 1.0, 100, seed=0)
+            bootstrap_ci([1.0], 1.0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 0.99, 0, seed=0)
+            bootstrap_ci([1.0], 0.99, 0, np.random.default_rng(0))
 
 
 class TestConfigValidation:

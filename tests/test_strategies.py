@@ -17,7 +17,7 @@ from test_simulator import chi2_sf, enumerated_law
 
 
 def pool_of(value, size):
-    return sample_capabilities(value, value, size, seed=0)
+    return sample_capabilities(value, value, size, np.random.default_rng(0))
 
 
 def apply(name_or_strategy, difficulties, pool, seed, distinct_voters=False):
@@ -89,7 +89,7 @@ class TestMaxThreeFinal:
         # two votes agree on A below p^2 and split, calling the third vote
         # once, from there up to p^2 + 2p(1 - p); the split rows' final
         # label is A on the first p of that stretch
-        pool = sample_capabilities(0.5, 1.0, 10, seed=1)
+        pool = sample_capabilities(0.5, 1.0, 10, np.random.default_rng(1))
         difficulties = np.linspace(-0.3, 0.3, 400)
         finals, effort = apply(strategy, difficulties, pool, 21)
         u = np.random.default_rng(21).random(400)
@@ -144,7 +144,7 @@ class TestApplyStrategy:
 
     def test_effort_accounting_over_random_draws(self):
         rng = np.random.default_rng(8)
-        pool = sample_capabilities(0.6, 1.0, 30, seed=1)
+        pool = sample_capabilities(0.6, 1.0, 30, np.random.default_rng(1))
         difficulties = rng.uniform(-1, 1, size=300)
         for name in ("one-worker", "fixed-worker"):
             finals, effort = apply(name, difficulties, pool, rng)
@@ -172,7 +172,7 @@ class TestApplyStrategy:
         assert abs(finals.mean() - expected) < tolerance
 
     def test_pool_never_mutated(self):
-        pool = sample_capabilities(0.8, 1.0, 10, seed=2)
+        pool = sample_capabilities(0.8, 1.0, 10, np.random.default_rng(2))
         before = pool.capabilities.copy()
         for name in ("one-worker", "fixed-worker", "max-three", "n-workers:3"):
             apply(name, np.full(50, 0.3), pool, 0)
@@ -218,7 +218,7 @@ class TestVoterFreeVotes:
     TRIALS = 100_000
     D = 0.6
     POOLS = {"zero-one": np.array([0.0, 1.0]),
-             "uniform": sample_capabilities(0.5, 1.0, 7, seed=4).capabilities}
+             "uniform": sample_capabilities(0.5, 1.0, 7, np.random.default_rng(4)).capabilities}
     # 6 rates x 2 pools x 2 samplers share the family-wise rate
     CHECKS = 24
 
@@ -398,7 +398,7 @@ class TestLawDrawsMatchVoteSamplers:
     RECORDED = {"r0": {f"w{j}": v for j, v in enumerate([1, 0, 1, 1, 0, 0, 1, 0, 1])},
                 "r1": {f"w{j}": 1 for j in range(11)}}
     D = 0.6
-    CAPABILITIES = sample_capabilities(0.5, 1.0, 7, seed=4).capabilities
+    CAPABILITIES = sample_capabilities(0.5, 1.0, 7, np.random.default_rng(4)).capabilities
     NAMES = ["one-worker", "n-workers:3", "n-workers:5", "n-workers:7", "max-three"]
     # 6 rates x 2 sources x 2 samplers share the family-wise rate
     CHECKS = 24
