@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .decision import hoeffding_band
-from .rng import DOMAIN_ITERATION, distinct_columns, iteration_streams, substream
+from .rng import DOMAIN_ITERATION, iteration_streams, substream
 # bootstrap_ci and majority_vote are unused here but stay importable:
 # perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
 # its traced launches
@@ -44,16 +44,13 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AnnotationSet:
-    """Recorded votes as a padded matrix, built once per annotation set.
-
-    ``labels`` is an (n_requests, max_votes) int8 matrix: row i holds
-    request i's labels sorted by worker id, so replay does not depend on
-    input row order, followed by zero padding. ``counts[i]`` is the number
-    of votes in row i.
+    """Recorded votes as per-request tallies: request i holds ``ones[i]``
+    A-votes (label 1) in ``counts[i]`` votes. Replay's law and Fleiss kappa
+    read nothing else, so input row order cannot matter.
     """
 
     request_ids: tuple
-    labels: np.ndarray
+    ones: np.ndarray
     counts: np.ndarray
     worker_ids: frozenset
     experiment_label: str
@@ -74,15 +71,13 @@ class AnnotationSet:
         if not counts.all():
             empty = list(votes)[int(np.argmin(counts))]
             raise DataFormatError(f"request {empty!r} has no votes")
-        flat = np.array([by_worker[w] for by_worker in votes.values() for w in sorted(by_worker)])
+        flat = np.array([label for by_worker in votes.values() for label in by_worker.values()])
         bad = (flat != 0) & (flat != 1)
         if bad.any():
             raise DataFormatError(f"label must be 0 or 1, got {flat[bad][0].item()!r}")
-        labels = np.zeros((counts.size, int(counts.max())), dtype=np.int8)
-        # a row-major mask fills each row's leading counts[i] cells in order
-        labels[np.arange(labels.shape[1]) < counts[:, None]] = flat
+        ones = np.array([sum(by_worker.values()) for by_worker in votes.values()], dtype=np.int64)
         workers = frozenset(w for by_worker in votes.values() for w in by_worker)
-        return cls(request_ids=tuple(votes), labels=labels, counts=counts,
+        return cls(request_ids=tuple(votes), ones=ones, counts=counts,
                    worker_ids=workers, experiment_label=experiment_label)
 
 
@@ -108,40 +103,41 @@ def parse_annotations(source, mapping: Optional[dict] = None,
         source = io.TextIOWrapper(source, encoding="utf-8")
 
     reader = csv.reader(source)
-    header = next(reader, None)
-    if not header:
-        raise DataFormatError("empty annotation file")
-    header[0] = header[0].removeprefix("\ufeff")  # a spreadsheet export's byte-order mark
-    missing = [col for col in columns.values() if col not in header]
-    if missing:
-        raise DataFormatError(f"missing columns {missing} in header {header}")
-    request_col, worker_col, label_col = (header.index(columns[key]) for key in REQUIRED_COLUMNS)
-    width = max(request_col, worker_col, label_col) + 1
-
     votes: dict = {}
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) < width:
-            raise DataFormatError(f"line {line}: short row")
-        request_id, worker_id, raw = row[request_col], row[worker_col], row[label_col]
-        if label_map is not None:
-            if raw not in label_map:
+    try:
+        header = next(reader, None)
+        if not header:
+            raise DataFormatError("empty annotation file")
+        header[0] = header[0].removeprefix("\ufeff")  # a spreadsheet export's byte-order mark
+        missing = [col for col in columns.values() if col not in header]
+        if missing:
+            raise DataFormatError(f"missing columns {missing} in header {header}")
+        request_col, worker_col, label_col = (header.index(columns[k]) for k in REQUIRED_COLUMNS)
+        width = max(request_col, worker_col, label_col) + 1
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                raise DataFormatError(f"line {line}: short row")
+            request_id, worker_id, raw = row[request_col], row[worker_col], row[label_col]
+            if label_map is not None and raw not in label_map:
                 raise DataFormatError(f"line {line}: label {raw!r} not in label_map")
-            label = int(label_map[raw])
-        else:
             try:
-                label = int(raw)
+                label = int(raw if label_map is None else label_map[raw])
             except ValueError:
                 raise DataFormatError(f"line {line}: label {raw!r} is not an integer") from None
-        if label not in (0, 1):
-            raise DataFormatError(f"line {line}: label must be 0 or 1, got {raw!r}")
-        by_worker = votes.setdefault(request_id, {})
-        if worker_id in by_worker:
-            raise DataFormatError(f"line {line}: duplicate vote by worker {worker_id!r} "
-                                  f"on request {request_id!r}")
-        by_worker[worker_id] = label
+            if label not in (0, 1):
+                raise DataFormatError(f"line {line}: label must be 0 or 1, got {raw!r}")
+            by_worker = votes.setdefault(request_id, {})
+            if worker_id in by_worker:
+                raise DataFormatError(f"line {line}: duplicate vote by worker {worker_id!r} "
+                                      f"on request {request_id!r}")
+            by_worker[worker_id] = label
+    except UnicodeDecodeError as exc:
+        where = getattr(source, "name", "annotation data")
+        raise DataFormatError(f"{where}: expected UTF-8 text, got byte "
+                              f"{exc.object[exc.start]:#04x}") from None
     return AnnotationSet.from_votes(votes, experiment_label)
 
 
@@ -163,7 +159,7 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
     with probability (ones - j) / (count - t).
     """
     _check_replayable(annotations, strategy)
-    ones, counts = annotations.labels.sum(axis=1), annotations.counts
+    ones, counts = annotations.ones, annotations.counts
     return vote_law(strategy, lambda t, j: (ones - j) / (counts - t))
 
 
@@ -217,24 +213,23 @@ def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
     with per-request agreement P_i = sum_j n_ij (n_ij - 1) / (k (k - 1)).
     Requests must share a common vote count k; when counts differ, every
     request is subsampled (seeded, uniform) down to the smallest k, which
-    is logged. If all votes land in one category, expected agreement is 1
-    and kappa is defined as 1.
+    is logged: one hypergeometric draw of k votes' A-votes per request. If
+    all votes land in one category, expected agreement is 1 and kappa is
+    defined as 1.
     """
-    labels, counts = annotations.labels, annotations.counts
+    ones, counts = annotations.ones, annotations.counts
     k = int(counts.min())
     if k < 2:
         raise ValueError("fleiss_kappa needs at least 2 votes on every request")
     if counts.max() != k:
         log.warning("unequal vote counts (%d..%d); subsampling every request to k=%d",
                     k, counts.max(), k)
-        picks = distinct_columns(np.random.default_rng(seed), counts, k)
-        labels = np.take_along_axis(labels, picks, axis=1)
+        ones = np.random.default_rng(seed).hypergeometric(ones, counts - ones, k)
 
-    ones = labels.sum(axis=1, dtype=np.float64)
     zeros = k - ones
     per_item = (ones * (ones - 1) + zeros * (zeros - 1)) / (k * (k - 1))
     p_bar = float(per_item.mean())
-    p1 = float(ones.sum()) / (k * len(labels))
+    p1 = float(ones.sum()) / (k * len(ones))
     pe_bar = p1 * p1 + (1.0 - p1) * (1.0 - p1)
     if pe_bar == 1.0:
         return 1.0

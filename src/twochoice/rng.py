@@ -1,15 +1,16 @@
 """Seeding helpers: one experiment seed fans out into independent substreams.
 
-Every random draw in this package but Fleiss kappa's subsample (seeded by
-``np.random.default_rng``) flows through a Generator derived here.
-Substreams are keyed by (seed, domain, index), so iteration i always sees
-the same stream no matter how many other iterations ran before it or in
-parallel. One derivation serves every key: stream i is row i % 256 of the
-words numpy's ``SeedSequence([seed, domain, i // 256])`` generates, set
-straight into a PCG64. ``substream`` takes one stream, at the same cost for
-any index. ``iteration_streams`` walks a grid cell's streams a block of 256
-at a time on one reused Generator, so a cell does not pay for a SeedSequence
-per iteration, and gives the same numbers.
+Every random draw in this package but Fleiss kappa's subsample (one
+hypergeometric draw per request from ``np.random.default_rng(seed)``) flows
+through a Generator derived here; ``distinct_columns`` picks simulate's
+distinct voters. Substreams are keyed by (seed, domain, index), so iteration
+i always sees the same stream no matter how many other iterations ran before
+it or in parallel. One derivation serves every key: stream i is row i % 256
+of the words numpy's ``SeedSequence([seed, domain, i // 256])`` generates,
+set straight into a PCG64. ``substream`` takes one stream, at the same cost
+for any index. ``iteration_streams`` walks a grid cell's streams a block of
+256 at a time on one reused Generator, so a cell does not pay for a
+SeedSequence per iteration, and gives the same numbers.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ DOMAIN_BOOTSTRAP = 3
 #    SeedSequence([seed, domain, i // 256]).generate_state(1024, np.uint64),
 #    set straight into a PCG64, in place of PCG64(SeedSequence([seed,
 #    domain, i])).
-STREAM_LAYOUT = 7
+# 8: Fleiss kappa's subsample is one hypergeometric draw of A-votes per request.
+STREAM_LAYOUT = 8
 
 _MAX_SEED = 2**64
 _BLOCK_STREAMS = 256  # streams per SeedSequence
@@ -93,17 +95,9 @@ def _streams(seed: int, domain: int, start: int, stop: int):
         start += rows - row
 
 
-def distinct_columns(rng: np.random.Generator, counts, k: int) -> np.ndarray:
-    """k distinct column indices per row, uniform over row i's first counts[i] columns.
-
-    One random sort key per (row, column) over a block as wide as the
-    largest count; columns at or past a row's count get key 2.0, above
-    every uniform draw, so they are never picked.
-    """
-    counts = np.asarray(counts)
-    if k > counts.min():
+def distinct_columns(rng: np.random.Generator, rows: int, columns: int, k: int) -> np.ndarray:
+    """k distinct uniform picks of ``columns`` columns per row: one sort key per cell."""
+    if k > columns:
         raise ValueError(
-            f"need {k} distinct voters per request but only {counts.min()} are available")
-    keys = rng.random((counts.size, int(counts.max())))
-    keys[np.arange(keys.shape[1]) >= counts[:, None]] = 2.0
-    return np.argsort(keys, axis=1)[:, :k]
+            f"need {k} distinct voters per request but only {columns} are available")
+    return np.argsort(rng.random((rows, columns)), axis=1)[:, :k]

@@ -290,7 +290,7 @@ def run_iteration(
     k = strategy.votes_needed()
     if config.distinct_voters and k > 1:
         def law_of(rows):
-            voters = distinct_columns(rng, np.full(rows.size, pool.pool_size), k)
+            voters = distinct_columns(rng, rows.size, pool.pool_size, k)
             return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
     else:
         if strategy.kind is StrategyKind.FIXED_WORKER:

@@ -403,6 +403,18 @@ class TestReplayCommand:
         assert err.startswith("error: ") and str(folder) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("encoding, byte", [("utf-16", "0xff"), ("latin-1", "0xe9")])
+    def test_dataset_that_is_not_utf8_names_path(self, tmp_path, capsys, encoding, byte):
+        config = tmp_path / "replay.yaml"
+        config.write_text(REPLAY, encoding="utf-8")
+        dataset = tmp_path / "votes.csv"
+        dataset.write_text("request_id,worker_id,label\nr1,caf\u00e9,1\nr1,w2,0\n",
+                           encoding=encoding)
+        assert main(["replay", "--config", str(config), "--dataset", str(dataset),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {dataset}: expected UTF-8 text, got byte {byte}\n"
+
     def test_fixed_worker_rejected_in_replay_config(self, dataset, tmp_path, capsys):
         config = tmp_path / "replay.yaml"
         config.write_text(REPLAY.replace("max-three", "fixed-worker"), encoding="utf-8")

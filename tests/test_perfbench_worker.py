@@ -61,8 +61,9 @@ def test_traced_replay_launch(tmp_path):
     with open(votes, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["request_id", "worker_id", "label"])
+        # unequal vote counts, as in the benchmark's file, so kappa subsamples
         for request in range(40):
-            for worker in range(7):
+            for worker in range(rng.integers(5, 10)):
                 writer.writerow([f"r{request}", f"w{worker}", int(rng.random() < 0.8)])
     config = tmp_path / "replay.yaml"
     strategies = ["one-worker", "max-three", "n-workers:3"]

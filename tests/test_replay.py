@@ -1,5 +1,7 @@
 import io
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,11 +29,10 @@ def make_set(vote_lists, label="synthetic"):
 
 
 class TestFromVotes:
-    def test_rows_sorted_by_worker_and_padded(self):
+    def test_tallies_per_request(self):
         annotations = AnnotationSet.from_votes(
             {"r2": {"w3": 1, "w1": 0, "w2": 1}, "r1": {"w9": 1}}, "set")
-        assert annotations.labels.dtype == np.int8
-        assert annotations.labels.tolist() == [[0, 1, 1], [1, 0, 0]]
+        assert annotations.ones.tolist() == [2, 1]
         assert annotations.counts.tolist() == [3, 1]
         assert annotations.request_ids == ("r2", "r1")
         assert annotations.worker_ids == {"w1", "w2", "w3", "w9"}
@@ -53,7 +54,7 @@ class TestParseAnnotations:
             "request_id,worker_id,label\nr1,w1,1\nr1,w2,1\nr1,w3,0"))
         assert len(parsed) == 1
         assert parsed.request_ids == ("r1",)
-        assert parsed.labels.tolist() == [[1, 1, 0]]
+        assert parsed.ones.tolist() == [2]
         assert parsed.counts.tolist() == [3]
         assert parsed.worker_ids == {"w1", "w2", "w3"}
 
@@ -67,7 +68,7 @@ class TestParseAnnotations:
         parsed = parse_annotations(csv_stream(
             "request_id,worker_id,label\n\nr1,w1,1\n\nr2,w1,0\nr1,w2,0\n"))
         assert parsed.request_ids == ("r1", "r2")
-        assert parsed.labels.tolist() == [[1, 0], [0, 0]]
+        assert parsed.ones.tolist() == [1, 0]
         assert parsed.counts.tolist() == [2, 1]
 
     def test_short_row_cites_line_number(self):
@@ -96,7 +97,7 @@ class TestParseAnnotations:
         parsed = parse_annotations(csv_stream(
             "request_id,worker_id,label,elapsed\nr1,w1,1,12.5"))
         assert parsed.request_ids == ("r1",)
-        assert parsed.labels.tolist() == [[1]]
+        assert parsed.ones.tolist() == [1]
         assert parsed.counts.tolist() == [1]
 
     def test_mapping_adapts_foreign_schema(self):
@@ -105,7 +106,7 @@ class TestParseAnnotations:
             mapping={"request_id": "pair", "worker_id": "turker", "label": "choice",
                      "label_map": {"A": 1, "B": 0}})
         assert parsed.request_ids == ("p1",)
-        assert parsed.labels.tolist() == [[1, 0]]
+        assert parsed.ones.tolist() == [1]
         assert parsed.counts.tolist() == [2]
 
     def test_unmapped_label_value_is_an_error(self):
@@ -117,7 +118,7 @@ class TestParseAnnotations:
     def test_bytes_input(self):
         parsed = parse_annotations(io.BytesIO(b"request_id,worker_id,label\nr1,w1,0\n"))
         assert parsed.request_ids == ("r1",)
-        assert parsed.labels.tolist() == [[0]]
+        assert parsed.ones.tolist() == [0]
         assert parsed.counts.tolist() == [1]
 
     def test_byte_order_mark_is_ignored_from_every_source(self, tmp_path):
@@ -129,7 +130,7 @@ class TestParseAnnotations:
         for source in sources:
             parsed = parse_annotations(source, experiment_label="votes")
             assert parsed.request_ids == ("r2", "r1")
-            assert parsed.labels.tolist() == [[1, 0], [0, 1]]
+            assert parsed.ones.tolist() == [1, 1]
             assert parsed.counts.tolist() == [1, 2]
             assert parsed.worker_ids == {"w1", "w2"}
             assert parsed.experiment_label == "votes"
@@ -139,6 +140,37 @@ class TestParseAnnotations:
         path.write_text("request_id,worker_id,label\nr1,w1,1\n", encoding="utf-8")
         parsed = parse_annotations(path)
         assert parsed.experiment_label == "votes"
+
+
+class TestOrderInvariance:
+    def test_row_order_and_worker_names_do_not_matter(self):
+        rng = np.random.default_rng(21)
+        votes = [[(f"r{i}", f"w{j}", int(rng.random() < p)) for j in range(rng.integers(4, 10))]
+                 for i, p in enumerate(rng.uniform(0.3, 0.9, 300))]
+        rows = [vote for request in votes for vote in request]
+        # requests keep their first-appearance order; every other row, and
+        # each request's first row, is shuffled, and workers are renamed so
+        # that their sort order changes
+        firsts = [request[rng.integers(len(request))] for request in votes]
+        rest = sorted(set(rows) - set(firsts))
+        names = {f"w{j}": f"x{n}" for j, n in enumerate(rng.permutation(9))}
+        shuffled = [(r, names[w], v) for r, w, v in
+                    firsts + [rest[i] for i in rng.permutation(len(rest))]]
+
+        def parse(lines):
+            return parse_annotations(csv_stream("request_id,worker_id,label\n" + "\n".join(
+                f"{r},{w},{v}" for r, w, v in lines)))
+
+        a, b = parse(rows), parse(shuffled)
+        assert a.request_ids == b.request_ids
+        assert a.ones.tolist() == b.ones.tolist()
+        assert a.counts.tolist() == b.counts.tolist()
+        assert a.counts.min() < a.counts.max()  # kappa subsamples
+        assert fleiss_kappa(a, seed=2) == fleiss_kappa(b, seed=2)
+        for name in ("one-worker", "max-three", "n-workers:3"):
+            strategy = Strategy.from_name(name)
+            assert replay_experiment(a, strategy, 0.01, 20, seed=5, bootstrap_resamples=200) == \
+                replay_experiment(b, strategy, 0.01, 20, seed=5, bootstrap_resamples=200)
 
 
 class TestReplayIteration:
@@ -181,9 +213,10 @@ class TestReplayIteration:
         assert result.n_at_decision == 10  # unanimous finals decide at the floor
         assert result.effort == 50
 
-    def test_padding_is_never_read(self):
-        # rows of 3 votes sit in a matrix 11 wide; reading a padding zero
-        # would break the unanimous majorities and delay the decision
+    def test_short_requests_read_only_their_own_votes(self):
+        # requests of 3 votes replay next to requests of 11; a law that read
+        # another request's count would break the unanimous majorities and
+        # delay the decision
         votes = make_set([[1] * 3, [1] * 11] * 15)
         for name in ("one-worker", "max-three", "n-workers:3"):
             strategy = Strategy.from_name(name)
@@ -290,3 +323,62 @@ class TestFleissKappa:
         for _ in range(20):
             votes = [[int(rng.random() < 0.5) for _ in range(6)] for _ in range(15)]
             assert fleiss_kappa(make_set(votes)) <= 1.0
+
+
+def subsampled_kappa_law(vote_lists):
+    """Expectation and sd of Fleiss kappa after every request is cut to the
+    smallest vote count k by a uniform pick of k of its votes.
+
+    A request holding m A-votes in c keeps j of them with the hypergeometric
+    probability C(m, j) C(c - m, k - j) / C(c, k). The mean agreement
+    P-bar and the A share p1 are averaged exactly over that law, in
+    fractions; the sd is the delta method's, with the covariance of the two.
+    """
+    k, n = min(map(len, vote_lists)), len(vote_lists)
+    agree_mean = share_mean = agree_var = share_var = cov = Fraction(0)
+    for votes in vote_lists:
+        c, m = len(votes), sum(votes)
+        pmf = [Fraction(math.comb(m, j) * math.comb(c - m, k - j), math.comb(c, k))
+               for j in range(k + 1)]
+        agree = [Fraction(j * (j - 1) + (k - j) * (k - j - 1), k * (k - 1)) for j in range(k + 1)]
+        ea = sum(p * a for p, a in zip(pmf, agree))
+        ej = sum(p * j for j, p in enumerate(pmf))
+        agree_mean += ea
+        share_mean += ej
+        agree_var += sum(p * (a - ea) ** 2 for p, a in zip(pmf, agree))
+        share_var += sum(p * (j - ej) ** 2 for j, p in enumerate(pmf))
+        cov += sum(p * (a - ea) * (j - ej) for j, (p, a) in enumerate(zip(pmf, agree)))
+    p_bar, p1 = agree_mean / n, share_mean / (k * n)
+    pe = p1 * p1 + (1 - p1) * (1 - p1)
+    kappa = (p_bar - pe) / (1 - pe)
+    d_agree, d_share = 1 / (1 - pe), (p_bar - 1) * (4 * p1 - 2) / (1 - pe) ** 2
+    var = (d_agree ** 2 * agree_var / n ** 2 + d_share ** 2 * share_var / (k * n) ** 2
+           + 2 * d_agree * d_share * cov / (n * k * n))
+    return kappa, math.sqrt(var)
+
+
+class TestKappaSubsampleOracle:
+    def ragged_votes(self, seed):
+        rng = np.random.default_rng(seed)
+        return [(rng.random(rng.integers(3, 9)) < p).astype(int).tolist()
+                for p in rng.uniform(0.2, 0.9, 2000)]
+
+    def test_expectation_without_subsample_is_the_plain_kappa(self):
+        rng = np.random.default_rng(8)
+        votes = [(rng.random(6) < p).astype(int).tolist() for p in rng.uniform(0.2, 0.9, 200)]
+        k, n = 6, len(votes)
+        ones = [sum(v) for v in votes]
+        p_bar = sum(Fraction(j * (j - 1) + (k - j) * (k - j - 1), k * (k - 1)) for j in ones) / n
+        p1 = Fraction(sum(ones), k * n)
+        pe = p1 * p1 + (1 - p1) * (1 - p1)
+        expected, sd = subsampled_kappa_law(votes)
+        assert expected == (p_bar - pe) / (1 - pe)
+        assert sd == 0
+        assert fleiss_kappa(make_set(votes)) == pytest.approx(float(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ragged_kappa_is_within_six_sd_of_the_exact_law(self, seed):
+        votes = self.ragged_votes(seed)
+        expected, sd = subsampled_kappa_law(votes)
+        assert 0 < sd < 0.05
+        assert abs(fleiss_kappa(make_set(votes), seed=seed) - float(expected)) < 6 * sd

@@ -376,7 +376,7 @@ def layout6_distinct_labels(config, requests, pool, iteration, n):
     labels, effort = [], []
     for rows in reveal_order(twin, requests.size, (FIRST_BLOCK << i for i in itertools.count())):
         d = requests.difficulties[rows]
-        voters = distinct_columns(twin, np.full(d.size, pool.pool_size), k)
+        voters = distinct_columns(twin, d.size, pool.pool_size, k)
         final, both, either = enumerated_law(strategy, (pool.capabilities[voters] * d[:, None]
                                                         + 1.0) / 2.0)
         u = twin.random(d.size)

@@ -33,8 +33,8 @@ def apply(name_or_strategy, difficulties, pool, seed, distinct_voters=False):
     capability = pool.capabilities.mean()
     k = strategy.votes_needed()
     if distinct_voters and k > 1:
-        capability = pool.capabilities[distinct_columns(rng, np.full(difficulties.size,
-                                                                     pool.pool_size), k).T]
+        capability = pool.capabilities[distinct_columns(rng, difficulties.size,
+                                                        pool.pool_size, k).T]
     law = final_law(strategy, difficulties, capability)
     finals, effort = draw_finals(strategy, law, rng)
     return finals, np.broadcast_to(effort, difficulties.size)
@@ -187,7 +187,7 @@ class TestApplyStrategy:
         assert finals.tolist() == [1]
         assert effort.tolist() == [5]
         # five distinct voters out of a pool of five: every worker once
-        picks = distinct_columns(np.random.default_rng(0), np.full(20, 5), 5)
+        picks = distinct_columns(np.random.default_rng(0), 20, 5, 5)
         assert all(sorted(row) == [0, 1, 2, 3, 4] for row in picks.tolist())
 
 
@@ -394,7 +394,7 @@ class TestLawDrawsMatchVoteSamplers:
     them, both against the exact final-label and max-three split rates."""
 
     TRIALS = 100_000
-    # request 0 holds 5 A-votes in 9, padded to the 11 of request 1
+    # request 0 holds 5 A-votes in 9; request 1 holds 11 votes
     RECORDED = {"r0": {f"w{j}": v for j, v in enumerate([1, 0, 1, 1, 0, 0, 1, 0, 1])},
                 "r1": {f"w{j}": 1 for j in range(11)}}
     D = 0.6
@@ -422,18 +422,17 @@ class TestLawDrawsMatchVoteSamplers:
     def draw(self, source, sampler, strategy, rng):
         k = strategy.votes_needed()
         if source == "replay":
-            annotations = AnnotationSet.from_votes(self.RECORDED)
-            rows = np.zeros(self.TRIALS, dtype=np.int64)
             if sampler == "law":
-                return draw_finals(strategy, replay_law(annotations, strategy)[:, rows], rng)
-            picks = distinct_columns(rng, annotations.counts[rows], k)
-            votes = np.take_along_axis(annotations.labels[rows], picks, axis=1)
+                law = replay_law(AnnotationSet.from_votes(self.RECORDED), strategy)
+                return draw_finals(strategy, law[:, np.zeros(self.TRIALS, dtype=np.int64)], rng)
+            recorded = np.array(list(self.RECORDED["r0"].values()))
+            votes = recorded[distinct_columns(rng, self.TRIALS, recorded.size, k)]
         else:
             if sampler == "law":
                 return apply(strategy, np.full(self.TRIALS, self.D),
                              WorkerPool(capabilities=self.CAPABILITIES), rng,
                              distinct_voters=True)
-            voters = distinct_columns(rng, np.full(self.TRIALS, self.CAPABILITIES.size), k)
+            voters = distinct_columns(rng, self.TRIALS, self.CAPABILITIES.size, k)
             votes = rng.random((self.TRIALS, k)) < (self.CAPABILITIES[voters] * self.D + 1) / 2
         return majority_vote(votes), strategy.effort(votes)
 
@@ -451,22 +450,19 @@ class TestLawDrawsMatchVoteSamplers:
 
 
 class TestDistinctColumns:
-    def test_never_picks_past_a_rows_count(self):
-        counts = np.array([3, 11, 5, 3, 7])
-        picks = distinct_columns(np.random.default_rng(2), np.tile(counts, 400), 3)
-        assert (picks < np.tile(counts, 400)[:, None]).all()
+    def test_picks_distinct_columns_in_range(self):
+        picks = distinct_columns(np.random.default_rng(2), 2000, 7, 3)
+        assert picks.shape == (2000, 3)
+        assert ((picks >= 0) & (picks < 7)).all()
         assert all(len(set(row)) == 3 for row in picks.tolist())
 
     def test_uniform_over_a_rows_columns(self):
-        # rows of 4 votes padded to 7 columns: each real column comes first
-        # with probability 1/4
+        # each of 4 columns comes first with probability 1/4
         trials = 40_000
-        counts = np.where(np.arange(2 * trials) % 2, 4, 7)
-        picks = distinct_columns(np.random.default_rng(9), counts, 1)[counts == 4, 0]
-        freq = np.bincount(picks, minlength=7) / trials
-        assert freq[4:].tolist() == [0, 0, 0]
-        assert np.abs(freq[:4] - 0.25).max() < 4 * math.sqrt(0.25 * 0.75 / trials)
+        picks = distinct_columns(np.random.default_rng(9), trials, 4, 1)[:, 0]
+        freq = np.bincount(picks, minlength=4) / trials
+        assert np.abs(freq - 0.25).max() < 4 * math.sqrt(0.25 * 0.75 / trials)
 
-    def test_rejects_more_picks_than_the_shortest_row(self):
+    def test_rejects_more_picks_than_columns(self):
         with pytest.raises(ValueError, match="distinct"):
-            distinct_columns(np.random.default_rng(0), np.array([5, 2, 5]), 3)
+            distinct_columns(np.random.default_rng(0), 3, 2, 3)
