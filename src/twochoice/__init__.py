@@ -33,6 +33,7 @@ from .simulator import (
     ExperimentSummary,
     IterationResult,
     bootstrap_ci,
+    bootstrap_grid,
     run_experiment,
     run_iteration,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "Verdict",
     "WorkerPool",
     "bootstrap_ci",
+    "bootstrap_grid",
     "first_crossing",
     "fleiss_kappa",
     "hoeffding_band",

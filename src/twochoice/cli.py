@@ -25,7 +25,7 @@ from .config import (
     load_simulate_config,
 )
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
-from .simulator import ExperimentConfig, run_experiment, run_iteration
+from .simulator import ExperimentConfig, bootstrap_grid, run_experiment, run_iteration
 from .eval_model import sample_capabilities, sample_difficulties
 from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
 
@@ -69,18 +69,16 @@ def simulate_grid(config: SimulateConfig) -> list:
 
 def _run_simulate_cell(args):
     """One grid cell: run it, write its trace CSV if it has one, and return
-    its summary row. The trace is written here, in the worker process under
-    --jobs, so no cell's trace rows outlive the cell."""
+    its summary row without the interval, and its decided efforts. The
+    trace is written here, in the worker process under --jobs, so no cell's
+    trace rows outlive the cell."""
     config, cell, trace_path = args
-    summary = run_experiment(cell, trace_iterations=config.trace_iterations,
-                             bootstrap_confidence=config.bootstrap_confidence,
-                             bootstrap_resamples=config.bootstrap_resamples)
+    summary = run_experiment(cell, trace_iterations=config.trace_iterations)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _CellTraceRows(summary.per_iteration[:config.trace_iterations]))
-    return [cell.strategy.name, fmt(cell.mu), fmt(cell.delta), fmt(summary.mean_effort),
-            fmt(summary.ci_low), fmt(summary.ci_high), fmt(summary.decision_ratio),
-            str(cell.iterations)]
+    return ([cell.strategy.name, fmt(cell.mu), fmt(cell.delta), fmt(summary.mean_effort),
+             fmt(summary.decision_ratio), str(cell.iterations)], summary.decided_efforts)
 
 
 def _trace_rows(iteration: int, trace: list):
@@ -162,11 +160,22 @@ def cmd_simulate(args) -> int:
                      "error": str(outcome)}
                     for cell, outcome in zip(cells, outcomes)
                     if isinstance(outcome, Exception)]
-    _write_csv(out / "summary.csv", SUMMARY_HEADER,
-               [row for row in outcomes if not isinstance(row, Exception)])
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, _with_intervals(outcomes, config))
     _write_manifest(out, {"mode": "simulate", "config": _config_echo(config),
                           "failed_cells": failed_cells})
     return _report_failures(failed_cells)
+
+
+def _with_intervals(outcomes: list, config) -> list:
+    """The rows of the cells that ran, each with its bootstrap interval put
+    in as ci_low and ci_high. The intervals come from one ``bootstrap_grid``
+    pass over the cells' decided efforts once the whole grid has run, in
+    this process for any --jobs; a failed cell takes no part in it."""
+    done = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    intervals = bootstrap_grid([efforts for _, efforts in done], config.seed,
+                               config.bootstrap_confidence, config.bootstrap_resamples)
+    return [[*row[:4], fmt(low), fmt(high), *row[4:]]
+            for (row, _), (low, high) in zip(done, intervals)]
 
 
 def _run_grid(run_cell, jobs: list, workers: int) -> list:
@@ -197,12 +206,11 @@ def _report_failures(failed_cells: list) -> int:
 
 
 def _run_replay_cell(args):
+    """One replay cell: its effort row without the interval, and its decided efforts."""
     config, annotations, strategy, delta = args
-    summary = replay_experiment(annotations, strategy, delta, config.iterations, config.seed,
-                                bootstrap_confidence=config.bootstrap_confidence,
-                                bootstrap_resamples=config.bootstrap_resamples)
-    return [strategy.name, "", fmt(delta), fmt(summary.mean_effort), fmt(summary.ci_low),
-            fmt(summary.ci_high), fmt(summary.decision_ratio), str(config.iterations)]
+    summary = replay_experiment(annotations, strategy, delta, config.iterations, config.seed)
+    return ([strategy.name, "", fmt(delta), fmt(summary.mean_effort),
+             fmt(summary.decision_ratio), str(config.iterations)], summary.decided_efforts)
 
 
 def cmd_replay(args) -> int:
@@ -227,7 +235,7 @@ def cmd_replay(args) -> int:
     failed_cells = [{"strategy": strategy.name, "delta": delta, "error": str(outcome)}
                     for (_, _, strategy, delta), outcome in zip(jobs, outcomes)
                     if isinstance(outcome, Exception)]
-    rows = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    rows = _with_intervals(outcomes, config)
     _write_csv(out / "effort.csv", SUMMARY_HEADER, rows)
     # decision_ratio.csv repeats each effort row's strategy, delta and ratio
     _write_csv(out / "decision_ratio.csv", RATIO_HEADER,

@@ -188,10 +188,9 @@ def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: floa
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                      iterations: int, seed: int,
-                      bootstrap_confidence: float = 0.99,
-                      bootstrap_resamples: int = 10_000) -> ExperimentSummary:
-    """Aggregate replay iterations the same way the simulator aggregates."""
+                      iterations: int, seed: int) -> ExperimentSummary:
+    """Aggregate replay iterations the same way the simulator aggregates;
+    ``simulator.bootstrap_grid`` gives the grid's intervals."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     law = replay_law(annotations, strategy)
@@ -200,7 +199,7 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law,
                                 rng=rng)
                for i, rng in enumerate(streams)]
-    return summarize(results, seed, bootstrap_confidence, bootstrap_resamples)
+    return summarize(results)
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

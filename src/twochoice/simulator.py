@@ -4,7 +4,8 @@ One iteration walks a shuffled request order, produces a final label per
 request under the configured strategy, and stops the moment the Hoeffding
 band clears the 0.5 midline. An experiment repeats that over independent
 per-iteration random substreams and aggregates the labelling effort of the
-decided iterations with a percentile-bootstrap confidence interval.
+decided iterations. Percentile-bootstrap intervals of the mean effort are
+computed after a whole grid has run, in one pass (``bootstrap_grid``).
 
 Each iteration reveals a uniformly random order of the requests one block
 at a time (``reveal_order``): the first block holds FIRST_BLOCK requests,
@@ -52,12 +53,13 @@ from .strategies import Strategy, StrategyKind
 FIRST_BLOCK = 1024
 
 # Bytes of int64 resample indices that bootstrap_ci draws at once; the
-# gathered float64 copy is as large. Generator.integers takes its 32-bit
-# words from the bit generator's own buffer, which carries over between
-# calls, so the interval does not depend on the block size. 1 MiB keeps a
-# bootstrap's working set near 2 MiB at any sample size. A 64 MB budget
-# held 128 MB for 10000 resamples of 1000 samples and, timed alone on a
-# 2-vCPU x86 VM, took 94-103 ms per interval against 53-56 ms.
+# float64 copy gathered for one sample is as large. Generator.integers
+# takes its 32-bit words from the bit generator's own buffer, which carries
+# over between calls, so the interval does not depend on the block size.
+# 1 MiB keeps a bootstrap's working set near 2 MiB, plus 8 bytes of means
+# per sample and resample, at any sample size. A 64 MB budget held 128 MB
+# for 10000 resamples of 1000 samples and, timed alone on a 2-vCPU x86 VM,
+# took 94-103 ms per interval against 53-56 ms.
 BOOTSTRAP_BLOCK_BYTES = 1 << 20
 
 
@@ -110,10 +112,14 @@ class ExperimentSummary:
     """mean_effort is over decided iterations only; NaN when none decided."""
 
     mean_effort: float
-    ci_low: float
-    ci_high: float
     decision_ratio: float
     per_iteration: list = field(repr=False, default_factory=list)
+
+    @property
+    def decided_efforts(self) -> list:
+        """The effort of each decided iteration, in iteration order: the
+        sample that ``bootstrap_grid`` resamples for the cell's interval."""
+        return [r.effort for r in self.per_iteration if r.decided]
 
 
 def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
@@ -266,14 +272,16 @@ def run_iteration(
     The law has one of two sources. Most iterations read one ``final_law``
     over the whole request supply, column by column: ``law``, the cell's
     law at the pool's mean capability, computed here when not given. An
-    iteration that draws its own requests or pool (a resample flag) or its
-    own fixed worker computes its own whole-supply law and ignores
-    ``law``. Only ``distinct_voters`` with k > 1 votes builds each block's
-    law from the voters that block picks. ``band`` is ``hoeffding_band``
-    over the supply. ``rng`` is the iteration's generator,
-    ``substream(config.seed, DOMAIN_ITERATION, iteration_index)`` when not
-    given; ``run_experiment`` passes the same stream from the cell's
-    ``iteration_streams``, on a Generator it reuses for the next iteration.
+    iteration that draws its own requests or pool (a resample flag)
+    computes its own whole-supply law and ignores ``law``. Fixed-worker,
+    and ``distinct_voters`` with k > 1 votes, build each block's law from
+    the revealed rows only: at the capability of the iteration's one
+    worker, drawn before the first block, or of the voters each block
+    picks. ``band`` is ``hoeffding_band`` over the supply. ``rng`` is the
+    iteration's generator, ``substream(config.seed, DOMAIN_ITERATION,
+    iteration_index)`` when not given; ``run_experiment`` passes the same
+    stream from the cell's ``iteration_streams``, on a Generator it reuses
+    for the next iteration.
     """
     if rng is None:
         rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
@@ -292,11 +300,13 @@ def run_iteration(
         def law_of(rows):
             voters = distinct_columns(rng, rows.size, pool.pool_size, k)
             return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
+    elif strategy.kind is StrategyKind.FIXED_WORKER:
+        worker = pool.capabilities[rng.integers(0, pool.pool_size)]
+
+        def law_of(rows):
+            return final_law(strategy, difficulties[rows], worker)
     else:
-        if strategy.kind is StrategyKind.FIXED_WORKER:
-            law = final_law(strategy, difficulties,
-                            pool.capabilities[rng.integers(0, pool.pool_size)])
-        elif law is None:
+        if law is None:
             law = final_law(strategy, difficulties, pool.capabilities.mean())
 
         def law_of(rows):
@@ -306,9 +316,7 @@ def run_iteration(
                       record_trace)
 
 
-def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
-                   bootstrap_confidence: float = 0.99,
-                   bootstrap_resamples: int = 10_000) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig, trace_iterations: int = 0) -> ExperimentSummary:
     """Run all iterations of a configuration and aggregate labelling effort.
 
     The request difficulties and the worker pool are drawn once from the
@@ -317,6 +325,8 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     (seed, iteration index), seeded 256 at a time from one SeedSequence
     (``iteration_streams``), so the per-iteration results are identical
     under any execution order and to standalone ``run_iteration`` calls.
+    The summary holds no interval: ``bootstrap_grid`` computes the
+    intervals of a whole grid from each cell's ``decided_efforts``.
     """
     requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
                                    substream(config.seed, DOMAIN_REQUESTS, 0))
@@ -330,47 +340,91 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
                       law=law, band=band, rng=rng)
         for i, rng in enumerate(streams)
     ]
-    # freed before the bootstrap, so the cell's peak memory is that of the
-    # iterations or of the bootstrap, not of both
-    del law, band
-    return summarize(results, config.seed, bootstrap_confidence, bootstrap_resamples)
+    return summarize(results)
 
 
-def summarize(results: list, seed: int, confidence: float, resamples: int) -> ExperimentSummary:
+def summarize(results: list) -> ExperimentSummary:
     """Aggregate the iterations of one grid cell, simulated or replayed.
 
-    The mean effort and its bootstrap interval cover the decided iterations
-    only and are NaN when none decided; the bootstrap runs on the seed's
-    own substream.
+    The mean effort covers the decided iterations only and is NaN when none
+    decided; the decision ratio is the share of iterations that decided.
     """
     decided_efforts = [r.effort for r in results if r.decided]
-    if decided_efforts:
-        mean_effort = float(np.mean(decided_efforts))
-        ci_low, ci_high = bootstrap_ci(decided_efforts, confidence, resamples,
-                                       substream(seed, DOMAIN_BOOTSTRAP, 0))
-    else:
-        mean_effort = ci_low = ci_high = math.nan
-    return ExperimentSummary(mean_effort=mean_effort, ci_low=ci_low, ci_high=ci_high,
+    mean_effort = float(np.mean(decided_efforts)) if decided_efforts else math.nan
+    return ExperimentSummary(mean_effort=mean_effort,
                              decision_ratio=len(decided_efforts) / len(results),
                              per_iteration=results)
 
 
-def bootstrap_ci(samples, confidence: float, resamples: int,
-                 rng: np.random.Generator) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of the samples; ``rng`` is a Generator."""
+def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:
+    """The percentile-bootstrap interval of each grid cell's mean, as
+    (low, high) in the order of ``samples``, one sample per cell; (NaN, NaN)
+    for an empty one.
+
+    Each cell's interval is that of ``bootstrap_ci`` on a fresh
+    ``substream(seed, DOMAIN_BOOTSTRAP, 0)``. That stream draws the same
+    resample indices for every sample of one size, so the cells are grouped
+    by size and each group is resampled by one ``bootstrap_ci`` call, which
+    draws its indices once for the whole group.
+    """
+    intervals = [(math.nan, math.nan)] * len(samples)
+    groups: dict = {}
+    for i, sample in enumerate(samples):
+        if len(sample):
+            groups.setdefault(len(sample), []).append(i)
+    for cells in groups.values():
+        stack = np.array([samples[i] for i in cells], dtype=np.float64)
+        bounds = bootstrap_ci(stack, confidence, resamples, substream(seed, DOMAIN_BOOTSTRAP, 0))
+        for i, interval in zip(cells, bounds.tolist()):
+            intervals[i] = tuple(interval)
+    return intervals
+
+
+def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Generator):
+    """Percentile bootstrap interval for the mean of each sample; ``rng`` is
+    a Generator.
+
+    ``samples`` is one sample, for which the interval is a (low, high)
+    tuple, or a (k, n) stack of k samples of one size n, for which it is a
+    (k, 2) array of one interval per row. Every row is resampled with the
+    same indices, drawn in blocks of at most BOOTSTRAP_BLOCK_BYTES, so row
+    j's interval is the one that row alone gets on the same stream.
+    """
     data = np.asarray(samples, dtype=np.float64)
-    if data.size == 0:
+    stack = np.atleast_2d(data)
+    if stack.ndim != 2:
+        raise ValueError(f"bootstrap_ci needs one sample or a (k, n) stack, got shape {data.shape}")
+    k, n = stack.shape
+    if k == 0 or n == 0:
         raise ValueError("bootstrap_ci needs a nonempty sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    means = np.empty(resamples, dtype=np.float64)
-    block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * data.size))
+    block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * n))
     for start in range(0, resamples, block):
         stop = min(start + block, resamples)
-        picks = rng.integers(0, data.size, size=(stop - start, data.size))
-        means[start:stop] = data[picks].mean(axis=1)
+        picks = rng.integers(0, n, size=(stop - start, n))
+        if start == 0:
+            # One buffer takes every gather: a fresh 1 MiB array per sample
+            # and block, where the allocator hands freed pages back to the
+            # system, made every gather fault its pages in again. It and the
+            # means are made after the first block's indices, so that each
+            # later block's indices fit where the block before them was
+            # freed, below these two, instead of growing the heap.
+            means = np.empty((k, resamples), dtype=np.float64)
+            gathered = np.empty_like(picks, dtype=np.float64)
+        resampled = gathered[:stop - start]
+        for row, row_means in zip(stack, means):
+            # the picks lie in [0, n), so "clip" takes what "raise" would,
+            # without the temporary copy that "raise" makes for ``out``
+            np.take(row, picks, out=resampled, mode="clip")
+            resampled.mean(axis=1, out=row_means[start:stop])
+        # freed before the next block's are drawn, so the working set is one
+        # block of indices, the gather buffer and the means
+        del picks
     alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
+    bounds = np.array([np.quantile(row_means, [alpha, 1.0 - alpha]) for row_means in means])
+    if data.ndim < 2:
+        return float(bounds[0, 0]), float(bounds[0, 1])
+    return bounds

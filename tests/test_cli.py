@@ -10,8 +10,8 @@ import yaml
 from twochoice import cli
 from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
-from twochoice.rng import STREAM_LAYOUT
-from twochoice.simulator import run_experiment
+from twochoice.rng import DOMAIN_BOOTSTRAP, STREAM_LAYOUT, substream
+from twochoice.simulator import bootstrap_ci, run_experiment
 from twochoice.cli import _trace_rows, simulate_grid
 
 SMOKE = """
@@ -274,20 +274,50 @@ class TestSimulateCommand:
                 traced = list(csv.DictReader(open(out / f"trace_{i:03d}.csv", encoding="utf-8")))
                 assert {row["iteration"] for row in traced} == {"0", "1"}
 
+    def test_failed_cells_take_no_part_in_the_grid_bootstrap(self, tmp_path, monkeypatch):
+        config = tmp_path / "partial.yaml"
+        config.write_text(SMOKE.replace("pool_size: 20", "pool_size: 2")
+                               .replace("n-workers:3", "n-workers:5")
+                               + "distinct_voters: true\n", encoding="utf-8")
+        calls = []
+        grid = cli.bootstrap_grid
+
+        def spy(samples, *args):
+            calls.append(samples)
+            return grid(samples, *args)
+
+        monkeypatch.setattr(cli, "bootstrap_grid", spy)
+        for jobs in (1, 2):
+            out = tmp_path / f"out{jobs}"
+            assert main(["simulate", "--config", str(config), "--out", str(out),
+                         "--jobs", str(jobs)]) == 1
+            # one pass per grid, over the two one-worker cells only
+            assert len(calls) == 1 and len(calls.pop()) == 2
+            rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
+            cells = simulate_grid(load_simulate_config(config))
+            for row, cell in zip(rows, cells[:2]):
+                low, high = bootstrap_ci(run_experiment(cell).decided_efforts, 0.99, 2000,
+                                         substream(7, DOMAIN_BOOTSTRAP, 0))
+                assert (row["ci_low"], row["ci_high"]) == (fmt(low), fmt(high))
+
     def test_summary_round_trips(self, smoke_config, tmp_path):
         out = tmp_path / "out"
         main(["simulate", "--config", str(smoke_config), "--out", str(out)])
         config = load_simulate_config(smoke_config)
         rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
         for row, cell in zip(rows, simulate_grid(config)):
-            summary = run_experiment(cell, bootstrap_confidence=config.bootstrap_confidence,
-                                     bootstrap_resamples=config.bootstrap_resamples)
+            summary = run_experiment(cell)
+            # each cell's interval is a lone bootstrap of its decided efforts
+            # on a fresh bootstrap stream, whatever other cells the grid holds
+            low, high = bootstrap_ci(summary.decided_efforts, config.bootstrap_confidence,
+                                     config.bootstrap_resamples,
+                                     substream(config.seed, DOMAIN_BOOTSTRAP, 0))
             assert row["strategy"] == cell.strategy.name
             assert row["mu"] == fmt(cell.mu)
             assert row["delta"] == fmt(cell.delta)
             assert row["mean_effort"] == fmt(summary.mean_effort)
-            assert row["ci_low"] == fmt(summary.ci_low)
-            assert row["ci_high"] == fmt(summary.ci_high)
+            assert row["ci_low"] == fmt(low)
+            assert row["ci_high"] == fmt(high)
             assert row["decision_ratio"] == fmt(summary.decision_ratio)
             assert int(row["iterations"]) == config.iterations
 

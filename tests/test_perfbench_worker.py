@@ -41,7 +41,17 @@ def test_traced_simulate_launch(tmp_path):
     cells = simulate_grid(load_simulate_config(SMOKE))
     assert [cell["strategy"] for cell in report["cells"]] == [c.strategy.name for c in cells]
     assert all(cell["violations"] == 0 for cell in report["cells"])
-    assert (tmp_path / "report.json.spans.npz").exists()
+    # the grid's bootstrap is traced: one call per nonzero decided count
+    with np.load(tmp_path / "report.json.spans.npz") as spans:
+        name_ids = spans["name_ids"]
+    boot = report["span_names"].index("simulator.bootstrap_ci")
+    decided_counts = {cell["decided"] for cell in report["cells"]} - {0}
+    assert (name_ids == boot).sum() == len(decided_counts)
+    # the intervals are filled in after the grid, one per written row
+    rows = list(csv.DictReader(open(tmp_path / "out" / "summary.csv", encoding="utf-8")))
+    assert len(rows) == len(cells)
+    assert all(float(row["ci_low"]) <= float(row["mean_effort"]) <= float(row["ci_high"])
+               for row in rows)
 
 
 def test_setup_launch_stops_at_the_first_iteration(tmp_path):
@@ -55,7 +65,8 @@ def test_setup_launch_stops_at_the_first_iteration(tmp_path):
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
-def test_traced_replay_launch(tmp_path):
+def replay_inputs(tmp_path, strategies, deltas):
+    """A small votes file and replay config; the arguments of a replay launch."""
     votes = tmp_path / "votes.csv"
     rng = np.random.default_rng(5)
     with open(votes, "w", newline="", encoding="utf-8") as handle:
@@ -66,16 +77,31 @@ def test_traced_replay_launch(tmp_path):
             for worker in range(rng.integers(5, 10)):
                 writer.writerow([f"r{request}", f"w{worker}", int(rng.random() < 0.8)])
     config = tmp_path / "replay.yaml"
-    strategies = ["one-worker", "max-three", "n-workers:3"]
-    deltas = [0.1, 0.01]
     config.write_text(yaml.safe_dump({"strategies": strategies, "deltas": deltas,
                                       "iterations": 10, "seed": 0,
                                       "bootstrap": {"confidence": 0.99, "resamples": 200}}),
                       encoding="utf-8")
-    report = launch(tmp_path, ["replay", "--config", str(config), "--dataset", str(votes),
-                               "--out", str(tmp_path / "out"), "--jobs", "1"])
+    return ["replay", "--config", str(config), "--dataset", str(votes),
+            "--out", str(tmp_path / "out"), "--jobs", "1"]
+
+
+def test_traced_replay_launch(tmp_path):
+    strategies = ["one-worker", "max-three", "n-workers:3"]
+    deltas = [0.1, 0.01]
+    report = launch(tmp_path, replay_inputs(tmp_path, strategies, deltas))
     assert report["exit_code"] == 0
     assert isinstance(report["first_iteration"], float)
     assert [cell["strategy"] for cell in report["cells"]] == [s for s in strategies
                                                               for _ in deltas]
     assert all(cell["violations"] == 0 for cell in report["cells"])
+
+
+def test_replay_setup_launch_stops_at_the_first_iteration(tmp_path):
+    # replay reaches its first replay_iteration call through the hooked
+    # module attribute, and no cell, interval or table comes after it
+    report = launch(tmp_path, replay_inputs(tmp_path, ["one-worker", "max-three"], [0.1]),
+                    mode="setup")
+    assert report["exit_code"] == 0
+    assert isinstance(report["first_iteration"], float)
+    assert report["cells"] == []
+    assert not (tmp_path / "out" / "effort.csv").exists()

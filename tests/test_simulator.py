@@ -11,12 +11,13 @@ from twochoice import decision, simulator
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
 from twochoice.rng import (
-    DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, distinct_columns, iteration_streams,
-    substream)
+    DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, distinct_columns,
+    iteration_streams, substream)
 from twochoice.simulator import (
     FIRST_BLOCK,
     ExperimentConfig,
     bootstrap_ci,
+    bootstrap_grid,
     run_blocks,
     reveal_order,
     run_experiment,
@@ -459,14 +460,18 @@ class TestRunExperiment:
         assert 0 < len(decided) < 60  # this configuration leaves some undecided
         assert summary.decision_ratio == len(decided) / 60
         assert summary.mean_effort == pytest.approx(np.mean(decided))
-        assert summary.ci_low <= summary.mean_effort <= summary.ci_high
+        assert summary.decided_efforts == decided
+        [(low, high)] = bootstrap_grid([decided], config.seed, 0.99, 2000)
+        assert low <= summary.mean_effort <= high
 
     def test_zero_decided_is_flagged_not_crashed(self):
         config = make_config(mu=0.0, sigma=0.0, n_requests=60, iterations=10)
         summary = run_experiment(config)
         assert summary.decision_ratio == 0.0
         assert math.isnan(summary.mean_effort)
-        assert math.isnan(summary.ci_low)
+        assert summary.decided_efforts == []
+        [(low, high)] = bootstrap_grid([summary.decided_efforts], config.seed, 0.99, 2000)
+        assert math.isnan(low) and math.isnan(high)
 
     def test_resample_flags_change_streams_deterministically(self):
         fixed = make_config(iterations=6)
@@ -545,6 +550,64 @@ class TestBootstrapCI:
             bootstrap_ci([1.0], 1.0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], 0.99, 0, np.random.default_rng(0))
+
+    def test_stack_gives_each_row_its_lone_interval(self):
+        stack = np.random.default_rng(7).integers(100, 5000, (4, 300)).astype(np.float64)
+        bounds = bootstrap_ci(stack, 0.95, 3000, np.random.default_rng(8))
+        assert bounds.shape == (4, 2)
+        for row, (lo, hi) in zip(stack, bounds.tolist()):
+            assert (lo, hi) == bootstrap_ci(row, 0.95, 3000, np.random.default_rng(8))
+
+    def test_stack_working_memory_is_bounded(self):
+        # a grid's group of 15 cells of 1000 decided iterations: 1.2 MB of
+        # means beside one 1 MiB index block and its gathered copy
+        stack = np.random.default_rng(3).integers(100, 5000, (15, 1000)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(stack, 0.99, 10_000, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_stack_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            bootstrap_ci(np.ones((2, 3, 4)), 0.99, 100, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            bootstrap_ci(np.ones((3, 0)), 0.99, 100, np.random.default_rng(0))
+
+
+class TestBootstrapGrid:
+    def test_each_cell_gets_its_lone_interval(self):
+        # cells of one size share their resample indices; each interval is
+        # still that of the cell alone on a fresh bootstrap stream
+        rng = np.random.default_rng(9)
+        samples = [rng.integers(10, 900, size).tolist() for size in (50, 50, 49, 0, 50)]
+        intervals = bootstrap_grid(samples, 11, 0.99, 2500)
+        assert len(intervals) == 5
+        for sample, interval in zip(samples, intervals):
+            if sample:
+                assert interval == bootstrap_ci(sample, 0.99, 2500,
+                                                substream(11, DOMAIN_BOOTSTRAP, 0))
+        assert all(math.isnan(bound) for bound in intervals[3])
+
+    def test_one_bootstrap_per_sample_size(self, monkeypatch):
+        calls = []
+        lone = simulator.bootstrap_ci
+
+        def spy(stack, *args):
+            calls.append(np.shape(stack))
+            return lone(stack, *args)
+
+        monkeypatch.setattr(simulator, "bootstrap_ci", spy)
+        samples = [[1, 2, 3], [4, 5, 6, 7], [], [8, 9, 10], [11, 12, 13, 14], [15, 16, 17]]
+        bootstrap_grid(samples, 0, 0.9, 100)
+        assert calls == [(3, 3), (2, 4)]
+
+    def test_empty_grid_and_empty_cells(self):
+        assert bootstrap_grid([], 0, 0.99, 100) == []
+        assert all(math.isnan(bound) for interval in bootstrap_grid([[], []], 0, 0.99, 100)
+                   for bound in interval)
 
 
 class TestConfigValidation:
