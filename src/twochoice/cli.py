@@ -69,16 +69,15 @@ def simulate_grid(config: SimulateConfig) -> list:
 
 def _run_simulate_cell(args):
     """One grid cell: run it, write its trace CSV if it has one, and return
-    its summary row without the interval, and its decided efforts. The
-    trace is written here, in the worker process under --jobs, so no cell's
-    trace rows outlive the cell."""
+    its mean effort, decision ratio and decided efforts. The trace is
+    written here, in the worker process under --jobs, so no cell's trace
+    rows outlive the cell."""
     config, cell, trace_path = args
     summary = run_experiment(cell, trace_iterations=config.trace_iterations)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _CellTraceRows(summary.per_iteration[:config.trace_iterations]))
-    return ([cell.strategy.name, fmt(cell.mu), fmt(cell.delta), fmt(summary.mean_effort),
-             fmt(summary.decision_ratio), str(cell.iterations)], summary.decided_efforts)
+    return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
 
 
 def _trace_rows(iteration: int, trace: list):
@@ -156,26 +155,30 @@ def cmd_simulate(args) -> int:
     jobs = [(config, cell, out / f"trace_{i:03d}.csv" if config.trace_iterations else None)
             for i, cell in enumerate(cells)]
     outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
-    failed_cells = [{"strategy": cell.strategy.name, "mu": cell.mu, "delta": cell.delta,
-                     "error": str(outcome)}
-                    for cell, outcome in zip(cells, outcomes)
-                    if isinstance(outcome, Exception)]
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, _with_intervals(outcomes, config))
+    rows, failed_cells = _tabulate([(cell.strategy, cell.mu, cell.delta) for cell in cells],
+                                   outcomes, config)
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
     _write_manifest(out, {"mode": "simulate", "config": _config_echo(config),
                           "failed_cells": failed_cells})
     return _report_failures(failed_cells)
 
 
-def _with_intervals(outcomes: list, config) -> list:
-    """The rows of the cells that ran, each with its bootstrap interval put
-    in as ci_low and ci_high. The intervals come from one ``bootstrap_grid``
-    pass over the cells' decided efforts once the whole grid has run, in
-    this process for any --jobs; a failed cell takes no part in it."""
-    done = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
-    intervals = bootstrap_grid([efforts for _, efforts in done], config.seed,
+def _tabulate(cells: list, outcomes: list, config) -> tuple:
+    """The SUMMARY_HEADER rows of the cells that ran, and the records of the
+    cells that failed. A cell is its (strategy, mu, delta); replay's mu is
+    None, blank in its row and no key of its record. The intervals come from
+    one ``bootstrap_grid`` pass after the whole grid, in this process for any --jobs."""
+    done = [pair for pair in zip(cells, outcomes) if not isinstance(pair[1], Exception)]
+    intervals = bootstrap_grid([efforts for _, (_, _, efforts) in done], config.seed,
                                config.bootstrap_confidence, config.bootstrap_resamples)
-    return [[*row[:4], fmt(low), fmt(high), *row[4:]]
-            for (row, _), (low, high) in zip(done, intervals)]
+    rows = [[strategy.name, "" if mu is None else fmt(mu), fmt(delta), fmt(mean),
+             fmt(low), fmt(high), fmt(ratio), str(config.iterations)]
+            for ((strategy, mu, delta), (mean, ratio, _)), (low, high) in zip(done, intervals)]
+    failed = [{"strategy": strategy.name, **({} if mu is None else {"mu": mu}),
+               "delta": delta, "error": str(outcome)}
+              for (strategy, mu, delta), outcome in zip(cells, outcomes)
+              if isinstance(outcome, Exception)]
+    return rows, failed
 
 
 def _run_grid(run_cell, jobs: list, workers: int) -> list:
@@ -206,11 +209,10 @@ def _report_failures(failed_cells: list) -> int:
 
 
 def _run_replay_cell(args):
-    """One replay cell: its effort row without the interval, and its decided efforts."""
+    """One replay cell: its mean effort, decision ratio and decided efforts."""
     config, annotations, strategy, delta = args
     summary = replay_experiment(annotations, strategy, delta, config.iterations, config.seed)
-    return ([strategy.name, "", fmt(delta), fmt(summary.mean_effort),
-             fmt(summary.decision_ratio), str(config.iterations)], summary.decided_efforts)
+    return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
 
 
 def cmd_replay(args) -> int:
@@ -232,14 +234,13 @@ def cmd_replay(args) -> int:
     jobs = [(config, annotations, strategy, delta)
             for strategy in config.strategies for delta in config.deltas]
     outcomes = _run_grid(_run_replay_cell, jobs, args.jobs)
-    failed_cells = [{"strategy": strategy.name, "delta": delta, "error": str(outcome)}
-                    for (_, _, strategy, delta), outcome in zip(jobs, outcomes)
-                    if isinstance(outcome, Exception)]
-    rows = _with_intervals(outcomes, config)
+    rows, failed_cells = _tabulate([(strategy, None, delta) for _, _, strategy, delta in jobs],
+                                   outcomes, config)
     _write_csv(out / "effort.csv", SUMMARY_HEADER, rows)
     # decision_ratio.csv repeats each effort row's strategy, delta and ratio
+    ratio = [SUMMARY_HEADER.index(name) for name in RATIO_HEADER[1:]]
     _write_csv(out / "decision_ratio.csv", RATIO_HEADER,
-               [[annotations.experiment_label, row[0], row[2], row[6]] for row in rows])
+               [[annotations.experiment_label, *(row[i] for i in ratio)] for row in rows])
     _write_manifest(out, {
         "mode": "replay",
         "dataset": str(dataset),

@@ -33,7 +33,6 @@ $TWOCHOICE_AMT_DIR (files v1_vs_cga.csv, v2_vs_cga_r1.csv,
 v2_vs_cga_r2.csv) and fall back to hand-computed cases and property
 checks when the data is not available.
 """
-import csv
 import math
 import os
 from dataclasses import dataclass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from twochoice import cli
+from twochoice import __version__, cli
 from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import DOMAIN_BOOTSTRAP, STREAM_LAYOUT, substream
@@ -76,6 +76,21 @@ class InlineExecutor:
         return future
 
 
+def test_one_version_everywhere(smoke_config, tmp_path, capsys):
+    # pyproject.toml and the package each write the version down; --version
+    # and every manifest print the package's
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == \
+        __version__
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"twochoice {__version__}\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 0
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+    assert manifest["twochoice_version"] == __version__
 class TestSimulateCommand:
     def test_writes_summary_and_manifest(self, smoke_config, tmp_path, capsys):
         out = tmp_path / "out"
