@@ -13,7 +13,6 @@ from pathlib import Path
 
 import yaml
 
-from .rng import check_seed
 from .strategies import Strategy, StrategyKind
 
 
@@ -38,12 +37,12 @@ class SimulateConfig:
     deltas: tuple
     iterations: int
     seed: int
-    bootstrap_confidence: float = 0.99
-    bootstrap_resamples: int = 10_000
-    resample_difficulties_per_iteration: bool = False
-    resample_pool_per_iteration: bool = False
-    distinct_voters: bool = False
-    trace_iterations: int = 0
+    bootstrap_confidence: float
+    bootstrap_resamples: int
+    resample_difficulties_per_iteration: bool
+    resample_pool_per_iteration: bool
+    distinct_voters: bool
+    trace_iterations: int
 
 
 @dataclass(frozen=True)
@@ -52,172 +51,131 @@ class ReplayConfig:
     deltas: tuple
     iterations: int
     seed: int
-    bootstrap_confidence: float = 0.99
-    bootstrap_resamples: int = 10_000
+    bootstrap_confidence: float
+    bootstrap_resamples: int
 
 
-SIMULATE_KEYS = {"workers", "regimes", "strategies", "deltas", "iterations", "seed", "bootstrap",
-                 "resample_difficulties_per_iteration", "resample_pool_per_iteration",
-                 "distinct_voters", "trace_iterations"}
 REPLAY_KEYS = {"strategies", "deltas", "iterations", "seed", "bootstrap"}
+SIMULATE_KEYS = REPLAY_KEYS | {"workers", "regimes", "resample_difficulties_per_iteration",
+                               "resample_pool_per_iteration", "distinct_voters",
+                               "trace_iterations"}
 WORKERS_KEYS = {"lo", "hi", "pool_size"}
 REGIME_KEYS = {"mu", "sigma", "n_requests"}
 BOOTSTRAP_KEYS = {"confidence", "resamples"}
 MAPPING_KEYS = {"request_id", "worker_id", "label", "label_map"}
 
+_REQUIRED = object()
 
-def _check_keys(data: dict, allowed: set, where: str) -> None:
-    """Reject keys the loader does not read, so a typo is not silently ignored."""
+
+def _check_keys(data: dict, allowed: set, where: str) -> dict:
+    """``data``, once it holds no key the loader does not read, so that a
+    typo is not silently ignored."""
     unknown = set(data) - allowed
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+        # YAML reads a key such as 1: as an int, which sorts only beside ints
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown, key=str)}; "
+                          f"allowed: {sorted(allowed)}")
+    return data
 
 
-def _require(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise ConfigError(f"{where}: missing required field {key!r}")
+def _read(data, key, where: str, kind: type, default=_REQUIRED, ok=None, rule: str = ""):
+    """``data[key]``, a mapping's key or a list's index, as a ``kind``, or
+    ``default`` when the key is absent. An int is read as a float where a
+    float is expected, and a YAML boolean is never a number. The value must
+    pass ``ok``, which ``rule`` words for the error: "must <rule>"."""
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+    if isinstance(data, dict) and key not in data:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+        return default
     value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and type(value) is int:
         value = float(value)
     if isinstance(value, bool) and kind is not bool or not isinstance(value, kind):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{path}: must {rule}, got {value!r}")
     return value
 
 
-def _flag(data: dict, key: str, where: str) -> bool:
-    """An optional on/off field: a YAML boolean, off when absent."""
-    return _require(data, key, bool, where) if key in data else False
-
-
-def _int_at_least(data: dict, key: str, where: str, minimum: int, default=None) -> int:
-    if default is not None and key not in data:
-        return default
-    value = _require(data, key, int, where)
-    if value < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _strategies(data: dict, where: str, allow_fixed: bool = True) -> tuple:
-    raw = _require(data, "strategies", list, where)
-    if not raw:
-        raise ConfigError(f"{where}.strategies: must not be empty")
-    out = []
-    for i, name in enumerate(raw):
+def _shared(data: dict, seed_override, iterations=_REQUIRED) -> dict:
+    """The fields that simulate and replay configs share, read from the top
+    level; ``seed_override`` (``--seed``) replaces the file's seed."""
+    if seed_override is not None:
+        data = {**data, "seed": seed_override}
+    boot = _check_keys(_read(data, "bootstrap", "config", dict, {}), BOOTSTRAP_KEYS,
+                       "config.bootstrap")
+    strategies = []
+    for i, name in enumerate(_read(data, "strategies", "config", list, ok=bool,
+                                   rule="not be empty")):
         try:
-            strat = Strategy.from_name(str(name))
+            strategies.append(Strategy.from_name(str(name)))
         except ValueError as exc:
-            raise ConfigError(f"{where}.strategies[{i}]: {exc}") from None
-        if not allow_fixed and strat.kind is StrategyKind.FIXED_WORKER:
-            raise ConfigError(f"{where}.strategies[{i}]: fixed-worker cannot be replayed")
-        out.append(strat)
-    return tuple(out)
-
-
-def _deltas(data: dict, where: str) -> tuple:
-    raw = _require(data, "deltas", list, where)
-    if not raw:
-        raise ConfigError(f"{where}.deltas: must not be empty")
-    out = []
-    for i, value in enumerate(raw):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 < value < 1:
-            raise ConfigError(f"{where}.deltas[{i}]: must be a number in (0, 1), got {value!r}")
-        out.append(float(value))
-    return tuple(out)
-
-
-def _seed(data: dict, where: str, override=None) -> int:
-    seed = override if override is not None else data.get("seed", 0)
-    try:
-        return check_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.seed: {exc}") from None
-
-
-def _bootstrap(data: dict, where: str) -> tuple:
-    boot = data.get("bootstrap", {})
-    if not isinstance(boot, dict):
-        raise ConfigError(f"{where}.bootstrap: expected a mapping, got {boot!r}")
-    _check_keys(boot, BOOTSTRAP_KEYS, f"{where}.bootstrap")
-    confidence = boot.get("confidence", 0.99)
-    if not isinstance(confidence, float) or not 0 < confidence < 1:
-        raise ConfigError(f"{where}.bootstrap.confidence: must be in (0, 1), got {confidence!r}")
-    resamples = boot.get("resamples", 10_000)
-    if not isinstance(resamples, int) or isinstance(resamples, bool) or resamples < 1:
-        raise ConfigError(f"{where}.bootstrap.resamples: must be >= 1, got {resamples!r}")
-    return confidence, resamples
+            raise ConfigError(f"config.strategies[{i}]: {exc}") from None
+    deltas = _read(data, "deltas", "config", list, ok=bool, rule="not be empty")
+    return dict(
+        strategies=tuple(strategies),
+        deltas=tuple(_read(deltas, i, "config.deltas", float, ok=lambda d: 0 < d < 1,
+                           rule="be a number in (0, 1)") for i in range(len(deltas))),
+        iterations=_read(data, "iterations", "config", int, iterations, ok=lambda n: n >= 1,
+                         rule="be >= 1"),
+        seed=_read(data, "seed", "config", int, 0, ok=lambda s: 0 <= s < 2**64,
+                   rule="be in [0, 2**64)"),
+        bootstrap_confidence=_read(boot, "confidence", "config.bootstrap", float, 0.99,
+                                   ok=lambda c: 0 < c < 1, rule="be in (0, 1)"),
+        bootstrap_resamples=_read(boot, "resamples", "config.bootstrap", int, 10_000,
+                                  ok=lambda n: n >= 1, rule="be >= 1"),
+    )
 
 
 def load_simulate_config(path, seed_override=None) -> SimulateConfig:
-    data = _load_yaml(path)
-    where = "config"
-    _check_keys(data, SIMULATE_KEYS, where)
-
-    workers = _require(data, "workers", dict, where)
-    _check_keys(workers, WORKERS_KEYS, f"{where}.workers")
-    lo = _require(workers, "lo", float, f"{where}.workers")
-    hi = _require(workers, "hi", float, f"{where}.workers")
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ConfigError(f"{where}.workers: need 0 <= lo <= hi <= 1, got ({lo}, {hi})")
-    pool_size = _int_at_least(workers, "pool_size", f"{where}.workers", 1)
-
-    raw_regimes = _require(data, "regimes", list, where)
-    if not raw_regimes:
-        raise ConfigError(f"{where}.regimes: must not be empty")
+    data = _check_keys(_load_yaml(path), SIMULATE_KEYS, "config")
+    workers = _check_keys(_read(data, "workers", "config", dict), WORKERS_KEYS, "config.workers")
+    lo = _read(workers, "lo", "config.workers", float, ok=lambda c: 0 <= c <= 1,
+               rule="be in [0, 1]")
+    raw_regimes = _read(data, "regimes", "config", list, ok=bool, rule="not be empty")
     regimes = []
-    for i, entry in enumerate(raw_regimes):
-        rwhere = f"{where}.regimes[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{rwhere}: expected a mapping, got {entry!r}")
-        _check_keys(entry, REGIME_KEYS, rwhere)
-        mu = _require(entry, "mu", float, rwhere)
-        if not -1.0 <= mu <= 1.0:
-            raise ConfigError(f"{rwhere}.mu: must be a finite number in [-1, 1], got {mu}")
-        sigma = _require(entry, "sigma", float, rwhere)
-        # a NaN or infinite sigma would make every difficulty draw a
-        # rejection, and the sampler would never return
-        if not 0.0 <= sigma < math.inf:
-            raise ConfigError(f"{rwhere}.sigma: must be a finite number >= 0, got {sigma}")
-        regimes.append(Regime(mu=mu, sigma=sigma,
-                              n_requests=_int_at_least(entry, "n_requests", rwhere, 1)))
-
-    confidence, resamples = _bootstrap(data, where)
+    for i in range(len(raw_regimes)):
+        where = f"config.regimes[{i}]"
+        entry = _check_keys(_read(raw_regimes, i, "config.regimes", dict), REGIME_KEYS, where)
+        regimes.append(Regime(
+            mu=_read(entry, "mu", where, float, ok=lambda mu: -1 <= mu <= 1,
+                     rule="be a finite number in [-1, 1]"),
+            # a NaN or infinite sigma would make every difficulty draw a
+            # rejection, and the sampler would never return
+            sigma=_read(entry, "sigma", where, float, ok=lambda sigma: 0 <= sigma < math.inf,
+                        rule="be a finite number >= 0"),
+            n_requests=_read(entry, "n_requests", where, int, ok=lambda n: n >= 1,
+                             rule="be >= 1")))
     return SimulateConfig(
         capability_lo=lo,
-        capability_hi=hi,
-        pool_size=pool_size,
+        capability_hi=_read(workers, "hi", "config.workers", float, ok=lambda c: lo <= c <= 1,
+                            rule=f"be in [{lo}, 1]"),
+        pool_size=_read(workers, "pool_size", "config.workers", int, ok=lambda n: n >= 1,
+                        rule="be >= 1"),
         regimes=tuple(regimes),
-        strategies=_strategies(data, where),
-        deltas=_deltas(data, where),
-        iterations=_int_at_least(data, "iterations", where, 1),
-        seed=_seed(data, where, seed_override),
-        bootstrap_confidence=confidence,
-        bootstrap_resamples=resamples,
-        resample_difficulties_per_iteration=_flag(data, "resample_difficulties_per_iteration", where),
-        resample_pool_per_iteration=_flag(data, "resample_pool_per_iteration", where),
-        distinct_voters=_flag(data, "distinct_voters", where),
-        trace_iterations=_int_at_least(data, "trace_iterations", where, 0, default=0),
+        **_shared(data, seed_override),
+        resample_difficulties_per_iteration=_read(data, "resample_difficulties_per_iteration",
+                                                  "config", bool, False),
+        resample_pool_per_iteration=_read(data, "resample_pool_per_iteration", "config", bool,
+                                          False),
+        distinct_voters=_read(data, "distinct_voters", "config", bool, False),
+        trace_iterations=_read(data, "trace_iterations", "config", int, 0, ok=lambda n: n >= 0,
+                               rule="be >= 0"),
     )
 
 
 def load_replay_config(path, seed_override=None) -> ReplayConfig:
-    data = _load_yaml(path)
-    where = "config"
-    _check_keys(data, REPLAY_KEYS, where)
-    confidence, resamples = _bootstrap(data, where)
-    return ReplayConfig(
-        strategies=_strategies(data, where, allow_fixed=False),
-        deltas=_deltas(data, where),
-        iterations=_int_at_least(data, "iterations", where, 1, default=100),
-        seed=_seed(data, where, seed_override),
-        bootstrap_confidence=confidence,
-        bootstrap_resamples=resamples,
-    )
+    data = _check_keys(_load_yaml(path), REPLAY_KEYS, "config")
+    shared = _shared(data, seed_override, iterations=100)
+    for i, strategy in enumerate(shared["strategies"]):
+        if strategy.kind is StrategyKind.FIXED_WORKER:
+            raise ConfigError(f"config.strategies[{i}]: fixed-worker cannot be replayed")
+    return ReplayConfig(**shared)
 
 
 def load_mapping(path) -> dict:
-    data = _load_yaml(path)
-    _check_keys(data, MAPPING_KEYS, "mapping")
+    data = _check_keys(_load_yaml(path), MAPPING_KEYS, "mapping")
     label_map = data.get("label_map")
     if label_map is None:
         return data
@@ -244,6 +202,9 @@ def _load_yaml(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: expected UTF-8 text, got byte "
+                          f"{exc.object[exc.start]:#04x}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(data, dict):
