@@ -32,7 +32,7 @@ from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
 SUMMARY_HEADER = ["strategy", "mu", "delta", "mean_effort", "ci_low", "ci_high",
                   "decision_ratio", "iterations"]
 TRACE_HEADER = ["iteration", "n", "mean", "lower", "upper"]
-TRACE_FILES = "trace_[0-9][0-9][0-9].csv"
+TRACE_FILE = "trace_{:03d}.csv"  # cell i's trace under simulate
 RATIO_HEADER = ["dataset", "strategy", "delta", "decision_ratio"]
 
 
@@ -145,14 +145,17 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     cells = simulate_grid(config)
     # every trace file in the directory counts as an output, this grid's or
-    # an earlier one's, and --force removes them all before the grid runs
-    old_traces = sorted(out.glob(TRACE_FILES))
+    # an earlier one's, and --force removes them all before the grid runs; a
+    # file is a trace file when TRACE_FILE names it for some cell index
+    old_traces = sorted(p for p in out.glob("trace_*.csv")
+                        if (index := p.stem.removeprefix("trace_")).isdecimal()
+                        and p.name == TRACE_FILE.format(int(index)))
     _prepare_out(out, ["summary.csv", "manifest.yaml", *(p.name for p in old_traces)],
                  args.force)
     for path in old_traces:
         path.unlink()
 
-    jobs = [(config, cell, out / f"trace_{i:03d}.csv" if config.trace_iterations else None)
+    jobs = [(config, cell, out / TRACE_FILE.format(i) if config.trace_iterations else None)
             for i, cell in enumerate(cells)]
     outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
     rows, failed_cells = _tabulate([(cell.strategy, cell.mu, cell.delta) for cell in cells],

@@ -176,6 +176,8 @@ def load_replay_config(path, seed_override=None) -> ReplayConfig:
 
 def load_mapping(path) -> dict:
     data = _check_keys(_load_yaml(path), MAPPING_KEYS, "mapping")
+    for key in ("request_id", "worker_id", "label"):  # absent: parse_annotations' default
+        _read(data, key, "mapping", str, None)
     label_map = data.get("label_map")
     if label_map is None:
         return data

@@ -25,13 +25,13 @@ import numpy as np
 
 from .decision import hoeffding_band
 from .rng import DOMAIN_ITERATION, iteration_streams, substream
-# bootstrap_ci and majority_vote are unused here but stay importable:
-# perfbench/worker.py wraps replay.bootstrap_ci and replay.majority_vote in
-# its traced launches
-from .simulator import (  # noqa: F401
-    ExperimentSummary, IterationResult, bootstrap_ci, draw_finals, run_blocks, summarize,
-    vote_law)
-from .strategies import Strategy, StrategyKind, majority_vote  # noqa: F401
+from .simulator import (
+    ExperimentSummary, IterationResult, draw_finals, run_blocks, summarize, vote_law)
+from .strategies import Strategy, StrategyKind
+# unused here but kept importable: perfbench/worker.py wraps replay.bootstrap_ci
+# and replay.majority_vote in its traced launches
+from .simulator import bootstrap_ci  # noqa: F401
+from .strategies import majority_vote  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -191,8 +191,6 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
                       iterations: int, seed: int) -> ExperimentSummary:
     """Aggregate replay iterations the same way the simulator aggregates;
     ``simulator.bootstrap_grid`` gives the grid's intervals."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
     streams = iteration_streams(seed, DOMAIN_ITERATION, iterations)

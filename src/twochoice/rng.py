@@ -67,8 +67,11 @@ def iteration_streams(seed: int, domain: int, count: int):
     bit, as one Generator whose state is reset before each yield.
 
     Each stream is valid only until the next one is taken: the caller must
-    be done drawing from it by then. The seed is checked here, at the call.
+    be done drawing from it by then. The seed and the count, a cell's
+    iterations, are checked here, at the call.
     """
+    if count < 1:
+        raise ValueError(f"iterations must be >= 1, got {count}")
     return _streams(check_seed(seed), domain, 0, count)
 
 

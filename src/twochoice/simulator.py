@@ -39,7 +39,6 @@ from .rng import (
     DOMAIN_ITERATION,
     DOMAIN_POOL,
     DOMAIN_REQUESTS,
-    check_seed,
     distinct_columns,
     iteration_streams,
     substream,
@@ -78,24 +77,6 @@ class ExperimentConfig:
     resample_difficulties_per_iteration: bool = False
     resample_pool_per_iteration: bool = False
     distinct_voters: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.capability_lo <= self.capability_hi <= 1.0:
-            raise ValueError("capability bounds must satisfy 0 <= lo <= hi <= 1, "
-                             f"got ({self.capability_lo}, {self.capability_hi})")
-        if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
-        if not -1.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be a finite number in [-1, 1], got {self.mu}")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.n_requests < 1:
-            raise ValueError(f"n_requests must be >= 1, got {self.n_requests}")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,8 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(traced), "--out", str(out)]) == 0
         assert len(list(out.glob("trace_*.csv"))) == 4
+        # cell 1000's trace, from a larger grid, goes too
+        (out / "trace_1000.csv").write_text("iteration,n,mean,lower,upper\n", encoding="utf-8")
         # files that only look like trace outputs stay
         for name in ("trace_0001.csv", "trace_abc.csv", "trace_001.csv.bak", "notes.csv"):
             (out / name).write_text("kept\n", encoding="utf-8")
@@ -162,13 +164,15 @@ class TestSimulateCommand:
             "manifest.yaml", "notes.csv", "summary.csv", "trace_0001.csv",
             "trace_001.csv.bak", "trace_abc.csv"]
 
+    @pytest.mark.parametrize("name", ["trace_007.csv", "trace_1000.csv"])
     def test_earlier_trace_files_refuse_a_run_without_force(self, smoke_config, tmp_path,
-                                                            capsys):
+                                                            capsys, name):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "trace_007.csv").write_text("iteration,n,mean,lower,upper\n", encoding="utf-8")
+        (out / name).write_text("iteration,n,mean,lower,upper\n", encoding="utf-8")
         assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 2
-        assert "trace_007.csv" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: refusing to overwrite ['{name}'] in {out} (use --force)\n"
         assert not (out / "summary.csv").exists()
 
     def test_even_worker_count_is_a_config_error(self, tmp_path, capsys):

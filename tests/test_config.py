@@ -175,6 +175,27 @@ def test_unknown_mapping_keys_of_mixed_types_are_a_config_error(tmp_path, capsys
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("request_id: 3\n", "mapping.request_id: expected str, got 3"),
+    ("request_id: [a]\n", "mapping.request_id: expected str, got ['a']"),
+])
+def test_mapping_column_that_is_not_text_is_a_config_error(tmp_path, capsys, text, message):
+    mapping = tmp_path / "mapping.yaml"
+    mapping.write_text(text, encoding="utf-8")
+    assert main(["replay", "--config", str(write(tmp_path, REPLAY)), "--dataset",
+                 str(tmp_path / "votes.csv"), "--mapping", str(mapping),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_mapping_loads_as_written(tmp_path):
+    # absent columns are left to parse_annotations' defaults, and a null
+    # label_map means no map, so the manifest echoes the file's own keys
+    mapping = tmp_path / "mapping.yaml"
+    mapping.write_text("worker_id: annotator\nlabel_map: ~\n", encoding="utf-8")
+    assert load_mapping(mapping) == {"worker_id": "annotator", "label_map": None}
+
+
 @pytest.mark.parametrize("flag", ["--config", "--mapping"])
 def test_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, flag):
     bad = tmp_path / "latin1.yaml"

@@ -284,6 +284,11 @@ class TestReplayExperiment:
         assert all(r.verdict in (Verdict.A_PRIME_IS_BETTER, Verdict.UNDECIDED)
                    for r in summary.per_iteration)
 
+    def test_needs_an_iteration(self):
+        votes = make_set([[1, 0, 1] for _ in range(5)])
+        with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
+            replay_experiment(votes, Strategy.from_name("one-worker"), 0.01, 0, seed=0)
+
 
 class TestFleissKappa:
     def test_perfect_agreement(self):

@@ -611,32 +611,69 @@ class TestBootstrapGrid:
 
 
 class TestConfigValidation:
-    def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            make_config(delta=0.0)
+    """ExperimentConfig is a plain record: each value is checked by the
+    function that uses it, so run_experiment rejects a bad one before its
+    first iteration runs."""
 
-    def test_bad_iterations(self):
-        with pytest.raises(ValueError):
-            make_config(iterations=0)
+    @pytest.fixture
+    def iterations_run(self, monkeypatch):
+        """The index of each iteration run_experiment has started."""
+        started, run = [], simulator.run_iteration
 
-    def test_bad_seed(self):
-        with pytest.raises(ValueError):
-            make_config(seed=-1)
+        def counted(config, requests, pool, index, **kwargs):
+            started.append(index)
+            return run(config, requests, pool, index, **kwargs)
 
-    def test_bad_capability_bounds(self):
+        monkeypatch.setattr(simulator, "run_iteration", counted)
+        return started
+
+    def test_bad_delta(self, iterations_run):
+        with pytest.raises(ValueError):
+            run_experiment(make_config(delta=0.0))
+        assert iterations_run == []
+
+    def test_bad_iterations(self, iterations_run):
+        with pytest.raises(ValueError):
+            run_experiment(make_config(iterations=0))
+        assert iterations_run == []
+
+    def test_bad_seed(self, iterations_run):
+        with pytest.raises(ValueError):
+            run_experiment(make_config(seed=-1))
+        assert iterations_run == []
+
+    def test_bad_capability_bounds(self, iterations_run):
         for lo, hi in ((-0.1, 0.5), (0.5, 1.1), (0.9, 0.8)):
             with pytest.raises(ValueError, match="capability bounds"):
-                make_config(capability_lo=lo, capability_hi=hi)
-        make_config(capability_lo=0.0, capability_hi=0.0)
-        make_config(capability_lo=1.0, capability_hi=1.0)
+                run_experiment(make_config(capability_lo=lo, capability_hi=hi))
+        assert iterations_run == []
+        run_experiment(make_config(capability_lo=0.0, capability_hi=0.0))
+        run_experiment(make_config(capability_lo=1.0, capability_hi=1.0))
 
-    def test_bad_pool_size(self):
+    def test_bad_pool_size(self, iterations_run):
         with pytest.raises(ValueError, match="pool_size"):
-            make_config(pool_size=0)
+            run_experiment(make_config(pool_size=0))
+        assert iterations_run == []
 
     @pytest.mark.parametrize("field, value", [
         ("sigma", math.nan), ("sigma", math.inf), ("sigma", -0.1), ("mu", math.nan),
         ("mu", -math.inf), ("mu", 1.5)])
-    def test_bad_difficulty_parameters(self, field, value):
+    def test_bad_difficulty_parameters(self, iterations_run, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite"):
-            make_config(**{field: value})
+            run_experiment(make_config(**{field: value}))
+        assert iterations_run == []
+
+    def test_bad_request_count(self, iterations_run):
+        # sample_difficulties checks it, and names its own parameter
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            run_experiment(make_config(n_requests=0))
+        assert iterations_run == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta", 1.0, r"delta must lie in \(0, 1\), got 1.0"),
+        ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ])
+    def test_standalone_iteration_checks_what_it_uses(self, field, value, message):
+        requests, pool = base_inputs(make_config())
+        with pytest.raises(ValueError, match=message):
+            run_iteration(make_config(**{field: value}), requests, pool, 0)
