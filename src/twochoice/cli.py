@@ -27,7 +27,7 @@ from .config import (
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
 from .simulator import ExperimentConfig, bootstrap_grid, run_experiment, run_iteration
 from .eval_model import sample_capabilities, sample_difficulties
-from .rng import DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
+from .rng import DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
 
 SUMMARY_HEADER = ["strategy", "mu", "delta", "mean_effort", "ci_low", "ci_high",
                   "decision_ratio", "iterations"]
@@ -104,12 +104,15 @@ class _CellTraceRows:
 
 
 def _prepare_out(out: Path, names: list, force: bool) -> None:
+    """Make ``out``; without ``force``, refuse if any of ``names`` exists
+    there, naming the first five of them in the order given."""
     out.mkdir(parents=True, exist_ok=True)
     if not force:
         existing = [name for name in names if (out / name).exists()]
         if existing:
-            raise ConfigError(
-                f"refusing to overwrite {existing} in {out} (use --force)")
+            shown = ", ".join(existing[:5]) + (", ..." if len(existing) > 5 else "")
+            raise ConfigError(f"refusing to overwrite {len(existing)} existing output(s) "
+                              f"in {out}: {shown} (use --force)")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -146,10 +149,12 @@ def cmd_simulate(args) -> int:
     cells = simulate_grid(config)
     # every trace file in the directory counts as an output, this grid's or
     # an earlier one's, and --force removes them all before the grid runs; a
-    # file is a trace file when TRACE_FILE names it for some cell index
-    old_traces = sorted(p for p in out.glob("trace_*.csv")
-                        if (index := p.stem.removeprefix("trace_")).isdecimal()
-                        and p.name == TRACE_FILE.format(int(index)))
+    # file is a trace file when TRACE_FILE names it for some cell index, and
+    # the trace files are listed in cell-index order
+    old_traces = sorted((p for p in out.glob("trace_*.csv")
+                         if (index := p.stem.removeprefix("trace_")).isdecimal()
+                         and p.name == TRACE_FILE.format(int(index))),
+                        key=lambda p: int(p.stem.removeprefix("trace_")))
     _prepare_out(out, ["summary.csv", "manifest.yaml", *(p.name for p in old_traces)],
                  args.force)
     for path in old_traces:
@@ -272,7 +277,9 @@ def cmd_trace(args) -> int:
                                    substream(exp.seed, DOMAIN_REQUESTS, 0))
     pool = sample_capabilities(exp.capability_lo, exp.capability_hi, exp.pool_size,
                                substream(exp.seed, DOMAIN_POOL, 0))
-    result = run_iteration(exp, requests, pool, args.iteration, record_trace=True)
+    result = run_iteration(exp, requests, pool,
+                           substream(exp.seed, DOMAIN_ITERATION, args.iteration),
+                           record_trace=True)
     _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(args.iteration, result.trace))
     _write_manifest(out, {
         "mode": "trace",

@@ -126,19 +126,3 @@ def first_crossing(finals, band: np.ndarray, n: int = 0,
     verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
     return verdict, n + stop + 1, means[:stop + 1], tolerances[:stop + 1]
 
-
-def min_n_for_decision(delta: float) -> int:
-    """Smallest n at which any label stream could decide, i.e. where t < 0.5.
-
-    Closed form: the least n with n > -2 ln(delta). Computed via floor plus
-    a local scan so exact integer boundaries (delta = e^{-k/2}) are not
-    tripped up by floating-point rounding.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    n = max(1, math.floor(-2.0 * math.log(delta)) + 1)
-    while not hoeffding_tolerance(delta, n) < 0.5:
-        n += 1
-    while n > 1 and hoeffding_tolerance(delta, n - 1) < 0.5:
-        n -= 1
-    return n

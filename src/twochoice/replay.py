@@ -24,12 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .decision import hoeffding_band
-from .rng import DOMAIN_ITERATION, iteration_streams, substream
-from .simulator import (
-    ExperimentSummary, IterationResult, draw_finals, run_blocks, summarize, vote_law)
+from .rng import DOMAIN_ITERATION, iteration_streams
+from .simulator import ExperimentSummary, IterationResult, draw_finals, run_blocks, vote_law
 from .strategies import Strategy, StrategyKind
-# unused here but kept importable: perfbench/worker.py wraps replay.bootstrap_ci
-# and replay.majority_vote in its traced launches
+# unused here but kept importable: perfbench/worker.py wraps replay.substream,
+# replay.bootstrap_ci and replay.majority_vote in its traced launches
+from .rng import substream  # noqa: F401
 from .simulator import bootstrap_ci  # noqa: F401
 from .strategies import majority_vote  # noqa: F401
 
@@ -58,28 +58,6 @@ class AnnotationSet:
     def __len__(self) -> int:
         return len(self.request_ids)
 
-    @classmethod
-    def from_votes(cls, votes: dict, experiment_label: str = "") -> "AnnotationSet":
-        """Build from {request_id: {worker_id: label}}, requests in dict order.
-
-        One vote per (request, worker) holds by construction; a request
-        without votes and a label outside {0, 1} are rejected.
-        """
-        if not votes:
-            raise DataFormatError("no annotation rows")
-        counts = np.array([len(by_worker) for by_worker in votes.values()], dtype=np.int64)
-        if not counts.all():
-            empty = list(votes)[int(np.argmin(counts))]
-            raise DataFormatError(f"request {empty!r} has no votes")
-        flat = np.array([label for by_worker in votes.values() for label in by_worker.values()])
-        bad = (flat != 0) & (flat != 1)
-        if bad.any():
-            raise DataFormatError(f"label must be 0 or 1, got {flat[bad][0].item()!r}")
-        ones = np.array([sum(by_worker.values()) for by_worker in votes.values()], dtype=np.int64)
-        workers = frozenset(w for by_worker in votes.values() for w in by_worker)
-        return cls(request_ids=tuple(votes), ones=ones, counts=counts,
-                   worker_ids=workers, experiment_label=experiment_label)
-
 
 def parse_annotations(source, mapping: Optional[dict] = None,
                       experiment_label: str = "") -> AnnotationSet:
@@ -90,7 +68,8 @@ def parse_annotations(source, mapping: Optional[dict] = None,
     request_id,worker_id,label with binary labels; extra columns are ignored
     and blank lines skipped. ``mapping`` adapts foreign schemas: keys
     request_id/worker_id/label name the actual columns, and an optional
-    label_map dict translates raw label values to 0/1.
+    label_map dict translates raw label values to 0/1. Requests keep the
+    order of their first rows.
     """
     mapping = mapping or {}
     columns = {key: mapping.get(key, key) for key in REQUIRED_COLUMNS}
@@ -138,7 +117,15 @@ def parse_annotations(source, mapping: Optional[dict] = None,
         where = getattr(source, "name", "annotation data")
         raise DataFormatError(f"{where}: expected UTF-8 text, got byte "
                               f"{exc.object[exc.start]:#04x}") from None
-    return AnnotationSet.from_votes(votes, experiment_label)
+    if not votes:
+        raise DataFormatError("no annotation rows")
+    by_request = votes.values()
+    return AnnotationSet(
+        request_ids=tuple(votes),
+        ones=np.array([sum(by_worker.values()) for by_worker in by_request], dtype=np.int64),
+        counts=np.array([len(by_worker) for by_worker in by_request], dtype=np.int64),
+        worker_ids=frozenset(worker for by_worker in by_request for worker in by_worker),
+        experiment_label=experiment_label)
 
 
 def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
@@ -164,26 +151,23 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
 
 
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                     iteration_index: int, seed: int,
-                     band: Optional[np.ndarray] = None,
+                     rng: np.random.Generator,
                      law: Optional[np.ndarray] = None,
-                     rng: Optional[np.random.Generator] = None) -> IterationResult:
+                     band: Optional[np.ndarray] = None) -> IterationResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop.
 
     The block driver reveals the shuffled rows block by block and draws
     each block's final labels and effort from ``law``, the cell's
-    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests.
-    ``rng`` is the iteration's generator, ``substream(seed,
-    DOMAIN_ITERATION, iteration_index)``; ``replay_experiment`` passes the
-    same stream from the cell's ``iteration_streams``, on a Generator it
-    reuses for the next iteration. Each is computed here when not given.
+    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests. Each
+    is computed here when not given. ``rng`` is the iteration's generator:
+    iteration i of a cell draws from ``substream(seed, DOMAIN_ITERATION,
+    i)``, which ``replay_experiment`` takes from the cell's
+    ``iteration_streams``.
     """
     if law is None:
         law = replay_law(annotations, strategy)
     if band is None:
         band = hoeffding_band(delta, len(annotations))
-    if rng is None:
-        rng = substream(seed, DOMAIN_ITERATION, iteration_index)
     return run_blocks(lambda rows: draw_finals(strategy, law.take(rows, axis=1), rng), band, rng)
 
 
@@ -194,10 +178,9 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
     streams = iteration_streams(seed, DOMAIN_ITERATION, iterations)
-    results = [replay_iteration(annotations, strategy, delta, i, seed, band=band, law=law,
-                                rng=rng)
-               for i, rng in enumerate(streams)]
-    return summarize(results)
+    return ExperimentSummary([replay_iteration(annotations, strategy, delta, rng,
+                                               law=law, band=band)
+                              for rng in streams])
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

@@ -20,14 +20,14 @@ once); then per block the block's rows, the block's distinct voters
 (``distinct_voters`` only), then its uniforms. The block schedule is fixed,
 so results depend only on (seed, iteration index) and never on scheduling.
 Replay draws from the law of its recorded votes through the same block
-driver, ``run_blocks``, and aggregates its iterations with the same
-``summarize``.
+driver, ``run_blocks``, and holds its iterations in the same
+``ExperimentSummary``.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,26 +81,39 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class IterationResult:
-    decided: bool
     verdict: Verdict
     n_at_decision: int
     effort: int
     trace: Optional[list] = None
 
+    @property
+    def decided(self) -> bool:
+        return self.verdict is not Verdict.UNDECIDED
+
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """mean_effort is over decided iterations only; NaN when none decided."""
+    """The iterations of one grid cell, simulated or replayed, in iteration
+    order; the cell's figures are read off them."""
 
-    mean_effort: float
-    decision_ratio: float
-    per_iteration: list = field(repr=False, default_factory=list)
+    per_iteration: list
 
     @property
     def decided_efforts(self) -> list:
         """The effort of each decided iteration, in iteration order: the
         sample that ``bootstrap_grid`` resamples for the cell's interval."""
         return [r.effort for r in self.per_iteration if r.decided]
+
+    @property
+    def mean_effort(self) -> float:
+        """The mean effort of the decided iterations; NaN when none decided."""
+        efforts = self.decided_efforts
+        return float(np.mean(efforts)) if efforts else math.nan
+
+    @property
+    def decision_ratio(self) -> float:
+        """The share of iterations that decided."""
+        return len(self.decided_efforts) / len(self.per_iteration)
 
 
 def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
@@ -233,8 +246,8 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
             trace.extend(zip(range(n + 1, n_at + 1), means.tolist(),
                              (means - tolerances).tolist(), (means + tolerances).tolist()))
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
-            return IterationResult(decided=verdict is not Verdict.UNDECIDED, verdict=verdict,
-                                   n_at_decision=n_at, effort=effort, trace=trace)
+            return IterationResult(verdict=verdict, n_at_decision=n_at, effort=effort,
+                                   trace=trace)
         n, count = n_at, count + int(finals.sum())
 
 
@@ -242,11 +255,10 @@ def run_iteration(
     config: ExperimentConfig,
     requests: RequestSet,
     pool: WorkerPool,
-    iteration_index: int,
+    rng: np.random.Generator,
     record_trace: bool = False,
     law: Optional[np.ndarray] = None,
     band: Optional[np.ndarray] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
@@ -259,13 +271,10 @@ def run_iteration(
     the revealed rows only: at the capability of the iteration's one
     worker, drawn before the first block, or of the voters each block
     picks. ``band`` is ``hoeffding_band`` over the supply. ``rng`` is the
-    iteration's generator, ``substream(config.seed, DOMAIN_ITERATION,
-    iteration_index)`` when not given; ``run_experiment`` passes the same
-    stream from the cell's ``iteration_streams``, on a Generator it reuses
-    for the next iteration.
+    iteration's generator: iteration i of a cell draws from
+    ``substream(config.seed, DOMAIN_ITERATION, i)``, which
+    ``run_experiment`` takes from the cell's ``iteration_streams``.
     """
-    if rng is None:
-        rng = substream(config.seed, DOMAIN_ITERATION, iteration_index)
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
         law = None
@@ -305,9 +314,10 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0) -> Exper
     resample flags say otherwise. Iterations run on substreams keyed by
     (seed, iteration index), seeded 256 at a time from one SeedSequence
     (``iteration_streams``), so the per-iteration results are identical
-    under any execution order and to standalone ``run_iteration`` calls.
-    The summary holds no interval: ``bootstrap_grid`` computes the
-    intervals of a whole grid from each cell's ``decided_efforts``.
+    under any execution order and to standalone ``run_iteration`` calls on
+    the same substreams. The summary holds no interval: ``bootstrap_grid``
+    computes the intervals of a whole grid from each cell's
+    ``decided_efforts``.
     """
     requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
                                    substream(config.seed, DOMAIN_REQUESTS, 0))
@@ -316,25 +326,11 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0) -> Exper
     law = final_law(config.strategy, requests.difficulties, pool.capabilities.mean())
     band = hoeffding_band(config.delta, requests.size)
     streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
-    results = [
-        run_iteration(config, requests, pool, i, record_trace=i < trace_iterations,
-                      law=law, band=band, rng=rng)
+    return ExperimentSummary([
+        run_iteration(config, requests, pool, rng, record_trace=i < trace_iterations,
+                      law=law, band=band)
         for i, rng in enumerate(streams)
-    ]
-    return summarize(results)
-
-
-def summarize(results: list) -> ExperimentSummary:
-    """Aggregate the iterations of one grid cell, simulated or replayed.
-
-    The mean effort covers the decided iterations only and is NaN when none
-    decided; the decision ratio is the share of iterations that decided.
-    """
-    decided_efforts = [r.effort for r in results if r.decided]
-    mean_effort = float(np.mean(decided_efforts)) if decided_efforts else math.nan
-    return ExperimentSummary(mean_effort=mean_effort,
-                             decision_ratio=len(decided_efforts) / len(results),
-                             per_iteration=results)
+    ])
 
 
 def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:
@@ -362,19 +358,17 @@ def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) 
 
 
 def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Generator):
-    """Percentile bootstrap interval for the mean of each sample; ``rng`` is
-    a Generator.
+    """Percentile bootstrap interval for the mean of each row of a (k, n)
+    stack of k samples of one size n, as a (k, 2) array of (low, high);
+    ``rng`` is a Generator.
 
-    ``samples`` is one sample, for which the interval is a (low, high)
-    tuple, or a (k, n) stack of k samples of one size n, for which it is a
-    (k, 2) array of one interval per row. Every row is resampled with the
-    same indices, drawn in blocks of at most BOOTSTRAP_BLOCK_BYTES, so row
-    j's interval is the one that row alone gets on the same stream.
+    Every row is resampled with the same indices, drawn in blocks of at
+    most BOOTSTRAP_BLOCK_BYTES, so row j's interval is the one that row
+    alone, as a (1, n) stack, gets on the same stream.
     """
-    data = np.asarray(samples, dtype=np.float64)
-    stack = np.atleast_2d(data)
+    stack = np.asarray(samples, dtype=np.float64)
     if stack.ndim != 2:
-        raise ValueError(f"bootstrap_ci needs one sample or a (k, n) stack, got shape {data.shape}")
+        raise ValueError(f"bootstrap_ci needs a (k, n) stack, got shape {stack.shape}")
     k, n = stack.shape
     if k == 0 or n == 0:
         raise ValueError("bootstrap_ci needs a nonempty sample")
@@ -405,7 +399,4 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
         # block of indices, the gather buffer and the means
         del picks
     alpha = (1.0 - confidence) / 2.0
-    bounds = np.array([np.quantile(row_means, [alpha, 1.0 - alpha]) for row_means in means])
-    if data.ndim < 2:
-        return float(bounds[0, 0]), float(bounds[0, 1])
-    return bounds
+    return np.array([np.quantile(row_means, [alpha, 1.0 - alpha]) for row_means in means])

@@ -11,8 +11,7 @@ max-three spends 2 when the first two workers agree, else 3.
 
 Simulate and replay draw each final label and its effort from the law of
 the votes (``simulator.vote_law``) rather than from a vote matrix;
-``majority_vote`` and ``Strategy.effort`` are the reference the tests
-check that law against.
+``majority_vote`` is the reference the tests check that law against.
 """
 from __future__ import annotations
 
@@ -75,16 +74,6 @@ class Strategy:
         if self.kind is StrategyKind.MAX_THREE_WORKERS:
             return 3
         return 1
-
-    def effort(self, votes) -> np.ndarray:
-        """Raw labels each request spends, given its row of votes_needed() votes."""
-        votes = np.asarray(votes)
-        if votes.ndim != 2 or votes.shape[1] != self.votes_needed():
-            raise ValueError(f"{self.name} needs an (n, {self.votes_needed()}) vote matrix, "
-                             f"got shape {votes.shape}")
-        if self.kind is StrategyKind.MAX_THREE_WORKERS:
-            return 2 + (votes[:, 0] != votes[:, 1])
-        return np.full(len(votes), votes.shape[1])
 
 
 def majority_vote(votes) -> np.ndarray:

@@ -45,20 +45,16 @@ import yaml
 
 from twochoice.cli import main, simulate_grid
 from twochoice.config import load_simulate_config
-from twochoice.decision import hoeffding_tolerance, min_n_for_decision
+from twochoice.decision import hoeffding_tolerance
 from twochoice.eval_model import sample_capabilities, sample_difficulties
-from twochoice.replay import (
-    AnnotationSet,
-    fleiss_kappa,
-    parse_annotations,
-    replay_experiment,
-)
+from twochoice.replay import fleiss_kappa, parse_annotations, replay_experiment
 from twochoice.rng import DOMAIN_POOL, DOMAIN_REQUESTS, substream
 from twochoice.simulator import (
     ExperimentConfig, draw_finals, final_law, run_experiment, run_iteration)
 from twochoice.strategies import Strategy
 
 from exact_oracle import cell_expectation
+from helpers import annotation_set, iteration_stream, min_n_for_decision
 
 SEED = 0
 DELTA = 0.001
@@ -182,7 +178,7 @@ def amt_set(key):
 
 
 def make_set(vote_lists):
-    return AnnotationSet.from_votes(
+    return annotation_set(
         {f"r{i}": {f"w{i}_{j}": int(v) for j, v in enumerate(votes)}
          for i, votes in enumerate(vote_lists)}, "synthetic")
 
@@ -286,7 +282,7 @@ class TestCriterion05EffortIdentities:
                                            substream(config.seed, DOMAIN_REQUESTS, 0))
             pool = sample_capabilities(config.capability_lo, config.capability_hi,
                                        config.pool_size, substream(config.seed, DOMAIN_POOL, 0))
-            result = run_iteration(config, requests, pool, 0)
+            result = run_iteration(config, requests, pool, iteration_stream(config, 0))
             n = result.n_at_decision
             if name in ("one-worker", "fixed-worker"):
                 ok = result.effort == n

@@ -172,8 +172,23 @@ class TestSimulateCommand:
         (out / name).write_text("iteration,n,mean,lower,upper\n", encoding="utf-8")
         assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            f"error: refusing to overwrite ['{name}'] in {out} (use --force)\n"
+            f"error: refusing to overwrite 1 existing output(s) in {out}: {name} (use --force)\n"
         assert not (out / "summary.csv").exists()
+
+    def test_refusal_names_the_first_five_outputs_in_cell_order(self, smoke_config, tmp_path,
+                                                                 capsys):
+        # a 1001-cell traced grid's outputs: one line, with trace_1000.csv
+        # counted last rather than listed between trace_100.csv and trace_101.csv
+        out = tmp_path / "out"
+        out.mkdir()
+        for i in range(1001):
+            (out / f"trace_{i:03d}.csv").write_text("iteration,n,mean,lower,upper\n",
+                                                    encoding="utf-8")
+        assert main(["simulate", "--config", str(smoke_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: refusing to overwrite 1001 existing output(s) in {out}: trace_000.csv, "
+            f"trace_001.csv, trace_002.csv, trace_003.csv, trace_004.csv, ... (use --force)\n")
+        assert len(list(out.iterdir())) == 1001
 
     def test_even_worker_count_is_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "bad.yaml"
@@ -315,8 +330,8 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(open(out / "summary.csv", encoding="utf-8")))
             cells = simulate_grid(load_simulate_config(config))
             for row, cell in zip(rows, cells[:2]):
-                low, high = bootstrap_ci(run_experiment(cell).decided_efforts, 0.99, 2000,
-                                         substream(7, DOMAIN_BOOTSTRAP, 0))
+                [(low, high)] = bootstrap_ci([run_experiment(cell).decided_efforts], 0.99, 2000,
+                                             substream(7, DOMAIN_BOOTSTRAP, 0)).tolist()
                 assert (row["ci_low"], row["ci_high"]) == (fmt(low), fmt(high))
 
     def test_summary_round_trips(self, smoke_config, tmp_path):
@@ -328,9 +343,9 @@ class TestSimulateCommand:
             summary = run_experiment(cell)
             # each cell's interval is a lone bootstrap of its decided efforts
             # on a fresh bootstrap stream, whatever other cells the grid holds
-            low, high = bootstrap_ci(summary.decided_efforts, config.bootstrap_confidence,
-                                     config.bootstrap_resamples,
-                                     substream(config.seed, DOMAIN_BOOTSTRAP, 0))
+            [(low, high)] = bootstrap_ci([summary.decided_efforts], config.bootstrap_confidence,
+                                         config.bootstrap_resamples,
+                                         substream(config.seed, DOMAIN_BOOTSTRAP, 0)).tolist()
             assert row["strategy"] == cell.strategy.name
             assert row["mu"] == fmt(cell.mu)
             assert row["delta"] == fmt(cell.delta)

@@ -9,9 +9,10 @@ from twochoice.decision import (
     first_crossing,
     hoeffding_band,
     hoeffding_tolerance,
-    min_n_for_decision,
     update,
 )
+
+from helpers import min_n_for_decision
 
 
 class TestHoeffdingTolerance:

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from twochoice.decision import min_n_for_decision
-
 from exact_oracle import cell_expectation, majority_tail, stopping_law
+from helpers import min_n_for_decision
 
 
 def brute_force(q, delta, n_requests):

@@ -1,11 +1,15 @@
-"""Every import binds only names its module uses.
+"""Every import binds only names its module uses, and every module-level
+function or class of the package is read by the package.
 
 A name imported but never read is a second import path that nothing takes,
 or a leftover of deleted code. The check reads each module's syntax tree.
 An import whose first line carries ``# noqa: F401`` is kept on purpose, and
 may bind only names that perfbench/worker.py's ``install_tracer`` patches in
-that module (replay imports two such names); once the benchmark stops
-patching a name, its exempt import fails here and can be deleted.
+that module (replay imports three such names); once the benchmark stops
+patching a name, its exempt import fails here and can be deleted. A
+definition that no package module reads is dead code, or code that only the
+tests use, which belongs with them; ``main`` and the names that
+``install_tracer`` patches are exempt.
 """
 import ast
 import functools
@@ -77,3 +81,28 @@ def test_every_import_is_used(path):
     module = f"twochoice.{path.stem}" if path.parent == PACKAGE else None
     kept = traced_names().get(module, set())
     assert unused_imports(path.read_text(encoding="utf-8"), kept) == []
+
+
+def unread_definitions(sources: dict, exempt=frozenset()) -> list:
+    """(module, name) for each module-level function or class of the
+    {module: source} given that no source reads and ``exempt`` does not hold."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read and node.name not in exempt]
+
+
+def test_the_check_flags_an_unread_definition():
+    sources = {"a": "def used():\n    pass\n\n\nclass Dead:\n    pass\n",
+               "b": "def main():\n    return used()\n\n\ndef patched():\n    pass\n"}
+    assert unread_definitions(sources, exempt={"main"}) == [("a", "Dead"), ("b", "patched")]
+    assert unread_definitions(sources, exempt={"main", "patched"}) == [("a", "Dead")]
+
+
+def test_every_definition_is_read_by_the_package():
+    exempt = {"main"}.union(*traced_names().values())
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_definitions(sources, exempt) == []

@@ -8,14 +8,16 @@ import pytest
 
 from twochoice.decision import Verdict
 from twochoice.replay import (
-    AnnotationSet,
     DataFormatError,
     fleiss_kappa,
     parse_annotations,
     replay_experiment,
     replay_iteration,
 )
+from twochoice.rng import DOMAIN_ITERATION, substream
 from twochoice.strategies import Strategy
+
+from helpers import annotation_set
 
 
 def csv_stream(text):
@@ -23,15 +25,16 @@ def csv_stream(text):
 
 
 def make_set(vote_lists, label="synthetic"):
-    return AnnotationSet.from_votes(
+    return annotation_set(
         {f"r{i}": {f"w{i}_{j}": int(v) for j, v in enumerate(votes)}
          for i, votes in enumerate(vote_lists)}, label)
 
 
-class TestFromVotes:
+class TestParseAnnotations:
     def test_tallies_per_request(self):
-        annotations = AnnotationSet.from_votes(
-            {"r2": {"w3": 1, "w1": 0, "w2": 1}, "r1": {"w9": 1}}, "set")
+        annotations = parse_annotations(csv_stream(
+            "request_id,worker_id,label\nr2,w3,1\nr1,w9,1\nr2,w1,0\nr2,w2,1"),
+            experiment_label="set")
         assert annotations.ones.tolist() == [2, 1]
         assert annotations.counts.tolist() == [3, 1]
         assert annotations.request_ids == ("r2", "r1")
@@ -39,16 +42,6 @@ class TestFromVotes:
         assert annotations.experiment_label == "set"
         assert len(annotations) == 2
 
-    def test_request_without_votes_is_rejected(self):
-        with pytest.raises(DataFormatError, match="'r2' has no votes"):
-            AnnotationSet.from_votes({"r1": {"w1": 1}, "r2": {}})
-
-    def test_label_outside_binary_is_rejected(self):
-        with pytest.raises(DataFormatError, match="got 2"):
-            AnnotationSet.from_votes({"r1": {"w1": 1, "w2": 2}})
-
-
-class TestParseAnnotations:
     def test_minimal_file(self):
         parsed = parse_annotations(csv_stream(
             "request_id,worker_id,label\nr1,w1,1\nr1,w2,1\nr1,w3,0"))
@@ -176,38 +169,44 @@ class TestOrderInvariance:
 class TestReplayIteration:
     def test_unanimous_set_decides_at_the_floor(self):
         votes = make_set([[1] * 10 for _ in range(20)])
-        result = replay_iteration(votes, Strategy.from_name("one-worker"), 0.001, 0, seed=4)
+        one_worker = Strategy.from_name("one-worker")
+        result = replay_iteration(votes, one_worker, 0.001, substream(4, DOMAIN_ITERATION, 0))
         assert result.decided
         assert result.verdict is Verdict.A_IS_BETTER
         assert result.n_at_decision == 14
         assert result.effort == 14
-        stricter = replay_iteration(votes, Strategy.from_name("one-worker"), 0.0001, 0, seed=4)
+        stricter = replay_iteration(votes, one_worker, 0.0001, substream(4, DOMAIN_ITERATION, 0))
         assert stricter.n_at_decision == 19
 
     def test_no_signal_never_decides(self):
         votes = make_set([[1] * 5 + [0] * 5 for _ in range(30)])
         for name in ("one-worker", "max-three", "n-workers:5"):
-            result = replay_iteration(votes, Strategy.from_name(name), 0.001, 0, seed=9)
+            result = replay_iteration(votes, Strategy.from_name(name), 0.001,
+                                      substream(9, DOMAIN_ITERATION, 0))
             assert not result.decided
             assert result.n_at_decision == 30
 
     def test_fixed_worker_rejected(self):
         votes = make_set([[1] * 4 for _ in range(20)])
         with pytest.raises(ValueError, match="fixed-worker"):
-            replay_iteration(votes, Strategy.from_name("fixed-worker"), 0.001, 0, seed=0)
+            replay_iteration(votes, Strategy.from_name("fixed-worker"), 0.001,
+                             substream(0, DOMAIN_ITERATION, 0))
 
     def test_vote_demand_must_fit(self):
         votes = make_set([[1] * 10 for _ in range(20)])
         with pytest.raises(ValueError, match="needs 11"):
-            replay_iteration(votes, Strategy.from_name("n-workers:11"), 0.001, 0, seed=0)
+            replay_iteration(votes, Strategy.from_name("n-workers:11"), 0.001,
+                             substream(0, DOMAIN_ITERATION, 0))
         with pytest.raises(ValueError, match="needs 3"):
             replay_iteration(make_set([[1, 0] for _ in range(20)]),
-                             Strategy.from_name("max-three"), 0.001, 0, seed=0)
+                             Strategy.from_name("max-three"), 0.001,
+                             substream(0, DOMAIN_ITERATION, 0))
 
     def test_majority_on_exactly_k_votes_uses_every_vote(self):
         # 3-of-5 majority is 1 for every request, whatever the subsample order
         votes = make_set([[1, 1, 0, 0, 1] for _ in range(25)])
-        result = replay_iteration(votes, Strategy.from_name("n-workers:5"), 0.01, 0, seed=77)
+        result = replay_iteration(votes, Strategy.from_name("n-workers:5"), 0.01,
+                                  substream(77, DOMAIN_ITERATION, 0))
         assert result.decided
         assert result.verdict is Verdict.A_IS_BETTER
         assert result.n_at_decision == 10  # unanimous finals decide at the floor
@@ -221,7 +220,8 @@ class TestReplayIteration:
         for name in ("one-worker", "max-three", "n-workers:3"):
             strategy = Strategy.from_name(name)
             for i in range(20):
-                result = replay_iteration(votes, strategy, 0.001, i, seed=12)
+                result = replay_iteration(votes, strategy, 0.001,
+                                          substream(12, DOMAIN_ITERATION, i))
                 assert result.verdict is Verdict.A_IS_BETTER
                 assert result.n_at_decision == 14
                 assert result.effort == 14 * (1 if name == "one-worker" else
@@ -236,8 +236,8 @@ class TestReplayIteration:
             "\n".join(f"r{i},w{j},{(i + j) % 2}" for i in range(20) for j in reversed(range(6)))))
         for name in ("one-worker", "max-three", "n-workers:3"):
             strategy = Strategy.from_name(name)
-            ra = replay_iteration(a, strategy, 0.01, 2, seed=5)
-            rb = replay_iteration(b, strategy, 0.01, 2, seed=5)
+            ra = replay_iteration(a, strategy, 0.01, substream(5, DOMAIN_ITERATION, 2))
+            rb = replay_iteration(b, strategy, 0.01, substream(5, DOMAIN_ITERATION, 2))
             assert ra == rb
 
 
@@ -275,7 +275,8 @@ class TestReplayExperiment:
         summary = replay_experiment(votes, strategy, 0.001, 12, seed=9)
         assert max(r.n_at_decision for r in summary.per_iteration) > 1024
         for i, result in enumerate(summary.per_iteration):
-            assert result == replay_iteration(votes, strategy, 0.001, i, seed=9)
+            assert result == replay_iteration(votes, strategy, 0.001,
+                                              substream(9, DOMAIN_ITERATION, i))
 
     def test_never_fabricates_labels(self):
         # a request with a lone dissent can outvote it at most once per iteration

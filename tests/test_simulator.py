@@ -25,6 +25,7 @@ from twochoice.simulator import (
 )
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
+from helpers import iteration_stream, min_n_for_decision
 from test_acceptance import FALSE_ALARM_RATE
 
 
@@ -49,14 +50,15 @@ class TestRunIteration:
     def test_deterministic(self):
         config = make_config()
         requests, pool = base_inputs(config)
-        a = run_iteration(config, requests, pool, 3, record_trace=True)
-        b = run_iteration(config, requests, pool, 3, record_trace=True)
+        a = run_iteration(config, requests, pool, iteration_stream(config, 3), record_trace=True)
+        b = run_iteration(config, requests, pool, iteration_stream(config, 3), record_trace=True)
         assert a == b
 
     def test_iterations_are_independent_streams(self):
         config = make_config()
         requests, pool = base_inputs(config)
-        results = {i: run_iteration(config, requests, pool, i) for i in (0, 1, 5)}
+        results = {i: run_iteration(config, requests, pool, iteration_stream(config, i))
+                   for i in (0, 1, 5)}
         assert len({r.effort for r in results.values()}) > 1 or \
                len({r.n_at_decision for r in results.values()}) > 1
 
@@ -70,13 +72,14 @@ class TestRunIteration:
             config = make_config(strategy=Strategy.from_name(name))
             requests, pool = base_inputs(config)
             for i in range(25):
-                assert check(run_iteration(config, requests, pool, i))
+                assert check(run_iteration(config, requests, pool, iteration_stream(config, i)))
 
     def test_strong_signal_decides_fast(self):
         # P(a) per request is 0.86..0.955, so the band clears 0.5 around n=22
         config = make_config(mu=0.9, sigma=0.01, pool_size=100, n_requests=200)
         requests, pool = base_inputs(config)
-        results = [run_iteration(config, requests, pool, i) for i in range(100)]
+        results = [run_iteration(config, requests, pool, iteration_stream(config, i))
+                   for i in range(100)]
         assert all(r.decided for r in results)
         assert all(r.verdict is Verdict.A_IS_BETTER for r in results)
         assert np.mean([r.n_at_decision for r in results]) < 40
@@ -84,7 +87,8 @@ class TestRunIteration:
     def test_no_signal_rarely_decides(self):
         config = make_config(mu=0.0, sigma=0.0, n_requests=200)
         requests, pool = base_inputs(config)
-        results = [run_iteration(config, requests, pool, i) for i in range(200)]
+        results = [run_iteration(config, requests, pool, iteration_stream(config, i))
+                   for i in range(200)]
         undecided = [r for r in results if not r.decided]
         assert len(undecided) >= 190
         assert all(r.n_at_decision == 200 for r in undecided)
@@ -93,7 +97,7 @@ class TestRunIteration:
     def test_negative_difficulty_decides_for_a_prime(self):
         config = make_config(mu=-0.4)
         requests, pool = base_inputs(config)
-        result = run_iteration(config, requests, pool, 0)
+        result = run_iteration(config, requests, pool, iteration_stream(config, 0))
         assert result.decided
         assert result.verdict is Verdict.A_PRIME_IS_BETTER
 
@@ -104,9 +108,11 @@ class TestRunIteration:
         # three blocks' worth of requests, so past two block boundaries.
         short = make_config(n_requests=300)
         long = make_config(mu=0.05, n_requests=8000)
-        cases = [(short, run_iteration(short, *base_inputs(short), 7, record_trace=True))]
+        cases = [(short, run_iteration(short, *base_inputs(short), iteration_stream(short, 7),
+                                       record_trace=True))]
         for iteration in range(50):
-            result = run_iteration(long, *base_inputs(long), iteration, record_trace=True)
+            result = run_iteration(long, *base_inputs(long), iteration_stream(long, iteration),
+                                   record_trace=True)
             if result.decided and result.n_at_decision > 3 * FIRST_BLOCK:
                 cases.append((long, result))
                 break
@@ -151,7 +157,8 @@ class TestRunIteration:
                 unseen = np.setdiff1d(unseen, rows)
             blocks.append(unseen[twin.permutation(unseen.size)])
             order = np.concatenate(blocks)
-            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
+                                   record_trace=True)
             if result.n_at_decision > 3 * FIRST_BLOCK:
                 break
         else:
@@ -171,11 +178,14 @@ class TestRunIteration:
         config = make_config(mu=0.05, strategy=Strategy.from_name(name), **flags)
         requests, pool = base_inputs(config)
         all_a = np.ones((1, requests.size))
-        shared = run_iteration(make_config(mu=0.05), requests, pool, 0, law=all_a)
-        assert shared.n_at_decision == decision.min_n_for_decision(config.delta)
+        shared = run_iteration(make_config(mu=0.05), requests, pool, iteration_stream(config, 0),
+                               law=all_a)
+        assert shared.n_at_decision == min_n_for_decision(config.delta)
         for i in range(3):
-            assert run_iteration(config, requests, pool, i, record_trace=True, law=all_a) == \
-                run_iteration(config, requests, pool, i, record_trace=True)
+            given = run_iteration(config, requests, pool, iteration_stream(config, i),
+                                  record_trace=True, law=all_a)
+            assert given == run_iteration(config, requests, pool, iteration_stream(config, i),
+                                          record_trace=True)
 
     def test_majority_first_label_matches_binomial_closed_form(self):
         # vectorised voting path vs the same closed form as the scalar one
@@ -187,8 +197,8 @@ class TestRunIteration:
         wins = 0
         # the same streams as standalone calls, seeded 256 at a time
         streams = iteration_streams(config.seed, DOMAIN_ITERATION, trials)
-        for i, rng in enumerate(streams):
-            first = run_iteration(config, requests, pool, i, record_trace=True, rng=rng).trace[0]
+        for rng in streams:
+            first = run_iteration(config, requests, pool, rng, record_trace=True).trace[0]
             wins += int(first[1] == 1.0)
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         assert abs(wins / trials - expected) < tolerance
@@ -405,7 +415,8 @@ class TestLayoutFourPins:
         requests, pool = base_inputs(config)
         past_first_block = 0
         for iteration in range(6):
-            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
+                                   record_trace=True)
             assert (traced_labels(result), result.effort) == layout4_labels(
                 config, requests, pool, iteration, result.n_at_decision)
             past_first_block += result.n_at_decision > FIRST_BLOCK
@@ -422,7 +433,8 @@ class TestLayoutSixPins:
         requests, pool = base_inputs(config)
         past_first_block = 0
         for iteration in range(6):
-            result = run_iteration(config, requests, pool, iteration, record_trace=True)
+            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
+                                   record_trace=True)
             assert (traced_labels(result), result.effort) == layout6_distinct_labels(
                 config, requests, pool, iteration, result.n_at_decision)
             past_first_block += result.n_at_decision > FIRST_BLOCK
@@ -439,7 +451,7 @@ class TestRunExperiment:
         requests, pool = base_inputs(config)
         summary = run_experiment(config)
         for i, result in enumerate(summary.per_iteration):
-            assert result == run_iteration(config, requests, pool, i)
+            assert result == run_iteration(config, requests, pool, iteration_stream(config, i))
 
     @pytest.mark.parametrize("name", ["one-worker", "fixed-worker", "max-three", "n-workers:5"])
     def test_per_iteration_matches_standalone_runs_past_first_block(self, name):
@@ -451,7 +463,8 @@ class TestRunExperiment:
         summary = run_experiment(config, trace_iterations=5)
         assert max(r.n_at_decision for r in summary.per_iteration) > FIRST_BLOCK
         for i, result in enumerate(summary.per_iteration):
-            assert result == run_iteration(config, requests, pool, i, record_trace=True)
+            assert result == run_iteration(config, requests, pool, iteration_stream(config, i),
+                                           record_trace=True)
 
     def test_mean_over_decided_iterations_only(self):
         config = make_config(mu=0.12, sigma=0.05, n_requests=260, iterations=60)
@@ -497,18 +510,24 @@ class TestRunExperiment:
         assert summary.per_iteration[2].trace is None
 
 
+def lone_ci(sample, confidence, resamples, rng):
+    """The (low, high) interval of one sample, bootstrapped as a (1, n) stack."""
+    [interval] = bootstrap_ci([sample], confidence, resamples, rng).tolist()
+    return tuple(interval)
+
+
 class TestBootstrapCI:
     def test_constant_sample(self):
-        assert bootstrap_ci([5, 5, 5, 5], 0.99, 1000, np.random.default_rng(0)) == (5.0, 5.0)
+        assert lone_ci([5, 5, 5, 5], 0.99, 1000, np.random.default_rng(0)) == (5.0, 5.0)
 
     def test_bounded_by_sample_range(self):
-        lo, hi = bootstrap_ci([0, 100], 0.99, 10_000, np.random.default_rng(1))
+        lo, hi = lone_ci([0, 100], 0.99, 10_000, np.random.default_rng(1))
         assert 0.0 <= lo <= hi <= 100.0
 
     def test_against_independent_bootstrap(self):
         # oracle: a separately coded percentile bootstrap on the stdlib RNG
         data = list(range(1, 101))
-        lo, hi = bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(2))
+        lo, hi = lone_ci(data, 0.99, 10_000, np.random.default_rng(2))
         oracle = random.Random(2)
         means = sorted(
             sum(oracle.choice(data) for _ in range(len(data))) / len(data)
@@ -523,7 +542,7 @@ class TestBootstrapCI:
         data = np.random.default_rng(3).integers(100, 5000, 1000)
         tracemalloc.start()
         try:
-            bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(4))
+            lone_ci(data, 0.99, 10_000, np.random.default_rng(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,7 +555,7 @@ class TestBootstrapCI:
     def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes):
         data = np.random.default_rng(5).integers(100, 5000, size).astype(np.float64)
         monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
-        lo, hi = bootstrap_ci(data, 0.99, 10_000, np.random.default_rng(6))
+        lo, hi = lone_ci(data, 0.99, 10_000, np.random.default_rng(6))
         # reference: every resample drawn by one call
         picks = np.random.default_rng(6).integers(0, size, size=(10_000, size))
         alpha = (1.0 - 0.99) / 2.0
@@ -545,18 +564,18 @@ class TestBootstrapCI:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            bootstrap_ci([], 0.99, 100, np.random.default_rng(0))
+            lone_ci([], 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 1.0, 100, np.random.default_rng(0))
+            lone_ci([1.0], 1.0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            bootstrap_ci([1.0], 0.99, 0, np.random.default_rng(0))
+            lone_ci([1.0], 0.99, 0, np.random.default_rng(0))
 
     def test_stack_gives_each_row_its_lone_interval(self):
         stack = np.random.default_rng(7).integers(100, 5000, (4, 300)).astype(np.float64)
         bounds = bootstrap_ci(stack, 0.95, 3000, np.random.default_rng(8))
         assert bounds.shape == (4, 2)
         for row, (lo, hi) in zip(stack, bounds.tolist()):
-            assert (lo, hi) == bootstrap_ci(row, 0.95, 3000, np.random.default_rng(8))
+            assert (lo, hi) == lone_ci(row, 0.95, 3000, np.random.default_rng(8))
 
     def test_stack_working_memory_is_bounded(self):
         # a grid's group of 15 cells of 1000 decided iterations: 1.2 MB of
@@ -571,6 +590,9 @@ class TestBootstrapCI:
         assert peak < 4 * 2**20
 
     def test_stack_must_be_two_dimensional(self):
+        # one sample alone is a (1, n) stack, not an (n,) array
+        with pytest.raises(ValueError, match=r"\(k, n\) stack, got shape \(3,\)"):
+            bootstrap_ci(np.ones(3), 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
             bootstrap_ci(np.ones((2, 3, 4)), 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -587,8 +609,7 @@ class TestBootstrapGrid:
         assert len(intervals) == 5
         for sample, interval in zip(samples, intervals):
             if sample:
-                assert interval == bootstrap_ci(sample, 0.99, 2500,
-                                                substream(11, DOMAIN_BOOTSTRAP, 0))
+                assert interval == lone_ci(sample, 0.99, 2500, substream(11, DOMAIN_BOOTSTRAP, 0))
         assert all(math.isnan(bound) for bound in intervals[3])
 
     def test_one_bootstrap_per_sample_size(self, monkeypatch):
@@ -617,12 +638,12 @@ class TestConfigValidation:
 
     @pytest.fixture
     def iterations_run(self, monkeypatch):
-        """The index of each iteration run_experiment has started."""
+        """The generator of each iteration run_experiment has started."""
         started, run = [], simulator.run_iteration
 
-        def counted(config, requests, pool, index, **kwargs):
-            started.append(index)
-            return run(config, requests, pool, index, **kwargs)
+        def counted(config, requests, pool, rng, **kwargs):
+            started.append(rng)
+            return run(config, requests, pool, rng, **kwargs)
 
         monkeypatch.setattr(simulator, "run_iteration", counted)
         return started
@@ -676,4 +697,7 @@ class TestConfigValidation:
     def test_standalone_iteration_checks_what_it_uses(self, field, value, message):
         requests, pool = base_inputs(make_config())
         with pytest.raises(ValueError, match=message):
-            run_iteration(make_config(**{field: value}), requests, pool, 0)
+            config = make_config(**{field: value})
+            # a standalone iteration takes its stream as run_experiment
+            # does, so the seed is checked where the stream is made
+            run_iteration(config, requests, pool, iteration_stream(config, 0))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities
-from twochoice.replay import AnnotationSet, replay_law
+from twochoice.replay import replay_law
 from twochoice.rng import DOMAIN_ITERATION, distinct_columns, substream
 from twochoice.simulator import (
     ExperimentConfig, draw_finals, final_law, run_iteration, vote_law)
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
+from helpers import annotation_set, effort_of, iteration_stream
 from test_acceptance import FALSE_ALARM_RATE, binomial_tails
 from test_simulator import chi2_sf, enumerated_law
 
@@ -73,7 +74,7 @@ class TestMaxThreeFinal:
             for third in (0, 1):
                 row = [[value, value, third]]
                 assert majority_vote(row).tolist() == [value]
-                assert strategy.effort(row).tolist() == [2]
+                assert effort_of(strategy, row).tolist() == [2]
         # certain picks always agree: no third vote is ever spent
         finals, effort = apply(strategy, [1.0] * 50 + [-1.0] * 50, pool_of(1.0, 10), 0)
         assert finals.tolist() == [1] * 50 + [0] * 50
@@ -84,7 +85,7 @@ class TestMaxThreeFinal:
         for third in (0, 1):
             for row in ([[1, 0, third]], [[0, 1, third]]):
                 assert majority_vote(row).tolist() == [third]
-                assert strategy.effort(row).tolist() == [3]
+                assert effort_of(strategy, row).tolist() == [3]
         # one uniform per request at the pool's mean capability: the first
         # two votes agree on A below p^2 and split, calling the third vote
         # once, from there up to p^2 + 2p(1 - p); the split rows' final
@@ -124,9 +125,9 @@ class TestStrategyType:
     def test_final_label_checks_effort(self):
         # effort is only defined for a row of exactly votes_needed() votes
         with pytest.raises(ValueError, match="vote matrix"):
-            Strategy.from_name("n-workers:3").effort([[1]])
+            effort_of(Strategy.from_name("n-workers:3"), [[1]])
         with pytest.raises(ValueError, match="vote matrix"):
-            Strategy.from_name("one-worker").effort([1, 0])
+            effort_of(Strategy.from_name("one-worker"), [1, 0])
 
 
 class TestApplyStrategy:
@@ -247,7 +248,7 @@ class TestVoterFreeVotes:
                 return draw_finals(strategy, law, rng)
             votes = two_stage_votes(capabilities, self.D, (self.TRIALS, strategy.votes_needed()),
                                     rng)
-            return majority_vote(votes), strategy.effort(votes)
+            return majority_vote(votes), effort_of(strategy, votes)
 
         for count, rate in zip(self.rates(finals_of), exact):
             assert binomial_p_value(int(count), self.TRIALS, rate) > FALSE_ALARM_RATE / self.CHECKS
@@ -280,7 +281,8 @@ class TestVoterFreeVotes:
         for iteration in range(10):
             # the iteration's first draw is its worker
             if substream(0, DOMAIN_ITERATION, iteration).integers(0, 2) == 1:
-                result = run_iteration(config, requests, pool, iteration, record_trace=True)
+                result = run_iteration(config, requests, pool,
+                                       iteration_stream(config, iteration), record_trace=True)
                 assert [mean for _, mean, _, _ in result.trace] == [1.0] * result.n_at_decision
                 checked += 1
         assert checked
@@ -355,7 +357,7 @@ class TestVoteLaw:
         strategy = Strategy.from_name(name)
         k = strategy.votes_needed()
         cases = [(ones, count) for count in range(k, 12) for ones in range(count + 1)]
-        annotations = AnnotationSet.from_votes(
+        annotations = annotation_set(
             {f"r{i}": {f"w{j:02d}": int(j < ones) for j in range(count)}
              for i, (ones, count) in enumerate(cases)})
         law = replay_law(annotations, strategy)
@@ -423,7 +425,7 @@ class TestLawDrawsMatchVoteSamplers:
         k = strategy.votes_needed()
         if source == "replay":
             if sampler == "law":
-                law = replay_law(AnnotationSet.from_votes(self.RECORDED), strategy)
+                law = replay_law(annotation_set(self.RECORDED), strategy)
                 return draw_finals(strategy, law[:, np.zeros(self.TRIALS, dtype=np.int64)], rng)
             recorded = np.array(list(self.RECORDED["r0"].values()))
             votes = recorded[distinct_columns(rng, self.TRIALS, recorded.size, k)]
@@ -434,7 +436,7 @@ class TestLawDrawsMatchVoteSamplers:
                              distinct_voters=True)
             voters = distinct_columns(rng, self.TRIALS, self.CAPABILITIES.size, k)
             votes = rng.random((self.TRIALS, k)) < (self.CAPABILITIES[voters] * self.D + 1) / 2
-        return majority_vote(votes), strategy.effort(votes)
+        return majority_vote(votes), effort_of(strategy, votes)
 
     @pytest.mark.parametrize("source", ["replay", "distinct"])
     @pytest.mark.parametrize("sampler", ["law", "votes"])
