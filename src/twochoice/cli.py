@@ -25,9 +25,12 @@ from .config import (
     load_simulate_config,
 )
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
-from .simulator import ExperimentConfig, bootstrap_grid, run_experiment, run_iteration
-from .eval_model import sample_capabilities, sample_difficulties
-from .rng import DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, STREAM_LAYOUT, substream
+from .simulator import ExperimentConfig, bootstrap_grid, run_experiment
+from .rng import DOMAIN_ITERATION, STREAM_LAYOUT, substream
+# unused here but kept importable: perfbench/worker.py wraps cli.run_iteration,
+# cli.sample_difficulties and cli.sample_capabilities in its traced launches
+from .simulator import run_iteration  # noqa: F401
+from .eval_model import sample_capabilities, sample_difficulties  # noqa: F401
 
 SUMMARY_HEADER = ["strategy", "mu", "delta", "mean_effort", "ci_low", "ci_high",
                   "decision_ratio", "iterations"]
@@ -273,13 +276,9 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     _prepare_out(out, ["trace.csv", "manifest.yaml"], args.force)
 
-    requests = sample_difficulties(exp.mu, exp.sigma, exp.n_requests,
-                                   substream(exp.seed, DOMAIN_REQUESTS, 0))
-    pool = sample_capabilities(exp.capability_lo, exp.capability_hi, exp.pool_size,
-                               substream(exp.seed, DOMAIN_POOL, 0))
-    result = run_iteration(exp, requests, pool,
-                           substream(exp.seed, DOMAIN_ITERATION, args.iteration),
-                           record_trace=True)
+    # the cell with only this iteration's stream: the iteration as simulate runs it
+    [result] = run_experiment(exp, trace_iterations=1, streams=[
+        substream(exp.seed, DOMAIN_ITERATION, args.iteration)]).per_iteration
     _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(args.iteration, result.trace))
     _write_manifest(out, {
         "mode": "trace",

@@ -255,34 +255,29 @@ def run_iteration(
     config: ExperimentConfig,
     requests: RequestSet,
     pool: WorkerPool,
+    law: np.ndarray,
+    band: np.ndarray,
     rng: np.random.Generator,
     record_trace: bool = False,
-    law: Optional[np.ndarray] = None,
-    band: Optional[np.ndarray] = None,
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
-    The law has one of two sources. Most iterations read one ``final_law``
-    over the whole request supply, column by column: ``law``, the cell's
-    law at the pool's mean capability, computed here when not given. An
-    iteration that draws its own requests or pool (a resample flag)
-    computes its own whole-supply law and ignores ``law``. Fixed-worker,
-    and ``distinct_voters`` with k > 1 votes, build each block's law from
-    the revealed rows only: at the capability of the iteration's one
-    worker, drawn before the first block, or of the voters each block
-    picks. ``band`` is ``hoeffding_band`` over the supply. ``rng`` is the
-    iteration's generator: iteration i of a cell draws from
-    ``substream(config.seed, DOMAIN_ITERATION, i)``, which
-    ``run_experiment`` takes from the cell's ``iteration_streams``.
+    ``requests``, ``pool``, ``law`` and ``band`` are the cell's, as
+    ``run_experiment`` makes them: ``law`` is the cell's ``final_law`` at
+    the pool's mean capability over the whole request supply, read column
+    by column, and ``band`` is ``hoeffding_band`` over the supply. An
+    iteration under a resample flag draws its own requests or pool and
+    reads the whole-supply law of its own draws instead. Fixed-worker, and
+    ``distinct_voters`` with k > 1 votes, build each block's law from the
+    revealed rows only: at the capability of the iteration's one worker,
+    drawn before the first block, or of the voters each block picks.
+    ``rng`` is the iteration's generator: iteration i of a cell draws from
+    ``substream(config.seed, DOMAIN_ITERATION, i)``.
     """
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
-        law = None
     if config.resample_pool_per_iteration:
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
-        law = None
-    if band is None:
-        band = hoeffding_band(config.delta, requests.size)
 
     strategy, difficulties = config.strategy, requests.difficulties
     k = strategy.votes_needed()
@@ -296,7 +291,7 @@ def run_iteration(
         def law_of(rows):
             return final_law(strategy, difficulties[rows], worker)
     else:
-        if law is None:
+        if config.resample_difficulties_per_iteration or config.resample_pool_per_iteration:
             law = final_law(strategy, difficulties, pool.capabilities.mean())
 
         def law_of(rows):
@@ -306,17 +301,19 @@ def run_iteration(
                       record_trace)
 
 
-def run_experiment(config: ExperimentConfig, trace_iterations: int = 0) -> ExperimentSummary:
-    """Run all iterations of a configuration and aggregate labelling effort.
+def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
+                   streams=None) -> ExperimentSummary:
+    """Run the iterations of a configuration and aggregate labelling effort.
 
-    The request difficulties and the worker pool are drawn once from the
-    experiment seed and shared by every iteration, unless the per-iteration
-    resample flags say otherwise. Iterations run on substreams keyed by
-    (seed, iteration index), seeded 256 at a time from one SeedSequence
-    (``iteration_streams``), so the per-iteration results are identical
-    under any execution order and to standalone ``run_iteration`` calls on
-    the same substreams. The summary holds no interval: ``bootstrap_grid``
-    computes the intervals of a whole grid from each cell's
+    The one place where a cell's requests, pool, law and band are made. The
+    requests and pool are drawn once from the experiment seed and shared by
+    every iteration, unless a per-iteration resample flag says otherwise.
+    ``streams`` are the generators of the iterations to run: by default the
+    cell's ``iteration_streams``, keyed by (seed, iteration index), so
+    iteration i run alone on ``[substream(config.seed, DOMAIN_ITERATION, i)]``,
+    as ``trace`` runs it, is iteration i of the whole cell. The first
+    ``trace_iterations`` of them record their band. The summary holds no
+    interval: ``bootstrap_grid`` computes a whole grid's from each cell's
     ``decided_efforts``.
     """
     requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
@@ -325,10 +322,10 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0) -> Exper
                                substream(config.seed, DOMAIN_POOL, 0))
     law = final_law(config.strategy, requests.difficulties, pool.capabilities.mean())
     band = hoeffding_band(config.delta, requests.size)
-    streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
+    if streams is None:
+        streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
     return ExperimentSummary([
-        run_iteration(config, requests, pool, rng, record_trace=i < trace_iterations,
-                      law=law, band=band)
+        run_iteration(config, requests, pool, law, band, rng, record_trace=i < trace_iterations)
         for i, rng in enumerate(streams)
     ])
 

@@ -3,17 +3,22 @@
 ``effort_of`` counts a strategy's raw labels from rows of votes, against which
 the tests check the law of the votes (``simulator.vote_law``), and
 ``min_n_for_decision`` is the decision floor of the Hoeffding rule.
-``annotation_set`` builds recorded votes through ``parse_annotations``, and
-``iteration_stream`` is the generator of one iteration of a grid cell.
+``annotation_set`` builds recorded votes through ``parse_annotations``.
+``lone_iteration`` runs one iteration of a grid cell alone, as ``trace`` runs
+it, and ``cell_draws`` catches the requests and pool that a cell's
+iterations share; both go through ``run_experiment``, which alone makes them.
 """
 import io
 import math
+from unittest import mock
 
 import numpy as np
 
+from twochoice import simulator
 from twochoice.decision import hoeffding_tolerance
 from twochoice.replay import parse_annotations
 from twochoice.rng import DOMAIN_ITERATION, substream
+from twochoice.simulator import run_experiment
 from twochoice.strategies import StrategyKind
 
 
@@ -54,7 +59,27 @@ def annotation_set(votes: dict, label: str = ""):
                              experiment_label=label)
 
 
-def iteration_stream(config, index: int) -> np.random.Generator:
-    """The generator of iteration ``index`` of ``config``'s grid cell, as
-    ``run_experiment`` hands it to ``run_iteration``."""
-    return substream(config.seed, DOMAIN_ITERATION, index)
+def lone_iteration(config, index: int, record_trace: bool = False):
+    """Iteration ``index`` of ``config``'s grid cell, run alone as ``trace``
+    runs it: ``run_experiment`` on that iteration's stream only."""
+    [result] = run_experiment(config, trace_iterations=int(record_trace), streams=[
+        substream(config.seed, DOMAIN_ITERATION, index)]).per_iteration
+    return result
+
+
+def cell_draws(config):
+    """The RequestSet and WorkerPool that ``run_experiment`` draws for
+    ``config``'s grid cell, caught as it runs the cell on no streams."""
+    caught = {}
+
+    def catch(name):
+        sample = getattr(simulator, name)
+
+        def catching(*args):
+            caught[name] = sample(*args)
+            return caught[name]
+        return mock.patch.object(simulator, name, catching)
+
+    with catch("sample_difficulties"), catch("sample_capabilities"):
+        run_experiment(config, streams=[])
+    return caught["sample_difficulties"], caught["sample_capabilities"]

@@ -46,15 +46,14 @@ import yaml
 from twochoice.cli import main, simulate_grid
 from twochoice.config import load_simulate_config
 from twochoice.decision import hoeffding_tolerance
-from twochoice.eval_model import sample_capabilities, sample_difficulties
+from twochoice.eval_model import sample_capabilities
 from twochoice.replay import fleiss_kappa, parse_annotations, replay_experiment
-from twochoice.rng import DOMAIN_POOL, DOMAIN_REQUESTS, substream
 from twochoice.simulator import (
-    ExperimentConfig, draw_finals, final_law, run_experiment, run_iteration)
+    ExperimentConfig, draw_finals, final_law, run_experiment)
 from twochoice.strategies import Strategy
 
 from exact_oracle import cell_expectation
-from helpers import annotation_set, iteration_stream, min_n_for_decision
+from helpers import annotation_set, cell_draws, lone_iteration, min_n_for_decision
 
 SEED = 0
 DELTA = 0.001
@@ -155,10 +154,7 @@ def ordering_grid():
 def exact_cell(config):
     """Exact expectation of a cell, from the same pool and request draws
     that run_experiment makes for it."""
-    requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
-                                   substream(config.seed, DOMAIN_REQUESTS, 0))
-    pool = sample_capabilities(config.capability_lo, config.capability_hi,
-                               config.pool_size, substream(config.seed, DOMAIN_POOL, 0))
+    requests, pool = cell_draws(config)
     return cell_expectation(config.strategy.name, requests.difficulties, pool.capabilities,
                             config.delta, config.n_requests)
 
@@ -278,11 +274,7 @@ class TestCriterion05EffortIdentities:
                 strategy=Strategy.from_name(name),
                 delta=float(rng.choice([0.05, 0.01, 0.001])),
                 iterations=1, seed=int(rng.integers(0, 2**32)))
-            requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
-                                           substream(config.seed, DOMAIN_REQUESTS, 0))
-            pool = sample_capabilities(config.capability_lo, config.capability_hi,
-                                       config.pool_size, substream(config.seed, DOMAIN_POOL, 0))
-            result = run_iteration(config, requests, pool, iteration_stream(config, 0))
+            result = lone_iteration(config, 0)
             n = result.n_at_decision
             if name in ("one-worker", "fixed-worker"):
                 ok = result.effort == n

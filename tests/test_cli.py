@@ -581,8 +581,9 @@ class TestTraceCommand:
     @pytest.mark.parametrize("distinct, names", [(False, ("max-three", "fixed-worker")),
                                                   (True, ("n-workers:3",))])
     def test_trace_writes_the_rows_simulate_traced(self, tmp_path, distinct, names):
-        # simulate hands each iteration the cell's law, where trace computes
-        # it, or draws its own worker, or picks each block's distinct voters
+        # trace runs the cell on its one iteration's stream, which reads the
+        # cell's law, or draws its own worker, or picks each block's distinct
+        # voters, as that iteration does under simulate
         smoke = (Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml").read_text(
             encoding="utf-8")
         config = tmp_path / "smoke.yaml"

@@ -9,10 +9,8 @@ import pytest
 
 from twochoice import decision, simulator
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
-from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
-from twochoice.rng import (
-    DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, DOMAIN_POOL, DOMAIN_REQUESTS, distinct_columns,
-    iteration_streams, substream)
+from twochoice.eval_model import RequestSet, WorkerPool
+from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, distinct_columns, substream
 from twochoice.simulator import (
     FIRST_BLOCK,
     ExperimentConfig,
@@ -21,11 +19,10 @@ from twochoice.simulator import (
     run_blocks,
     reveal_order,
     run_experiment,
-    run_iteration,
 )
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
-from helpers import iteration_stream, min_n_for_decision
+from helpers import cell_draws, lone_iteration
 from test_acceptance import FALSE_ALARM_RATE
 
 
@@ -38,27 +35,15 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def base_inputs(config):
-    requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
-                                   substream(config.seed, DOMAIN_REQUESTS, 0))
-    pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size,
-                               substream(config.seed, DOMAIN_POOL, 0))
-    return requests, pool
-
-
 class TestRunIteration:
     def test_deterministic(self):
         config = make_config()
-        requests, pool = base_inputs(config)
-        a = run_iteration(config, requests, pool, iteration_stream(config, 3), record_trace=True)
-        b = run_iteration(config, requests, pool, iteration_stream(config, 3), record_trace=True)
-        assert a == b
+        assert lone_iteration(config, 3, record_trace=True) == lone_iteration(
+            config, 3, record_trace=True)
 
     def test_iterations_are_independent_streams(self):
         config = make_config()
-        requests, pool = base_inputs(config)
-        results = {i: run_iteration(config, requests, pool, iteration_stream(config, i))
-                   for i in (0, 1, 5)}
+        results = {i: lone_iteration(config, i) for i in (0, 1, 5)}
         assert len({r.effort for r in results.values()}) > 1 or \
                len({r.n_at_decision for r in results.values()}) > 1
 
@@ -69,35 +54,28 @@ class TestRunIteration:
             ("n-workers:7", lambda r: r.effort == 7 * r.n_at_decision),
             ("max-three", lambda r: 2 * r.n_at_decision <= r.effort <= 3 * r.n_at_decision),
         ]:
-            config = make_config(strategy=Strategy.from_name(name))
-            requests, pool = base_inputs(config)
-            for i in range(25):
-                assert check(run_iteration(config, requests, pool, iteration_stream(config, i)))
+            config = make_config(strategy=Strategy.from_name(name), iterations=25)
+            for result in run_experiment(config).per_iteration:
+                assert check(result)
 
     def test_strong_signal_decides_fast(self):
         # P(a) per request is 0.86..0.955, so the band clears 0.5 around n=22
-        config = make_config(mu=0.9, sigma=0.01, pool_size=100, n_requests=200)
-        requests, pool = base_inputs(config)
-        results = [run_iteration(config, requests, pool, iteration_stream(config, i))
-                   for i in range(100)]
+        config = make_config(mu=0.9, sigma=0.01, pool_size=100, n_requests=200, iterations=100)
+        results = run_experiment(config).per_iteration
         assert all(r.decided for r in results)
         assert all(r.verdict is Verdict.A_IS_BETTER for r in results)
         assert np.mean([r.n_at_decision for r in results]) < 40
 
     def test_no_signal_rarely_decides(self):
-        config = make_config(mu=0.0, sigma=0.0, n_requests=200)
-        requests, pool = base_inputs(config)
-        results = [run_iteration(config, requests, pool, iteration_stream(config, i))
-                   for i in range(200)]
+        config = make_config(mu=0.0, sigma=0.0, n_requests=200, iterations=200)
+        results = run_experiment(config).per_iteration
         undecided = [r for r in results if not r.decided]
         assert len(undecided) >= 190
         assert all(r.n_at_decision == 200 for r in undecided)
         assert all(r.effort == 200 for r in undecided)
 
     def test_negative_difficulty_decides_for_a_prime(self):
-        config = make_config(mu=-0.4)
-        requests, pool = base_inputs(config)
-        result = run_iteration(config, requests, pool, iteration_stream(config, 0))
+        result = lone_iteration(make_config(mu=-0.4), 0)
         assert result.decided
         assert result.verdict is Verdict.A_PRIME_IS_BETTER
 
@@ -108,11 +86,9 @@ class TestRunIteration:
         # three blocks' worth of requests, so past two block boundaries.
         short = make_config(n_requests=300)
         long = make_config(mu=0.05, n_requests=8000)
-        cases = [(short, run_iteration(short, *base_inputs(short), iteration_stream(short, 7),
-                                       record_trace=True))]
+        cases = [(short, lone_iteration(short, 7, record_trace=True))]
         for iteration in range(50):
-            result = run_iteration(long, *base_inputs(long), iteration_stream(long, iteration),
-                                   record_trace=True)
+            result = lone_iteration(long, iteration, record_trace=True)
             if result.decided and result.n_at_decision > 3 * FIRST_BLOCK:
                 cases.append((long, result))
                 break
@@ -134,7 +110,7 @@ class TestRunIteration:
                     assert state.verdict is Verdict.UNDECIDED
             assert state.verdict is result.verdict
 
-    def test_fixed_worker_is_drawn_once_per_iteration(self):
+    def test_fixed_worker_is_drawn_once_per_iteration(self, monkeypatch):
         # a worker of capability 1 votes d > 0 on every request, one of
         # capability 0 flips coins; a worker redrawn per block would show
         # up as coin flips in a later block
@@ -142,6 +118,9 @@ class TestRunIteration:
                              n_requests=5000, strategy=Strategy.from_name("fixed-worker"))
         pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
         requests = RequestSet(difficulties=np.tile([1.0, -1.0], 2500))
+        # the cell's requests and pool, in place of its draws
+        monkeypatch.setattr(simulator, "sample_difficulties", lambda *args: requests)
+        monkeypatch.setattr(simulator, "sample_capabilities", lambda *args: pool)
         for iteration in range(20):
             # the twin replays the worker, then per block of 1024, 2048
             # and the remaining 1928 requests the block's rows and one
@@ -157,8 +136,7 @@ class TestRunIteration:
                 unseen = np.setdiff1d(unseen, rows)
             blocks.append(unseen[twin.permutation(unseen.size)])
             order = np.concatenate(blocks)
-            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
-                                   record_trace=True)
+            result = lone_iteration(config, iteration, record_trace=True)
             if result.n_at_decision > 3 * FIRST_BLOCK:
                 break
         else:
@@ -168,38 +146,15 @@ class TestRunIteration:
         expected = requests.difficulties[order[:result.n_at_decision]] > 0
         assert np.array_equal(votes, expected)
 
-    @pytest.mark.parametrize("name, flag", [
-        ("fixed-worker", None), ("one-worker", "resample_difficulties_per_iteration"),
-        ("one-worker", "resample_pool_per_iteration"), ("n-workers:3", "distinct_voters")])
-    def test_given_law_is_ignored_where_the_iteration_draws_its_own(self, name, flag):
-        # an all-A law decides at the first n that can; the cell's law
-        # reaches only iterations on the shared requests, pool and mean
-        flags = {flag: True} if flag else {}
-        config = make_config(mu=0.05, strategy=Strategy.from_name(name), **flags)
-        requests, pool = base_inputs(config)
-        all_a = np.ones((1, requests.size))
-        shared = run_iteration(make_config(mu=0.05), requests, pool, iteration_stream(config, 0),
-                               law=all_a)
-        assert shared.n_at_decision == min_n_for_decision(config.delta)
-        for i in range(3):
-            given = run_iteration(config, requests, pool, iteration_stream(config, i),
-                                  record_trace=True, law=all_a)
-            assert given == run_iteration(config, requests, pool, iteration_stream(config, i),
-                                          record_trace=True)
-
     def test_majority_first_label_matches_binomial_closed_form(self):
         # vectorised voting path vs the same closed form as the scalar one
         expected = 0.66590234375  # 3 p^2 (1-p) + p^3 at p = 0.6125
-        config = make_config(capability_lo=1.0, capability_hi=1.0, mu=0.225, sigma=0.0,
-                             n_requests=3, strategy=Strategy.from_name("n-workers:3"))
-        requests, pool = base_inputs(config)
         trials = 4000
-        wins = 0
-        # the same streams as standalone calls, seeded 256 at a time
-        streams = iteration_streams(config.seed, DOMAIN_ITERATION, trials)
-        for rng in streams:
-            first = run_iteration(config, requests, pool, rng, record_trace=True).trace[0]
-            wins += int(first[1] == 1.0)
+        config = make_config(capability_lo=1.0, capability_hi=1.0, mu=0.225, sigma=0.0,
+                             n_requests=3, strategy=Strategy.from_name("n-workers:3"),
+                             iterations=trials)
+        wins = sum(result.trace[0][1] == 1.0
+                   for result in run_experiment(config, trace_iterations=trials).per_iteration)
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         assert abs(wins / trials - expected) < tolerance
 
@@ -412,11 +367,10 @@ class TestLayoutFourPins:
     @pytest.mark.parametrize("name", ["one-worker", "fixed-worker"])
     def test_labels_and_effort_match_layout_four(self, name):
         config = make_config(mu=0.05, n_requests=4000, strategy=Strategy.from_name(name))
-        requests, pool = base_inputs(config)
+        requests, pool = cell_draws(config)
         past_first_block = 0
         for iteration in range(6):
-            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
-                                   record_trace=True)
+            result = lone_iteration(config, iteration, record_trace=True)
             assert (traced_labels(result), result.effort) == layout4_labels(
                 config, requests, pool, iteration, result.n_at_decision)
             past_first_block += result.n_at_decision > FIRST_BLOCK
@@ -430,11 +384,10 @@ class TestLayoutSixPins:
     def test_distinct_voter_labels_and_effort_match_layout_six(self, name):
         config = make_config(mu=0.05, n_requests=4000, strategy=Strategy.from_name(name),
                              distinct_voters=True)
-        requests, pool = base_inputs(config)
+        requests, pool = cell_draws(config)
         past_first_block = 0
         for iteration in range(6):
-            result = run_iteration(config, requests, pool, iteration_stream(config, iteration),
-                                   record_trace=True)
+            result = lone_iteration(config, iteration, record_trace=True)
             assert (traced_labels(result), result.effort) == layout6_distinct_labels(
                 config, requests, pool, iteration, result.n_at_decision)
             past_first_block += result.n_at_decision > FIRST_BLOCK
@@ -447,24 +400,28 @@ class TestRunExperiment:
         assert run_experiment(config) == run_experiment(config)
 
     def test_per_iteration_matches_standalone_runs(self):
+        # iteration i run alone on its own stream, as trace runs it, is
+        # iteration i of the whole cell
         config = make_config(iterations=5)
-        requests, pool = base_inputs(config)
         summary = run_experiment(config)
         for i, result in enumerate(summary.per_iteration):
-            assert result == run_iteration(config, requests, pool, iteration_stream(config, i))
+            assert result == lone_iteration(config, i)
 
-    @pytest.mark.parametrize("name", ["one-worker", "fixed-worker", "max-three", "n-workers:5"])
-    def test_per_iteration_matches_standalone_runs_past_first_block(self, name):
-        # run_experiment hands each iteration the cell's law and band; a
-        # standalone run computes its own
+    @pytest.mark.parametrize("name, flag", [
+        *(pytest.param(name, None, id=name)
+          for name in ("one-worker", "fixed-worker", "max-three", "n-workers:5")),
+        ("n-workers:3", "distinct_voters"), ("max-three", "resample_difficulties_per_iteration"),
+        ("one-worker", "resample_pool_per_iteration")])
+    def test_per_iteration_matches_standalone_runs_past_first_block(self, name, flag):
+        # every law source: the cell's, the iteration's one worker, each
+        # block's distinct voters, and the law of the iteration's own draws
+        flags = {flag: True} if flag else {}
         config = make_config(iterations=5, mu=0.08, n_requests=3000,
-                             strategy=Strategy.from_name(name))
-        requests, pool = base_inputs(config)
+                             strategy=Strategy.from_name(name), **flags)
         summary = run_experiment(config, trace_iterations=5)
         assert max(r.n_at_decision for r in summary.per_iteration) > FIRST_BLOCK
         for i, result in enumerate(summary.per_iteration):
-            assert result == run_iteration(config, requests, pool, iteration_stream(config, i),
-                                           record_trace=True)
+            assert result == lone_iteration(config, i, record_trace=True)
 
     def test_mean_over_decided_iterations_only(self):
         config = make_config(mu=0.12, sigma=0.05, n_requests=260, iterations=60)
@@ -641,9 +598,9 @@ class TestConfigValidation:
         """The generator of each iteration run_experiment has started."""
         started, run = [], simulator.run_iteration
 
-        def counted(config, requests, pool, rng, **kwargs):
+        def counted(config, requests, pool, law, band, rng, **kwargs):
             started.append(rng)
-            return run(config, requests, pool, rng, **kwargs)
+            return run(config, requests, pool, law, band, rng, **kwargs)
 
         monkeypatch.setattr(simulator, "run_iteration", counted)
         return started
@@ -695,9 +652,7 @@ class TestConfigValidation:
         ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
     ])
     def test_standalone_iteration_checks_what_it_uses(self, field, value, message):
-        requests, pool = base_inputs(make_config())
         with pytest.raises(ValueError, match=message):
-            config = make_config(**{field: value})
-            # a standalone iteration takes its stream as run_experiment
-            # does, so the seed is checked where the stream is made
-            run_iteration(config, requests, pool, iteration_stream(config, 0))
+            # a standalone iteration takes its stream as trace does, so the
+            # seed is checked where the stream is made
+            lone_iteration(make_config(**{field: value}), 0)

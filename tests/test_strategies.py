@@ -8,11 +8,11 @@ import pytest
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities
 from twochoice.replay import replay_law
 from twochoice.rng import DOMAIN_ITERATION, distinct_columns, substream
-from twochoice.simulator import (
-    ExperimentConfig, draw_finals, final_law, run_iteration, vote_law)
+from twochoice import simulator
+from twochoice.simulator import ExperimentConfig, draw_finals, final_law, vote_law
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
-from helpers import annotation_set, effort_of, iteration_stream
+from helpers import annotation_set, effort_of, lone_iteration
 from test_acceptance import FALSE_ALARM_RATE, binomial_tails
 from test_simulator import chi2_sf, enumerated_law
 
@@ -268,7 +268,7 @@ class TestVoterFreeVotes:
                            / (self.TRIALS * expected)).sum())
         assert chi2_sf(statistic, 3) > FALSE_ALARM_RATE
 
-    def test_fixed_worker_votes_at_its_own_capability(self):
+    def test_fixed_worker_votes_at_its_own_capability(self, monkeypatch):
         # a capability-1 worker always picks A at d = 1; the pool's mean
         # capability would pick it only 3 times in 4
         config = ExperimentConfig(capability_lo=0.0, capability_hi=1.0, pool_size=2, mu=1.0,
@@ -277,12 +277,14 @@ class TestVoterFreeVotes:
                                   iterations=1, seed=0)
         pool = WorkerPool(capabilities=np.array([0.0, 1.0]))
         requests = RequestSet(difficulties=np.full(1000, 1.0))
+        # the cell's requests and pool, in place of its draws
+        monkeypatch.setattr(simulator, "sample_difficulties", lambda *args: requests)
+        monkeypatch.setattr(simulator, "sample_capabilities", lambda *args: pool)
         checked = 0
         for iteration in range(10):
             # the iteration's first draw is its worker
             if substream(0, DOMAIN_ITERATION, iteration).integers(0, 2) == 1:
-                result = run_iteration(config, requests, pool,
-                                       iteration_stream(config, iteration), record_trace=True)
+                result = lone_iteration(config, iteration, record_trace=True)
                 assert [mean for _, mean, _, _ in result.trace] == [1.0] * result.n_at_decision
                 checked += 1
         assert checked
