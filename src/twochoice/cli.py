@@ -40,9 +40,7 @@ RATIO_HEADER = ["dataset", "strategy", "delta", "decision_ratio"]
 
 
 def fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    return "%.6g" % value
 
 
 def simulate_grid(config: SimulateConfig) -> list:
@@ -79,31 +77,28 @@ def _run_simulate_cell(args):
     summary = run_experiment(cell, trace_iterations=config.trace_iterations)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
-                   _CellTraceRows(summary.per_iteration[:config.trace_iterations]))
+                   _TraceRows(summary.per_iteration[:config.trace_iterations]))
     return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
 
 
-def _trace_rows(iteration: int, trace: list):
-    # "%.6g" is fmt's f"{value:.6g}" through the same float formatter, at
-    # one format per float; the writer turns the ints into str()
-    return ((iteration, n, "%.6g" % mean, "%.6g" % lower, "%.6g" % upper)
-            for n, mean, lower, upper in trace)
+class _TraceRows:
+    """The trace rows of traced iterations, numbered from ``first``, formatted
+    one at a time as the CSV writer takes them. len() counts them without
+    formatting any; perfbench/worker.py's row counter reads it."""
 
-
-class _CellTraceRows:
-    """The trace rows of a cell's traced iterations, formatted one at a time
-    as the CSV writer takes them. len() counts them without formatting any;
-    perfbench/worker.py's row counter reads it."""
-
-    def __init__(self, results: list):
+    def __init__(self, results: list, first: int = 0):
         self.results = results
+        self.first = first
 
     def __len__(self) -> int:
         return sum(len(result.trace) for result in self.results)
 
     def __iter__(self):
-        for i, result in enumerate(self.results):
-            yield from _trace_rows(i, result.trace)
+        # fmt's "%.6g", inlined to save a call per float; the writer turns
+        # the ints into str()
+        for i, result in enumerate(self.results, self.first):
+            yield from ((i, n, "%.6g" % mean, "%.6g" % lower, "%.6g" % upper)
+                        for n, mean, lower, upper in result.trace)
 
 
 def _prepare_out(out: Path, names: list, force: bool) -> None:
@@ -279,7 +274,7 @@ def cmd_trace(args) -> int:
     # the cell with only this iteration's stream: the iteration as simulate runs it
     [result] = run_experiment(exp, trace_iterations=1, streams=[
         substream(exp.seed, DOMAIN_ITERATION, args.iteration)]).per_iteration
-    _write_csv(out / "trace.csv", TRACE_HEADER, _trace_rows(args.iteration, result.trace))
+    _write_csv(out / "trace.csv", TRACE_HEADER, _TraceRows([result], first=args.iteration))
     _write_manifest(out, {
         "mode": "trace",
         "cell": {"strategy": exp.strategy.name, "mu": exp.mu, "delta": exp.delta},

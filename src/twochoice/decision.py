@@ -99,7 +99,7 @@ def hoeffding_band(delta: float, n_max: int) -> np.ndarray:
 
 
 def first_crossing(finals, band: np.ndarray, n: int = 0,
-                   count: int = 0) -> tuple[Verdict, int, np.ndarray, np.ndarray]:
+                   count: int = 0) -> tuple[Verdict, int, np.ndarray]:
     """Scan a stream of final labels for the first n whose band clears 0.5.
 
     Vectorised form of folding the labels through ``update`` one at a time
@@ -107,8 +107,8 @@ def first_crossing(finals, band: np.ndarray, n: int = 0,
     at least n + len(finals) labels. ``n`` and ``count`` are the labels and
     first-model picks already seen before this stream, so a stream can be
     scanned block by block. Returns the verdict, the running n it came at
-    (the end of the stream when undecided), and the running means and
-    tolerances for this stream's labels up to that n.
+    (the end of the stream when undecided), and the running means of this
+    stream's labels up to that n; their tolerances are ``band[n:n_at]``.
     """
     end = n + len(finals)
     ns = np.arange(n + 1, end + 1, dtype=np.int64)
@@ -122,7 +122,7 @@ def first_crossing(finals, band: np.ndarray, n: int = 0,
     hit |= a_hit
     stop = int(hit.argmax())
     if not hit[stop]:
-        return Verdict.UNDECIDED, end, means, tolerances
+        return Verdict.UNDECIDED, end, means
     verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
-    return verdict, n + stop + 1, means[:stop + 1], tolerances[:stop + 1]
+    return verdict, n + stop + 1, means[:stop + 1]
 

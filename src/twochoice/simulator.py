@@ -230,7 +230,7 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
     sizes = (FIRST_BLOCK << i for i in itertools.count())
     for rows in reveal_order(rng, n_total, sizes):
         finals, per_row = draw(rows)
-        verdict, n_at, means, tolerances = first_crossing(finals, band, n, count)
+        verdict, n_at, means = first_crossing(finals, band, n, count)
         if isinstance(per_row, np.ndarray):
             # summed over a slice of the block's counts rather than counts
             # made for the first rows only: an array that long is a new
@@ -243,6 +243,7 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
         else:
             effort += per_row * (n_at - n)
         if record_trace:
+            tolerances = band[n:n_at]
             trace.extend(zip(range(n + 1, n_at + 1), means.tolist(),
                              (means - tolerances).tolist(), (means + tolerances).tolist()))
         if verdict is not Verdict.UNDECIDED or n_at == n_total:

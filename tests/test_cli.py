@@ -11,8 +11,8 @@ from twochoice import __version__, cli
 from twochoice.cli import fmt, main
 from twochoice.config import ConfigError, load_replay_config, load_simulate_config
 from twochoice.rng import DOMAIN_BOOTSTRAP, STREAM_LAYOUT, substream
-from twochoice.simulator import bootstrap_ci, run_experiment
-from twochoice.cli import _trace_rows, simulate_grid
+from twochoice.simulator import IterationResult, bootstrap_ci, run_experiment
+from twochoice.cli import _TraceRows, simulate_grid
 
 SMOKE = """
 workers: {lo: 0.8, hi: 1.0, pool_size: 20}
@@ -606,6 +606,53 @@ class TestTraceCommand:
                 assert traced[0] == simulated[0]
                 assert len(rows) > 1 and traced[1:] == rows
 
+
+class TestTraceRowCount:
+    """perfbench/worker.py counts the rows of each CSV as len() of the rows
+    object handed to _write_csv, so len() must match what is written."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        counted = {}
+        write = cli._write_csv
+
+        def spy(path, header, rows):
+            counted[Path(path).name] = (len(rows), rows)
+            write(path, header, rows)
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        return counted
+
+    @staticmethod
+    def _data_rows(path):
+        return list(csv.DictReader(open(path, encoding="utf-8")))
+
+    def test_simulate_trace_rows(self, tmp_path, monkeypatch):
+        counted = self._spy(monkeypatch)
+        config = tmp_path / "traced.yaml"
+        config.write_text(SMOKE + "trace_iterations: 3\n", encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        traces = sorted(name for name in counted if name.startswith("trace_"))
+        assert traces == [f"trace_{i:03d}.csv" for i in range(4)]
+        for name in traces:
+            count, rows = counted[name]
+            assert isinstance(rows, _TraceRows)
+            written = self._data_rows(out / name)
+            assert count == len(written) > 0
+            assert {row["iteration"] for row in written} == {"0", "1", "2"}
+
+    def test_trace_rows_of_a_later_iteration(self, smoke_config, tmp_path, monkeypatch):
+        counted = self._spy(monkeypatch)
+        out = tmp_path / "tr"
+        assert main(["trace", "--config", str(smoke_config), "--out", str(out),
+                     "--iteration", "3"]) == 0
+        count, rows = counted["trace.csv"]
+        assert isinstance(rows, _TraceRows)
+        written = self._data_rows(out / "trace.csv")
+        assert count == len(written) > 0
+        assert {row["iteration"] for row in written} == {"3"}
+
+
 class TestFloatFormat:
     def test_six_significant_digits(self):
         assert fmt(1440.123456) == "1440.12"
@@ -630,8 +677,11 @@ class TestFloatFormat:
         trace = [(n, mean, mean - abs(lower), upper)
                  for n, (mean, lower, upper) in enumerate(zip(values, values[1:] + values[:1],
                                                               values[2:] + values[:2]), 1)]
-        old = [[str(12), str(n), fmt(mean), fmt(lower), fmt(upper)]
-               for n, mean, lower, upper in trace]
-        new = list(_trace_rows(12, trace))
+        old = [[str(iteration), str(n), fmt(mean), fmt(lower), fmt(upper)]
+               for iteration, part in ((12, trace[:5]), (13, trace[5:]))
+               for n, mean, lower, upper in part]
+        results = [IterationResult(verdict=None, n_at_decision=len(part), effort=0, trace=part)
+                   for part in (trace[:5], trace[5:])]
+        new = list(_TraceRows(results, first=12))
         assert [[str(field) for field in row] for row in new] == old
         assert self._csv(new) == self._csv(old)

@@ -53,7 +53,7 @@ class TestHoeffdingBand:
         assert head[0] is Verdict.UNDECIDED
         tail = first_crossing(labels[1000:], band, 1000, int(labels[:1000].sum()))
         assert tail[:2] == whole[:2]
-        assert np.concatenate([head[3], tail[3]]).tolist() == whole[3].tolist()
+        assert np.concatenate([head[2], tail[2]]).tolist() == whole[2].tolist()
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
     def test_invalid_delta(self, delta):
@@ -183,16 +183,16 @@ class TestFirstCrossing:
         for _ in range(300):
             delta = float(rng.choice([0.05, 0.01, 0.001]))
             labels = (rng.random(int(rng.integers(1, 150))) < rng.uniform(0.2, 0.8)).astype(np.int8)
-            verdict, n, means, tolerances = first_crossing(labels,
-                                                           hoeffding_band(delta, len(labels)))
+            band = hoeffding_band(delta, len(labels))
+            verdict, n, means = first_crossing(labels, band)
             states = _run_stream(labels, delta)
             stop = next((i for i, s in enumerate(states) if s.verdict is not Verdict.UNDECIDED),
                         len(states) - 1)
             assert verdict is states[stop].verdict
             assert n == stop + 1
             assert means.tolist() == [s.mean for s in states[:n]]
-            assert (means - tolerances).tolist() == [s.lower for s in states[:n]]
-            assert (means + tolerances).tolist() == [s.upper for s in states[:n]]
+            assert (means - band[:n]).tolist() == [s.lower for s in states[:n]]
+            assert (means + band[:n]).tolist() == [s.upper for s in states[:n]]
             verdicts.add(verdict)
         assert verdicts == set(Verdict)
 
