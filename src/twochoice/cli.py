@@ -82,9 +82,10 @@ def _run_simulate_cell(args):
 
 
 class _TraceRows:
-    """The trace rows of traced iterations, numbered from ``first``, formatted
-    one at a time as the CSV writer takes them. len() counts them without
-    formatting any; perfbench/worker.py's row counter reads it."""
+    """The trace rows of traced iterations, numbered from ``first``. Each
+    iteration's rows are formatted as one string of CSV lines when the file
+    is written; len() counts the rows without formatting any, for
+    perfbench/worker.py's row counter."""
 
     def __init__(self, results: list, first: int = 0):
         self.results = results
@@ -94,11 +95,12 @@ class _TraceRows:
         return sum(len(result.trace) for result in self.results)
 
     def __iter__(self):
-        # fmt's "%.6g", inlined to save a call per float; the writer turns
-        # the ints into str()
+        # the iteration, then n, mean, lower and upper of each trace point:
+        # fmt's "%.6g" for the floats, as the csv writer would write them,
+        # since no field holds a comma, a quote or a line break
         for i, result in enumerate(self.results, self.first):
-            yield from ((i, n, "%.6g" % mean, "%.6g" % lower, "%.6g" % upper)
-                        for n, mean, lower, upper in result.trace)
+            line = "%d,%%d,%%.6g,%%.6g,%%.6g\n" % i
+            yield "".join([line % point for point in result.trace])
 
 
 def _prepare_out(out: Path, names: list, force: bool) -> None:
@@ -114,10 +116,15 @@ def _prepare_out(out: Path, names: list, force: bool) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    """Write the header and ``rows``: lists of fields through the csv
+    writer, or a ``_TraceRows``'s text as it is."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, _TraceRows):
+            handle.writelines(rows)
+        else:
+            writer.writerows(rows)
 
 
 def _write_manifest(out: Path, payload: dict) -> None:

@@ -12,6 +12,11 @@ The bound is checked after every final label, i.e. the fixed-n tolerance is
 applied at every n without a correction for continuous monitoring. That is
 deliberate: this engine measures the labelling effort of exactly that
 stopping behaviour, it does not try to repair its statistics.
+
+The vectorised scan (``first_crossing``) tests the running count of
+first-model picks against integer thresholds that ``hoeffding_band``
+derives once per band; they give the same verdict as the float test above
+at every n and count.
 """
 from __future__ import annotations
 
@@ -86,43 +91,82 @@ def update(state: DecisionState, label: int, delta: float) -> DecisionState:
     return DecisionState(n=n, count_a=count_a, mean=mean, tolerance=tol, verdict=verdict)
 
 
-def hoeffding_band(delta: float, n_max: int) -> np.ndarray:
-    """The tolerances t for n = 1..n_max, element n - 1 for n labels.
+@dataclass(frozen=True)
+class Band:
+    """The Hoeffding band over n = 1..n_max labels, element n - 1 for n.
+
+    ``tolerances`` holds t for each n, the same floats as
+    ``hoeffding_tolerance(delta, n)``. ``hi`` and ``lo`` hold the A-counts
+    at which n labels decide: a count c gives ``update``'s verdict for A
+    exactly when c >= hi[n - 1], that is when the float test
+    c / n - t > 0.5 holds, and for A' exactly when c <= lo[n - 1], when
+    c / n + t < 0.5 holds. hi is n + 1 where no count decides for A, lo is
+    -1 where none decides for A'.
+    """
+
+    tolerances: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def hoeffding_band(delta: float, n_max: int) -> Band:
+    """The band for n = 1..n_max labels at failure probability ``delta``.
 
     Computed once per (delta, request supply) and sliced by ``first_crossing``
-    block by block; each element is the same float as
-    ``hoeffding_tolerance(delta, n)``.
+    block by block.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return np.sqrt(-math.log(delta) / (2.0 * np.arange(1, n_max + 1, dtype=np.int64)))
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    tolerances = np.sqrt(-math.log(delta) / (2.0 * ns))
+
+    def for_a(counts):
+        return counts / ns - tolerances > MIDLINE
+
+    def for_a_prime(counts):
+        return counts / ns + tolerances < MIDLINE
+
+    # Each float test is monotone in the count, since rounding is, so each
+    # threshold is one integer per n. n (0.5 -+ t) estimates it, but misses
+    # by a count where t is a whole number of half counts (delta = exp(-2)
+    # at n = 4); step each estimate by one until it sits on its threshold.
+    hi = np.clip(np.ceil(ns * (MIDLINE + tolerances)), 1, ns + 1).astype(np.int64)
+    lo = np.clip(np.floor(ns * (MIDLINE - tolerances)), -1, ns).astype(np.int64)
+    while True:
+        hi_up = (hi <= ns) & ~for_a(hi)
+        hi_down = for_a(hi - 1)
+        lo_up = for_a_prime(lo + 1)
+        lo_down = (lo >= 0) & ~for_a_prime(lo)
+        if not (hi_up.any() or hi_down.any() or lo_up.any() or lo_down.any()):
+            return Band(tolerances=tolerances, lo=lo, hi=hi)
+        hi += hi_up
+        hi -= hi_down
+        lo += lo_up
+        lo -= lo_down
 
 
-def first_crossing(finals, band: np.ndarray, n: int = 0,
+def first_crossing(finals, band: Band, n: int = 0,
                    count: int = 0) -> tuple[Verdict, int, np.ndarray]:
     """Scan a stream of final labels for the first n whose band clears 0.5.
 
     Vectorised form of folding the labels through ``update`` one at a time
-    and stopping at the first verdict. ``band`` is ``hoeffding_band`` over
-    at least n + len(finals) labels. ``n`` and ``count`` are the labels and
+    and stopping at the first verdict: the running A-count is tested
+    against the band's integer thresholds. ``band`` covers at least
+    n + len(finals) labels. ``n`` and ``count`` are the labels and
     first-model picks already seen before this stream, so a stream can be
     scanned block by block. Returns the verdict, the running n it came at
-    (the end of the stream when undecided), and the running means of this
-    stream's labels up to that n; their tolerances are ``band[n:n_at]``.
+    (the end of the stream when undecided), and the running A-counts of
+    this stream up to that n; the mean at running n is its count / n.
     """
-    end = n + len(finals)
-    ns = np.arange(n + 1, end + 1, dtype=np.int64)
-    counts = finals.cumsum(dtype=np.int64)
+    counts = np.add.accumulate(finals, dtype=np.int64)
     if count:
         counts += count
-    means = counts / ns
-    tolerances = band[n:end]
-    a_hit = means - tolerances > MIDLINE
-    hit = means + tolerances < MIDLINE
-    hit |= a_hit
+    end = n + counts.size
+    hi = band.hi[n:end]
+    hit = counts >= hi
+    hit |= counts <= band.lo[n:end]
     stop = int(hit.argmax())
     if not hit[stop]:
-        return Verdict.UNDECIDED, end, means
-    verdict = Verdict.A_IS_BETTER if a_hit[stop] else Verdict.A_PRIME_IS_BETTER
-    return verdict, n + stop + 1, means[:stop + 1]
-
+        return Verdict.UNDECIDED, end, counts
+    verdict = Verdict.A_IS_BETTER if counts[stop] >= hi[stop] else Verdict.A_PRIME_IS_BETTER
+    return verdict, n + stop + 1, counts[:stop + 1]

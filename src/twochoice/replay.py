@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decision import hoeffding_band
+from .decision import Band, hoeffding_band
 from .rng import DOMAIN_ITERATION, iteration_streams
 from .simulator import ExperimentSummary, IterationResult, draw_finals, run_blocks, vote_law
 from .strategies import Strategy, StrategyKind
@@ -153,7 +153,7 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
                      rng: np.random.Generator,
                      law: Optional[np.ndarray] = None,
-                     band: Optional[np.ndarray] = None) -> IterationResult:
+                     band: Optional[Band] = None) -> IterationResult:
     """One replay pass: shuffled requests, recorded votes, sequential stop.
 
     The block driver reveals the shuffled rows block by block and draws

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decision import Verdict, first_crossing, hoeffding_band
+from .decision import Band, Verdict, first_crossing, hoeffding_band
 from .eval_model import RequestSet, WorkerPool, sample_capabilities, sample_difficulties
 from .rng import (
     DOMAIN_BOOTSTRAP,
@@ -56,7 +56,8 @@ FIRST_BLOCK = 1024
 # takes its 32-bit words from the bit generator's own buffer, which carries
 # over between calls, so the interval does not depend on the block size.
 # 1 MiB keeps a bootstrap's working set near 2 MiB, plus 8 bytes of means
-# per sample and resample, at any sample size. A 64 MB budget held 128 MB
+# per sample and resample, at any sample size; bootstrap_grid holds those
+# means to at most twice this budget per call. A 64 MB budget held 128 MB
 # for 10000 resamples of 1000 samples and, timed alone on a 2-vCPU x86 VM,
 # took 94-103 ms per interval against 53-56 ms.
 BOOTSTRAP_BLOCK_BYTES = 1 << 20
@@ -209,12 +210,12 @@ def reveal_order(rng: np.random.Generator, n_total: int, sizes):
         left -= size
 
 
-def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
+def run_blocks(draw, band: Band, rng: np.random.Generator,
                record_trace: bool = False) -> IterationResult:
     """Sequential stopping over final labels drawn in doubling blocks.
 
-    ``band`` is ``hoeffding_band`` over the request supply, one tolerance
-    per row. ``draw(rows)`` returns the final labels of the given rows and
+    ``band`` is ``hoeffding_band`` over the request supply, one entry per
+    row. ``draw(rows)`` returns the final labels of the given rows and
     their effort: one count per row, or one count shared by every row. The
     rows come from ``reveal_order`` on ``rng`` in blocks of FIRST_BLOCK,
     2 * FIRST_BLOCK, ... rows, the last cut at the supply; each block is
@@ -224,13 +225,13 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
     verdict is a normal outcome (decided=False, effort covers everything
     spent).
     """
-    n_total = band.size
+    n_total = band.tolerances.size
     n = count = effort = 0
     trace = [] if record_trace else None
     sizes = (FIRST_BLOCK << i for i in itertools.count())
     for rows in reveal_order(rng, n_total, sizes):
         finals, per_row = draw(rows)
-        verdict, n_at, means = first_crossing(finals, band, n, count)
+        verdict, n_at, counts = first_crossing(finals, band, n, count)
         if isinstance(per_row, np.ndarray):
             # summed over a slice of the block's counts rather than counts
             # made for the first rows only: an array that long is a new
@@ -243,13 +244,13 @@ def run_blocks(draw, band: np.ndarray, rng: np.random.Generator,
         else:
             effort += per_row * (n_at - n)
         if record_trace:
-            tolerances = band[n:n_at]
+            means = counts / np.arange(n + 1, n_at + 1, dtype=np.int64)
+            tolerances = band.tolerances[n:n_at]
             trace.extend(zip(range(n + 1, n_at + 1), means.tolist(),
                              (means - tolerances).tolist(), (means + tolerances).tolist()))
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
-            return IterationResult(verdict=verdict, n_at_decision=n_at, effort=effort,
-                                   trace=trace)
-        n, count = n_at, count + int(finals.sum())
+            return IterationResult(verdict, n_at, effort, trace)
+        n, count = n_at, int(counts[-1])
 
 
 def run_iteration(
@@ -281,25 +282,24 @@ def run_iteration(
         pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size, rng)
 
     strategy, difficulties = config.strategy, requests.difficulties
-    k = strategy.votes_needed()
-    if config.distinct_voters and k > 1:
-        def law_of(rows):
+    if config.distinct_voters and (k := strategy.votes_needed()) > 1:
+        def draw(rows):
             voters = distinct_columns(rng, rows.size, pool.pool_size, k)
-            return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
+            block_law = final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
+            return draw_finals(strategy, block_law, rng)
     elif strategy.kind is StrategyKind.FIXED_WORKER:
         worker = pool.capabilities[rng.integers(0, pool.pool_size)]
 
-        def law_of(rows):
-            return final_law(strategy, difficulties[rows], worker)
+        def draw(rows):
+            return draw_finals(strategy, final_law(strategy, difficulties[rows], worker), rng)
     else:
         if config.resample_difficulties_per_iteration or config.resample_pool_per_iteration:
             law = final_law(strategy, difficulties, pool.capabilities.mean())
 
-        def law_of(rows):
-            return law.take(rows, axis=1)
+        def draw(rows):
+            return draw_finals(strategy, law.take(rows, axis=1), rng)
 
-    return run_blocks(lambda rows: draw_finals(strategy, law_of(rows), rng), band, rng,
-                      record_trace)
+    return run_blocks(draw, band, rng, record_trace)
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
@@ -340,18 +340,28 @@ def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) 
     ``substream(seed, DOMAIN_BOOTSTRAP, 0)``. That stream draws the same
     resample indices for every sample of one size, so the cells are grouped
     by size and each group is resampled by one ``bootstrap_ci`` call, which
-    draws its indices once for the whole group.
+    draws its indices once for the whole group. A group whose means, 8
+    bytes per cell and resample, would pass 2 * BOOTSTRAP_BLOCK_BYTES, what
+    one call's index block and gather buffer take, is split into chunks of
+    cells that stay within it, each on a fresh stream, so a call's means
+    never outgrow the rest of its working set. The default grids' largest
+    group, 15 cells at 10000 resamples (1.2 MB), stays one chunk; a second
+    would draw its 1e7 indices again.
     """
     intervals = [(math.nan, math.nan)] * len(samples)
     groups: dict = {}
     for i, sample in enumerate(samples):
         if len(sample):
             groups.setdefault(len(sample), []).append(i)
-    for cells in groups.values():
-        stack = np.array([samples[i] for i in cells], dtype=np.float64)
-        bounds = bootstrap_ci(stack, confidence, resamples, substream(seed, DOMAIN_BOOTSTRAP, 0))
-        for i, interval in zip(cells, bounds.tolist()):
-            intervals[i] = tuple(interval)
+    chunk = max(1, 2 * BOOTSTRAP_BLOCK_BYTES // (8 * resamples))
+    for group in groups.values():
+        for start in range(0, len(group), chunk):
+            cells = group[start:start + chunk]
+            stack = np.array([samples[i] for i in cells], dtype=np.float64)
+            bounds = bootstrap_ci(stack, confidence, resamples,
+                                  substream(seed, DOMAIN_BOOTSTRAP, 0))
+            for i, interval in zip(cells, bounds.tolist()):
+                intervals[i] = tuple(interval)
     return intervals
 
 

@@ -682,6 +682,8 @@ class TestFloatFormat:
                for n, mean, lower, upper in part]
         results = [IterationResult(verdict=None, n_at_decision=len(part), effort=0, trace=part)
                    for part in (trace[:5], trace[5:])]
+        # each iteration's rows come as one string of lines, the bytes the
+        # csv writer writes for the fmt fields
         new = list(_TraceRows(results, first=12))
-        assert [[str(field) for field in row] for row in new] == old
-        assert self._csv(new) == self._csv(old)
+        assert len(new) == 2
+        assert "".join(new) == self._csv(old)

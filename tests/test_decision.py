@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twochoice.decision import (
+    MIDLINE,
     DecisionState,
     Verdict,
     first_crossing,
@@ -41,11 +42,13 @@ class TestHoeffdingBand:
     def test_each_element_is_the_scalar_tolerance(self):
         for delta in (0.05, 0.001, 1e-6):
             band = hoeffding_band(delta, 5000)
-            assert band.tolist() == [hoeffding_tolerance(delta, n) for n in range(1, 5001)]
+            assert band.tolerances.tolist() == [hoeffding_tolerance(delta, n)
+                                                for n in range(1, 5001)]
 
     def test_a_slice_scans_like_the_whole_stream(self):
         # a stream scanned in two pieces, the second resumed from the
-        # first's n and count, reads the same band as one scan
+        # first's n and count, reads the same band and running counts as
+        # one scan
         labels = (np.random.default_rng(3).random(3000) < 0.53).astype(np.int8)
         band = hoeffding_band(0.01, 3000)
         whole = first_crossing(labels, band)
@@ -59,6 +62,27 @@ class TestHoeffdingBand:
     def test_invalid_delta(self, delta):
         with pytest.raises(ValueError):
             hoeffding_band(delta, 10)
+
+
+class TestCountThresholds:
+    """The band's integer A-count thresholds against the float test of the
+    running mean that they replace in the scan."""
+
+    # at exp(-2) and exp(-8) the tolerance is a whole number of half counts
+    # at some n, so the band's edge falls exactly on a mean there
+    @pytest.mark.parametrize("delta", [0.05, 0.01, 0.001, 1e-4, 1e-6, 0.5, 0.9,
+                                       math.exp(-2), math.exp(-8)])
+    def test_equal_the_float_test_at_every_count(self, delta):
+        # every count 0..n at every n <= 4000, 250 values of n at a time
+        band = hoeffding_band(delta, 4000)
+        for first in range(1, 4001, 250):
+            ns = np.arange(first, first + 250)
+            n = np.repeat(ns, ns + 1)
+            starts = np.cumsum(ns + 1) - (ns + 1)
+            counts = np.arange(n.size) - np.repeat(starts, ns + 1)
+            means, tolerances = counts / n, band.tolerances[n - 1]
+            assert np.array_equal(counts >= band.hi[n - 1], means - tolerances > MIDLINE)
+            assert np.array_equal(counts <= band.lo[n - 1], means + tolerances < MIDLINE)
 
 
 class TestUpdate:
@@ -184,15 +208,17 @@ class TestFirstCrossing:
             delta = float(rng.choice([0.05, 0.01, 0.001]))
             labels = (rng.random(int(rng.integers(1, 150))) < rng.uniform(0.2, 0.8)).astype(np.int8)
             band = hoeffding_band(delta, len(labels))
-            verdict, n, means = first_crossing(labels, band)
+            verdict, n, counts = first_crossing(labels, band)
             states = _run_stream(labels, delta)
             stop = next((i for i, s in enumerate(states) if s.verdict is not Verdict.UNDECIDED),
                         len(states) - 1)
             assert verdict is states[stop].verdict
             assert n == stop + 1
+            assert counts.tolist() == [s.count_a for s in states[:n]]
+            means = counts / np.arange(1, n + 1)
             assert means.tolist() == [s.mean for s in states[:n]]
-            assert (means - band[:n]).tolist() == [s.lower for s in states[:n]]
-            assert (means + band[:n]).tolist() == [s.upper for s in states[:n]]
+            assert (means - band.tolerances[:n]).tolist() == [s.lower for s in states[:n]]
+            assert (means + band.tolerances[:n]).tolist() == [s.upper for s in states[:n]]
             verdicts.add(verdict)
         assert verdicts == set(Verdict)
 

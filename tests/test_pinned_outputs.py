@@ -2,9 +2,11 @@
 the sha256 of every CSV and manifest compared against a table recorded for it.
 
 The corpus is a smoke-size simulate grid with distinct voters, fixed-worker
-and traced iterations; a grid with both resample flags; ``trace`` over a
-shared-law, a distinct-voter, a fixed-worker and a resample cell; and replay
-of a small seeded votes file. Each manifest is hashed with its path-valued
+and traced iterations; a grid with both resample flags; a near-no-signal
+grid whose supply fits in the first block, traced over the whole supply;
+``trace`` over a shared-law, a distinct-voter, a fixed-worker, a resample and
+a whole-supply max-three cell, and over two iterations whose bands print in
+exponent form; and replay of a small seeded votes file. Each manifest is hashed with its path-valued
 keys dropped, since the corpus runs in a fresh temporary directory.
 
 A change that keeps every output byte-identical keeps this test passing. A
@@ -59,6 +61,35 @@ seed: 11
 bootstrap: {confidence: 0.95, resamples: 1000}
 """
 
+# mu 0 and a supply below simulator.FIRST_BLOCK: nearly every iteration reads
+# every request in one block, and its trace covers the whole supply
+EXHAUST = """
+workers: {lo: 0.8, hi: 1.0, pool_size: 30}
+regimes:
+  - {mu: 0.0, sigma: 0.1, n_requests: 700}
+strategies: [one-worker, max-three, n-workers:3]
+deltas: [0.01]
+iterations: 25
+trace_iterations: 3
+seed: 7
+bootstrap: {confidence: 0.99, resamples: 500}
+"""
+
+# At so small a delta the band is about 1 wide near n = 1000, so its lower
+# bound passes close to 0 and prints in exponent form: iteration 6 at
+# n = 919 (-8.95347e-06, first block), iteration 9 at n = 1030 (2.72665e-06,
+# second block). Row n = 1 of every trace has an integer mean, 0 or 1.
+EXPONENT = """
+workers: {lo: 0.8, hi: 1.0, pool_size: 20}
+regimes:
+  - {mu: 0.0, sigma: 0.1, n_requests: 1200}
+strategies: [one-worker]
+deltas: [1.0e-200]
+iterations: 40
+seed: 3
+bootstrap: {confidence: 0.95, resamples: 200}
+"""
+
 REPLAY = """
 strategies: [one-worker, max-three, n-workers:3]
 deltas: [0.05, 0.01]
@@ -69,8 +100,10 @@ bootstrap: {confidence: 0.99, resamples: 1000}
 
 # (config, cell, iteration); DISTINCT's cells 9, 13 and 15 are one-worker
 # (the shared law), n-workers:3 (distinct voters) and fixed-worker at
-# mu 0.2, delta 0.001; RESAMPLE's cell 1 is max-three
-TRACES = [("distinct", 9, 1), ("distinct", 13, 0), ("distinct", 15, 3), ("resample", 1, 2)]
+# mu 0.2, delta 0.001; RESAMPLE's and EXHAUST's cell 1 is max-three
+TRACES = [("distinct", 9, 1), ("distinct", 13, 0), ("distinct", 15, 3), ("resample", 1, 2),
+          ("exhaust", 1, 4), ("exponent", 0, 6), ("exponent", 0, 9)]
+SIMULATED = ["distinct", "resample", "exhaust"]
 
 PINS = {
     "distinct/manifest.yaml": "343e59d4ee2f503648f58e7641fb9da1b8400c4f529261ced67e67e1cea669b1",
@@ -91,6 +124,11 @@ PINS = {
     "distinct/trace_013.csv": "db8c6cd64c18d49fef487db0f370488e4b84f3aa738ae18b39d140de04e1988f",
     "distinct/trace_014.csv": "89ac10968cddc41797e01b3ce0659edb86be840a4e07ce30c2b82423261d0eff",
     "distinct/trace_015.csv": "00e22f82550dc1fc5d70a909ac2256fa11ff5a17c50a5676920d0470f3e3616b",
+    "exhaust/manifest.yaml": "66eac6725d0e5a4bbd1f86800aa3775450955e1252326d4bb44a0bed222aabae",
+    "exhaust/summary.csv": "a366de393adaff973041a29c59ab16b41308076472847c5de53abef2b9e8296a",
+    "exhaust/trace_000.csv": "ce2b2654deb114d42eaeb1d7d1621781747e1168eb368b0f3a6a8ea8ef98f7df",
+    "exhaust/trace_001.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
+    "exhaust/trace_002.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
     "replay/decision_ratio.csv": "cebcb945bc7e8dfedddaf3bf5bedc63f28ca76cb1969eb3c3ec7760565695a1a",
     "replay/effort.csv": "ef33d56a8ff4b0af018cd80c3f485a2f9464a3030706e0b74f550abfecdbe893",
     "replay/manifest.yaml": "245bc07532047b77b58ad1d0c2c8eb7f711d5e11fdd87b9bc71c0191786eb961",
@@ -102,6 +140,12 @@ PINS = {
     "trace-distinct-15-3/trace.csv": "700af3997a6ccbb8e9b5e5c3f8e178e1737eb4a6eeb3aeadbe07d198f8d494a0",
     "trace-distinct-9-1/manifest.yaml": "5518e25e5baaae0378d714c85a5797ba7e24d1cccb14f039166884abcaf223cd",
     "trace-distinct-9-1/trace.csv": "a7ca063db33bebe2400da5c796ce7d53a1c4d53f5e9dc904be82b58c02983197",
+    "trace-exhaust-1-4/manifest.yaml": "ff273654c3cf2742b0dff55245b12a7e69f91fdabb923a017e547c091ea2b7ee",
+    "trace-exhaust-1-4/trace.csv": "674240f926ac0d21deed23c284e79b561c3bd17762c7f73bd7278d594b9c6572",
+    "trace-exponent-0-6/manifest.yaml": "5824c893d9b4136085bdfbe85129098f8b9081cbcf56a146568a5803e340ab96",
+    "trace-exponent-0-6/trace.csv": "ea0f8e7a40733f083aaf2c71fce4db6931e6b685578a99ab8e0aeacf34a5e91f",
+    "trace-exponent-0-9/manifest.yaml": "fcd83eed263f3e0f6a3fd5f8d59be44aa31a24a775a92bb779ec619ca17d39a1",
+    "trace-exponent-0-9/trace.csv": "e27baefe93bd9647c1a4ccc727010cb91c1cc1dbaa10a0aa6fd954c82818e48b",
     "trace-resample-1-2/manifest.yaml": "a2f3d5b38dd92cccb54ba83d4a6bf7fe3918305a54f97e1220773e5e68e6010a",
     "trace-resample-1-2/trace.csv": "d1fad4f020c4a751f342d356a8c8310a00efd1f46d1b5abba1ac8184d63645fc",
 }
@@ -137,14 +181,15 @@ def run_corpus(root: Path) -> dict:
     inputs, out = root / "inputs", root / "out"
     inputs.mkdir()
     configs = {}
-    for name, text in (("distinct", DISTINCT), ("resample", RESAMPLE), ("replay", REPLAY)):
+    for name, text in (("distinct", DISTINCT), ("resample", RESAMPLE), ("exhaust", EXHAUST),
+                       ("exponent", EXPONENT), ("replay", REPLAY)):
         configs[name] = inputs / f"{name}.yaml"
         configs[name].write_text(text, encoding="utf-8")
     write_votes(inputs / "votes.csv")
-    runs = [["simulate", "--config", str(configs["distinct"]), "--out", str(out / "distinct")],
-            ["simulate", "--config", str(configs["resample"]), "--out", str(out / "resample")],
-            ["replay", "--config", str(configs["replay"]), "--dataset", str(inputs / "votes.csv"),
-             "--out", str(out / "replay")]]
+    runs = [["simulate", "--config", str(configs[name]), "--out", str(out / name)]
+            for name in SIMULATED]
+    runs += [["replay", "--config", str(configs["replay"]), "--dataset",
+              str(inputs / "votes.csv"), "--out", str(out / "replay")]]
     runs += [["trace", "--config", str(configs[name]), "--cell", str(cell),
               "--iteration", str(iteration), "--out", str(out / f"trace-{name}-{cell}-{iteration}")]
              for name, cell, iteration in TRACES]

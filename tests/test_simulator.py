@@ -582,6 +582,26 @@ class TestBootstrapGrid:
         bootstrap_grid(samples, 0, 0.9, 100)
         assert calls == [(3, 3), (2, 4)]
 
+    def test_a_large_group_is_bootstrapped_in_chunks(self, monkeypatch):
+        # 200 cells of one size at 2000 resamples would hold 3.2 MB of
+        # means; chunks of 131 cells hold at most 2 MiB, and every cell
+        # still gets its lone interval
+        calls = []
+        lone = simulator.bootstrap_ci
+
+        def spy(stack, *args):
+            calls.append(np.shape(stack))
+            return lone(stack, *args)
+
+        monkeypatch.setattr(simulator, "bootstrap_ci", spy)
+        rng = np.random.default_rng(13)
+        samples = [rng.integers(10, 900, 20).tolist() for _ in range(200)]
+        intervals = bootstrap_grid(samples, 5, 0.95, 2000)
+        assert calls == [(131, 20), (69, 20)]
+        assert all(8 * rows * 2000 <= 2 * simulator.BOOTSTRAP_BLOCK_BYTES for rows, _ in calls)
+        for sample, interval in zip(samples, intervals):
+            assert interval == lone_ci(sample, 0.95, 2000, substream(5, DOMAIN_BOOTSTRAP, 0))
+
     def test_empty_grid_and_empty_cells(self):
         assert bootstrap_grid([], 0, 0.99, 100) == []
         assert all(math.isnan(bound) for interval in bootstrap_grid([[], []], 0, 0.99, 100)
