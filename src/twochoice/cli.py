@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -200,6 +199,9 @@ def _run_grid(run_cell, jobs: list, workers: int) -> list:
     exception it raised, so one failing grid cell keeps every other cell's row."""
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here, so that a one-process run never loads
+        # multiprocessing, which costs every launch import time and memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, job) for job in jobs]
             return [_outcome(future.result) for future in futures]

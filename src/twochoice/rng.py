@@ -7,10 +7,12 @@ distinct voters. Substreams are keyed by (seed, domain, index), so iteration
 i always sees the same stream no matter how many other iterations ran before
 it or in parallel. One derivation serves every key: stream i is row i % 256
 of the words numpy's ``SeedSequence([seed, domain, i // 256])`` generates,
-set straight into a PCG64. ``substream`` takes one stream, at the same cost
-for any index. ``iteration_streams`` walks a grid cell's streams a block of
-256 at a time on one reused Generator, so a cell does not pay for a
-SeedSequence per iteration, and gives the same numbers.
+set straight into a PCG64. ``substream`` takes one stream: it generates the
+block's words up to the stream's row, so its cost grows with index mod 256,
+up to one whole block. ``iteration_streams`` walks a grid cell's streams a
+block of 256 at a time on one reused Generator, so a cell pays for one
+SeedSequence and one block of words per 256 iterations, and gives the same
+numbers.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ DOMAIN_BOOTSTRAP = 3
 # 3: simulate's votes and replay's picks are drawn in doubling blocks of
 #    requests (simulator.FIRST_BLOCK rows first), only up to the stopping
 #    block.
-# 4: the request order is revealed block by block (simulator.reveal_order),
+# 4: the request order is revealed block by block (simulator.run_blocks),
 #    and with-replacement votes are drawn at the pool's mean capability
 #    without voter indices.
 # 5: with-replacement n-workers:N and max-three draw one uniform per request

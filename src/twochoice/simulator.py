@@ -8,24 +8,24 @@ decided iterations. Percentile-bootstrap intervals of the mean effort are
 computed after a whole grid has run, in one pass (``bootstrap_grid``).
 
 Each iteration reveals a uniformly random order of the requests one block
-at a time (``reveal_order``): the first block holds FIRST_BLOCK requests,
-each later block twice as many as the one before, and the last is cut at
-the request supply. Each block's final labels are drawn and scanned as
-soon as its rows are revealed, and no block past the first crossing is
-revealed or drawn. The stopping rule reads only each request's final label
-and its effort, so those are drawn from the law of the request's votes
-(``vote_law``): one uniform per request, whatever the strategy. Within an
-iteration's substream the draws are: the fixed worker (fixed-worker only,
-once); then per block the block's rows, the block's distinct voters
-(``distinct_voters`` only), then its uniforms. The block schedule is fixed,
-so results depend only on (seed, iteration index) and never on scheduling.
-Replay draws from the law of its recorded votes through the same block
-driver, ``run_blocks``, and holds its iterations in the same
+at a time, in the block driver ``run_blocks``: the first block holds
+FIRST_BLOCK requests, each later block twice as many as the one before,
+and the last is cut at the request supply. Each block's final labels are
+drawn and scanned as soon as its rows are revealed, and no block past the
+first crossing is revealed or drawn. The stopping rule reads only each
+request's final label and its effort, so those are drawn from the law of
+the request's votes (``vote_law``): one uniform per request, whatever the
+strategy, read as the final label and, for max-three, whether a third
+label is spent. Within an iteration's substream the draws are: the fixed
+worker (fixed-worker only, once); then per block the block's rows, the
+block's distinct voters (``distinct_voters`` only), then its uniforms. The
+block schedule is fixed, so results depend only on (seed, iteration
+index) and never on scheduling. Replay draws from the law of its recorded
+votes through the same block driver and holds its iterations in the same
 ``ExperimentSummary``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -80,7 +80,7 @@ class ExperimentConfig:
     distinct_voters: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationResult:
     verdict: Verdict
     n_at_decision: int
@@ -167,47 +167,21 @@ def final_law(strategy: Strategy, difficulties: np.ndarray, capability) -> np.nd
 
 def draw_finals(strategy: Strategy, law: np.ndarray, rng: np.random.Generator):
     """Final labels of the requests whose ``vote_law`` columns are given,
-    and their effort: an int array for max-three, else labels per request.
+    and their effort, as ``(finals, labels_per_row, splits)``: every row
+    spends ``labels_per_row`` labels, and a row where ``splits``, max-three's
+    mask of rows whose first two votes split, is True spends one more.
+    ``splits`` is None for the other strategies.
 
     One uniform per request, drawn as ``rng.random(n)``: the final label is
-    u < q; max-three spends 3 labels where row 1 <= u < row 2, else 2.
+    u < q; max-three's first two votes split where row 1 <= u < row 2.
     """
     u = rng.random(law.shape[1])
     finals = (u < law[0]).view(np.int8)
     if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
-        return finals, 2 + ((law[1] <= u) & (u < law[2]))
-    return finals, strategy.votes_needed()
-
-
-def reveal_order(rng: np.random.Generator, n_total: int, sizes):
-    """Yield a uniformly random order of rows 0..n_total-1, one block of
-    rows per entry of ``sizes``, until the rows run out.
-
-    The first block is ``rng.choice(n_total, size, replace=False)``; each
-    later block is a choice without replacement from the rows not yet
-    revealed. A block that takes every remaining row is a permutation of
-    them, so a supply that fits in the first block is ``rng.permutation``.
-    A block's draws happen when it is asked for, so no random number is
-    spent on rows past the last block taken.
-    """
-    seen = None
-    left = n_total
-    for size in sizes:
-        last = size >= left
-        rows = rng.permutation(left) if last else rng.choice(left, size, replace=False)
-        if seen is not None:
-            # the picks index the rows not yet revealed, in row order; only
-            # the mask is kept between blocks
-            rows = np.flatnonzero(~seen)[rows]
-        yield rows
-        if last:
-            return
-        if seen is None:
-            # made only when a second block is asked for; most iterations
-            # stop in their first
-            seen = np.zeros(n_total, dtype=bool)
-        seen[rows] = True
-        left -= size
+        splits = law[1] <= u
+        splits &= u < law[2]
+        return finals, 2, splits
+    return finals, strategy.votes_needed(), None
 
 
 def run_blocks(draw, band: Band, rng: np.random.Generator,
@@ -215,34 +189,40 @@ def run_blocks(draw, band: Band, rng: np.random.Generator,
     """Sequential stopping over final labels drawn in doubling blocks.
 
     ``band`` is ``hoeffding_band`` over the request supply, one entry per
-    row. ``draw(rows)`` returns the final labels of the given rows and
-    their effort: one count per row, or one count shared by every row. The
-    rows come from ``reveal_order`` on ``rng`` in blocks of FIRST_BLOCK,
-    2 * FIRST_BLOCK, ... rows, the last cut at the supply; each block is
-    scanned by ``first_crossing`` with the n and count carried over from
-    the blocks before it, and the scan stops at the first crossing, so no
-    later row is ever revealed or drawn. Exhausting the supply without a
-    verdict is a normal outcome (decided=False, effort covers everything
-    spent).
+    row. ``draw(rows)`` returns the given rows' final labels and effort as
+    ``draw_finals`` does. The rows are revealed in a uniformly random order
+    in blocks of FIRST_BLOCK, 2 * FIRST_BLOCK, ... rows, the last cut at the
+    supply: the first block is ``rng.choice(n_total, size, replace=False)``,
+    each later one a choice without replacement from the rows not yet
+    revealed, and a block that takes every remaining row is a permutation of
+    them. Each block is scanned by ``first_crossing`` with the n and count
+    carried over from the blocks before it, and the scan stops at the first
+    crossing, so no later row is ever revealed or drawn. Exhausting the
+    supply without a verdict is a normal outcome (decided=False, effort
+    covers everything spent).
     """
     n_total = band.tolerances.size
     n = count = effort = 0
     trace = [] if record_trace else None
-    sizes = (FIRST_BLOCK << i for i in itertools.count())
-    for rows in reveal_order(rng, n_total, sizes):
-        finals, per_row = draw(rows)
+    size, left, seen = FIRST_BLOCK, n_total, None
+    while True:
+        rows = rng.permutation(left) if size >= left else rng.choice(left, size, replace=False)
+        if seen is not None:
+            # the picks index the rows not yet revealed, in row order; only
+            # the mask is kept between blocks
+            rows = np.flatnonzero(~seen)[rows]
+        finals, labels_per_row, splits = draw(rows)
         verdict, n_at, counts = first_crossing(finals, band, n, count)
-        if isinstance(per_row, np.ndarray):
-            # summed over a slice of the block's counts rather than counts
-            # made for the first rows only: an array that long is a new
+        effort += labels_per_row * (n_at - n)
+        if splits is not None:
+            # counted on a view of the block's mask rather than on a mask
+            # made for the rows up to the stop: an array that long is a new
             # small size almost every call, and numpy keeps freed buffers
             # under 1 KiB cached for good wherever they were allocated.
             # Strewn through freed heap memory, they stop later large arrays
             # (replay's 8 MB bootstrap indices) from reusing it, and peak
             # RSS then differs from run to run.
-            effort += int(per_row[:n_at - n].sum())
-        else:
-            effort += per_row * (n_at - n)
+            effort += int(np.count_nonzero(splits[:n_at - n]))
         if record_trace:
             means = counts / np.arange(n + 1, n_at + 1, dtype=np.int64)
             tolerances = band.tolerances[n:n_at]
@@ -251,6 +231,13 @@ def run_blocks(draw, band: Band, rng: np.random.Generator,
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
             return IterationResult(verdict, n_at, effort, trace)
         n, count = n_at, int(counts[-1])
+        if seen is None:
+            # made only when a second block is needed; most iterations stop
+            # in their first
+            seen = np.zeros(n_total, dtype=bool)
+        seen[rows] = True
+        left -= size
+        size *= 2
 
 
 def run_iteration(

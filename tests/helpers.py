@@ -7,6 +7,8 @@ the tests check the law of the votes (``simulator.vote_law``), and
 ``lone_iteration`` runs one iteration of a grid cell alone, as ``trace`` runs
 it, and ``cell_draws`` catches the requests and pool that a cell's
 iterations share; both go through ``run_experiment``, which alone makes them.
+``reference_reveal`` is the stream layout's request order, written apart from
+``simulator.run_blocks``, for the tests that replay an iteration's draws.
 """
 import io
 import math
@@ -83,3 +85,21 @@ def cell_draws(config):
     with catch("sample_difficulties"), catch("sample_capabilities"):
         run_experiment(config, streams=[])
     return caught["sample_difficulties"], caught["sample_capabilities"]
+
+
+def reference_reveal(rng, n_total: int):
+    """Yield an iteration's request order as the stream layout draws it,
+    one block at a time: FIRST_BLOCK rows, then twice the block before, the
+    last cut at the supply. A block picks ``rng.choice(left, size,
+    replace=False)`` of the ``left`` rows not yet revealed, counted in row
+    order, or ``rng.permutation(left)`` when it takes all of them."""
+    hidden = np.arange(n_total)
+    size = simulator.FIRST_BLOCK
+    while hidden.size:
+        if size >= hidden.size:
+            yield hidden[rng.permutation(hidden.size)]
+            return
+        rows = hidden[rng.choice(hidden.size, size, replace=False)]
+        yield rows
+        hidden = np.setdiff1d(hidden, rows, assume_unique=True)
+        size *= 2

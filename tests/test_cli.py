@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import io
-from concurrent.futures import Future
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +70,7 @@ class InlineExecutor:
         return False
 
     def submit(self, fn, *args):
-        future = Future()
+        future = concurrent.futures.Future()
         try:
             future.set_result(fn(*args))
         except Exception as exc:
@@ -118,7 +120,7 @@ class TestSimulateCommand:
 
     def test_jobs_start_at_most_one_process_per_cell(self, tmp_path, monkeypatch):
         built = []
-        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: InlineExecutor(built, max_workers))
         grid = Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml"
         assert main(["simulate", "--config", str(grid), "--out", str(tmp_path / "grid"),
@@ -130,6 +132,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(one_cell), "--out", str(tmp_path / "one"),
                      "--jobs", "64"]) == 0
         assert built == [12]
+
+    def test_one_process_run_never_loads_the_pool(self, smoke_config, tmp_path):
+        # a fresh interpreter, so no module that the tests loaded counts
+        src = str(Path(cli.__file__).resolve().parents[1])
+        args = ["simulate", "--config", str(smoke_config), "--out", str(tmp_path / "out"),
+                "--jobs", "1"]
+        script = (f"import sys; sys.path.insert(0, {src!r}); from twochoice.cli import main; "
+                  f"code = main({args!r}); "
+                  "print(code, [name for name in ('multiprocessing', 'concurrent.futures') "
+                  "if name in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_seed_override_changes_results(self, smoke_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -17,12 +17,11 @@ from twochoice.simulator import (
     bootstrap_ci,
     bootstrap_grid,
     run_blocks,
-    reveal_order,
     run_experiment,
 )
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
-from helpers import cell_draws, lone_iteration
+from helpers import cell_draws, lone_iteration, reference_reveal
 from test_acceptance import FALSE_ALARM_RATE
 
 
@@ -173,10 +172,10 @@ def _crossing_labels(target, length, flip):
     return (1 - labels if flip else labels), delta
 
 
-def _max_three_effort(n, seed):
-    """Max-three's effort on n rows whose first two votes split on a random
-    half of them."""
-    return 2 + (np.random.default_rng(seed).random(n) < 0.5)
+def _max_three_splits(n, seed):
+    """Max-three's split mask on n rows whose first two votes split on a
+    random half of them."""
+    return np.random.default_rng(seed).random(n) < 0.5
 
 
 def _fold(labels, delta):
@@ -194,21 +193,19 @@ def _fold(labels, delta):
 class TestBlockDriver:
     """run_blocks on crafted label streams against the scalar update fold."""
 
-    def _check(self, labels, delta, expected_blocks, effort=None):
-        # effort is one count per row (max-three's by default) or one
-        # count for every row
-        if effort is None:
-            effort = _max_three_effort(len(labels), seed=len(expected_blocks))
-        per_row = np.broadcast_to(effort, len(labels))
+    def _check(self, labels, delta, expected_blocks, labels_per_row, splits):
+        # every row spends labels_per_row labels, and one more where splits,
+        # max-three's mask of rows whose first two votes split, is True
         drawn, revealed = [], []
 
         def draw(rows):
             # the crafted stream is laid out in the order the rows arrive
             start = drawn[-1][1] if drawn else 0
-            drawn.append((start, start + len(rows)))
-            revealed.extend(rows.tolist())
             stop = start + len(rows)
-            return labels[start:stop], (effort if np.isscalar(effort) else effort[start:stop])
+            drawn.append((start, stop))
+            revealed.extend(rows.tolist())
+            return labels[start:stop], labels_per_row, (None if splits is None
+                                                        else splits[start:stop])
 
         result = run_blocks(draw, hoeffding_band(delta, len(labels)), np.random.default_rng(0),
                             record_trace=True)
@@ -218,7 +215,9 @@ class TestBlockDriver:
         assert result.verdict is states[-1].verdict
         assert result.decided is (states[-1].verdict is not Verdict.UNDECIDED)
         assert result.n_at_decision == len(states)
-        assert result.effort == per_row[:len(states)].sum()
+        assert type(result.effort) is int
+        assert result.effort == labels_per_row * len(states) + (
+            0 if splits is None else int(splits[:len(states)].sum()))
         assert result.trace == [(s.n, s.mean, s.lower, s.upper) for s in states]
         assert drawn == expected_blocks
         return result
@@ -231,20 +230,30 @@ class TestBlockDriver:
     ])
     def test_first_crossing_at_block_boundary(self, target, flip, blocks):
         labels, delta = _crossing_labels(target, 5000, flip)
-        result = self._check(labels, delta, blocks)
+        result = self._check(labels, delta, blocks, 2, _max_three_splits(5000, len(blocks)))
         assert result.n_at_decision == target
         assert result.verdict is (Verdict.A_PRIME_IS_BETTER if flip else Verdict.A_IS_BETTER)
 
     def test_undecided_stream_draws_every_block_once(self):
         labels = np.tile(np.array([1, 0], dtype=np.int8), 2500)
-        result = self._check(labels, 0.01, [(0, 1024), (1024, 3072), (3072, 5000)])
+        result = self._check(labels, 0.01, [(0, 1024), (1024, 3072), (3072, 5000)], 2,
+                             _max_three_splits(5000, 3))
         assert not result.decided and result.n_at_decision == 5000
+
+    def test_split_rows_count_only_up_to_the_stop(self):
+        # max-three stops partway into its second block: every row splits,
+        # and the second block's rows past the stop, drawn with it, spend
+        # nothing
+        labels, delta = _crossing_labels(2000, 5000, False)
+        result = self._check(labels, delta, [(0, 1024), (1024, 3072)], 2,
+                             np.ones(5000, dtype=bool))
+        assert result.effort == 3 * 2000
 
     @pytest.mark.parametrize("target, blocks", [
         (1023, [(0, 1024)]), (1025, [(0, 1024), (1024, 3072)])])
     def test_effort_shared_by_every_row(self, target, blocks):
         labels, delta = _crossing_labels(target, 5000, False)
-        result = self._check(labels, delta, blocks, effort=5)
+        result = self._check(labels, delta, blocks, 5, None)
         assert result.effort == 5 * target
 
 
@@ -262,7 +271,23 @@ def chi2_sf(x, df):
 
 
 class TestRevealOrder:
-    """reveal_order: a uniform random order, revealed one block at a time."""
+    """run_blocks reveals a uniform random order, one doubling block at a time."""
+
+    # no stream of 5 labels decides at this delta, so every row is revealed
+    DELTA = 1e-9
+
+    @staticmethod
+    def reveal(n_total, rng):
+        """The blocks of rows run_blocks reveals over n_total rows."""
+        blocks = []
+
+        def draw(rows):
+            blocks.append(rows)
+            return np.zeros(rows.size, dtype=np.int8), 1, None
+
+        result = run_blocks(draw, hoeffding_band(TestRevealOrder.DELTA, n_total), rng)
+        assert not result.decided and result.n_at_decision == n_total
+        return blocks
 
     def test_chi2_sf_closed_forms(self):
         # df 2 is exp(-x / 2); df 1 is erfc(sqrt(x / 2))
@@ -270,15 +295,16 @@ class TestRevealOrder:
             assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-9)
             assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-9)
 
-    @pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 2)])
-    def test_every_order_of_four_rows_is_equally_likely(self, sizes):
+    @pytest.mark.parametrize("first_block, sizes", [(1, [1, 2, 1]), (2, [2, 2])])
+    def test_every_order_of_four_rows_is_equally_likely(self, monkeypatch, first_block, sizes):
         trials = 12_000
         rng = np.random.default_rng(sum(sizes) * 10 + len(sizes))
         orders = list(itertools.permutations(range(4)))
         tally = dict.fromkeys(orders, 0)
+        monkeypatch.setattr(simulator, "FIRST_BLOCK", first_block)
         for _ in range(trials):
-            blocks = list(reveal_order(rng, 4, sizes))
-            assert [len(rows) for rows in blocks] == list(sizes)
+            blocks = self.reveal(4, rng)
+            assert [len(rows) for rows in blocks] == sizes
             order = tuple(np.concatenate(blocks).tolist())
             assert sorted(order) == [0, 1, 2, 3]  # every row exactly once
             tally[order] += 1
@@ -287,15 +313,17 @@ class TestRevealOrder:
         # two schedules share the family-wise rate
         assert chi2_sf(statistic, len(orders) - 1) > FALSE_ALARM_RATE / 2
 
-    @pytest.mark.parametrize("sizes", [(4,), (9, 3)])
-    def test_a_block_taking_the_whole_supply_is_a_permutation(self, sizes):
-        blocks = list(reveal_order(np.random.default_rng(11), 4, sizes))
+    @pytest.mark.parametrize("first_block", [4, 9])
+    def test_a_block_taking_the_whole_supply_is_a_permutation(self, monkeypatch, first_block):
+        monkeypatch.setattr(simulator, "FIRST_BLOCK", first_block)
+        blocks = self.reveal(4, np.random.default_rng(11))
         assert len(blocks) == 1
         assert blocks[0].tolist() == np.random.default_rng(11).permutation(4).tolist()
 
-    def test_stops_when_the_rows_run_out(self):
-        blocks = list(reveal_order(np.random.default_rng(12), 5, itertools.repeat(2)))
-        assert [len(rows) for rows in blocks] == [2, 2, 1]
+    def test_stops_when_the_rows_run_out(self, monkeypatch):
+        monkeypatch.setattr(simulator, "FIRST_BLOCK", 2)
+        blocks = self.reveal(5, np.random.default_rng(12))
+        assert [len(rows) for rows in blocks] == [2, 3]
         assert sorted(np.concatenate(blocks).tolist()) == [0, 1, 2, 3, 4]
 
 
@@ -308,7 +336,7 @@ def layout4_labels(config, requests, pool, iteration, n):
     if config.strategy.kind is StrategyKind.FIXED_WORKER:
         capability = pool.capabilities[twin.integers(0, pool.pool_size)]
     labels = []
-    for rows in reveal_order(twin, requests.size, (FIRST_BLOCK << i for i in itertools.count())):
+    for rows in reference_reveal(twin, requests.size):
         votes = twin.random((1, rows.size)) < (capability * requests.difficulties[rows] + 1.0) / 2.0
         labels.extend(majority_vote(votes.T).tolist())
         if len(labels) >= n:
@@ -340,7 +368,7 @@ def layout6_distinct_labels(config, requests, pool, iteration, n):
     twin = substream(config.seed, DOMAIN_ITERATION, iteration)
     strategy, k = config.strategy, config.strategy.votes_needed()
     labels, effort = [], []
-    for rows in reveal_order(twin, requests.size, (FIRST_BLOCK << i for i in itertools.count())):
+    for rows in reference_reveal(twin, requests.size):
         d = requests.difficulties[rows]
         voters = distinct_columns(twin, d.size, pool.pool_size, k)
         final, both, either = enumerated_law(strategy, (pool.capabilities[voters] * d[:, None]

@@ -17,6 +17,16 @@ from test_acceptance import FALSE_ALARM_RATE, binomial_tails
 from test_simulator import chi2_sf, enumerated_law
 
 
+def finals_and_effort(strategy, law, rng):
+    """``draw_finals``' final labels, and the labels each row spends: its
+    labels_per_row, plus one on a row whose first two votes split."""
+    finals, labels_per_row, splits = draw_finals(strategy, law, rng)
+    effort = np.full(finals.size, labels_per_row)
+    if splits is not None:
+        effort += splits
+    return finals, effort
+
+
 def pool_of(value, size):
     return sample_capabilities(value, value, size, np.random.default_rng(0))
 
@@ -36,9 +46,7 @@ def apply(name_or_strategy, difficulties, pool, seed, distinct_voters=False):
     if distinct_voters and k > 1:
         capability = pool.capabilities[distinct_columns(rng, difficulties.size,
                                                         pool.pool_size, k).T]
-    law = final_law(strategy, difficulties, capability)
-    finals, effort = draw_finals(strategy, law, rng)
-    return finals, np.broadcast_to(effort, difficulties.size)
+    return finals_and_effort(strategy, final_law(strategy, difficulties, capability), rng)
 
 
 class TestMajorityVote:
@@ -245,7 +253,7 @@ class TestVoterFreeVotes:
             strategy = Strategy.from_name(name)
             if sampler == "law":
                 law = final_law(strategy, difficulties, capabilities.mean())
-                return draw_finals(strategy, law, rng)
+                return finals_and_effort(strategy, law, rng)
             votes = two_stage_votes(capabilities, self.D, (self.TRIALS, strategy.votes_needed()),
                                     rng)
             return majority_vote(votes), effort_of(strategy, votes)
@@ -260,7 +268,9 @@ class TestVoterFreeVotes:
         expected = np.array([p * p, 2 * p * p * (1 - p), 2 * p * (1 - p) ** 2, (1 - p) ** 2])
         strategy = Strategy.from_name("max-three")
         law = final_law(strategy, np.full(self.TRIALS, self.D), self.POOLS["uniform"].mean())
-        finals, effort = draw_finals(strategy, law, np.random.default_rng(31))
+        finals, labels_per_row, splits = draw_finals(strategy, law, np.random.default_rng(31))
+        assert labels_per_row == 2 and splits.dtype == bool
+        effort = labels_per_row + splits
         observed = np.array([((finals == final) & (effort == spent)).sum()
                              for final, spent in ((1, 2), (1, 3), (0, 3), (0, 2))])
         assert observed.sum() == self.TRIALS
@@ -295,11 +305,11 @@ class TestVoterFreeVotes:
         # layout 4 drew as rng.random((1, n)) at the same probability
         difficulties = np.random.default_rng(7).uniform(-1, 1, 5000)
         strategy = Strategy.from_name(name)
-        finals, effort = draw_finals(strategy, final_law(strategy, difficulties, 0.85),
-                                     np.random.default_rng(8))
+        finals, labels_per_row, splits = draw_finals(
+            strategy, final_law(strategy, difficulties, 0.85), np.random.default_rng(8))
         twin = np.random.default_rng(8).random((k, difficulties.size))
         assert np.array_equal(finals, (twin < (0.85 * difficulties + 1.0) / 2.0)[0])
-        assert effort == 1
+        assert (labels_per_row, splits) == (1, None)
 
     @pytest.mark.parametrize("name", ["n-workers:3", "max-three"])
     def test_distinct_voters_never_repeat_a_voter(self, name):
@@ -428,7 +438,8 @@ class TestLawDrawsMatchVoteSamplers:
         if source == "replay":
             if sampler == "law":
                 law = replay_law(annotation_set(self.RECORDED), strategy)
-                return draw_finals(strategy, law[:, np.zeros(self.TRIALS, dtype=np.int64)], rng)
+                return finals_and_effort(strategy, law[:, np.zeros(self.TRIALS, dtype=np.int64)],
+                                         rng)
             recorded = np.array(list(self.RECORDED["r0"].values()))
             votes = recorded[distinct_columns(rng, self.TRIALS, recorded.size, k)]
         else:
@@ -448,7 +459,7 @@ class TestLawDrawsMatchVoteSamplers:
         for name in self.NAMES:
             finals, effort = self.draw(source, sampler, Strategy.from_name(name), rng)
             counts.append(int(finals.sum()))
-        counts.append(int((np.broadcast_to(effort, self.TRIALS) == 3).sum()))
+        counts.append(int((effort == 3).sum()))
         for count, rate in zip(counts, self.exact_rates(source)):
             assert binomial_p_value(count, self.TRIALS, rate) > FALSE_ALARM_RATE / self.CHECKS
 
