@@ -6,8 +6,10 @@ and traced iterations; a grid with both resample flags; a near-no-signal
 grid whose supply fits in the first block, traced over the whole supply;
 ``trace`` over a shared-law, a distinct-voter, a fixed-worker, a resample and
 a whole-supply max-three cell, and over two iterations whose bands print in
-exponent form; and replay of a small seeded votes file. Each manifest is hashed with its path-valued
-keys dropped, since the corpus runs in a fresh temporary directory.
+exponent form; and replay of two seeded votes files, a small one and one
+whose supply runs past the first block. Each manifest is hashed with its
+path-valued keys dropped, since the corpus runs in a fresh temporary
+directory.
 
 A change that keeps every output byte-identical keeps this test passing. A
 change that alters an output on purpose, such as a new ``STREAM_LAYOUT``,
@@ -98,6 +100,20 @@ seed: 2
 bootstrap: {confidence: 0.99, resamples: 1000}
 """
 
+# Replay of 2500 requests of 9 votes at a chance near 0.52, past the first
+# block of simulator.FIRST_BLOCK rows: each strategy has iterations that stop
+# in the first block (one-worker's iteration 6 at n = 714), in the second,
+# read through the mask of the rows the first revealed (one-worker's
+# iterations 1 and 4 at n = 1220 and 2201), and one-worker and max-three
+# have iterations that read all 2500 undecided.
+REPLAY_LONG = """
+strategies: [one-worker, max-three, n-workers:9]
+deltas: [0.001]
+iterations: 8
+seed: 1
+bootstrap: {confidence: 0.95, resamples: 200}
+"""
+
 # (config, cell, iteration); DISTINCT's cells 9, 13 and 15 are one-worker
 # (the shared law), n-workers:3 (distinct voters) and fixed-worker at
 # mu 0.2, delta 0.001; RESAMPLE's and EXHAUST's cell 1 is max-three
@@ -129,6 +145,9 @@ PINS = {
     "exhaust/trace_000.csv": "ce2b2654deb114d42eaeb1d7d1621781747e1168eb368b0f3a6a8ea8ef98f7df",
     "exhaust/trace_001.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
     "exhaust/trace_002.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
+    "replay-long/decision_ratio.csv": "cb6605ca93145b2ea4f648d3f9163e5c5b5f557eafb3d3787c985468f5be4d37",
+    "replay-long/effort.csv": "bced479b3c418f15e0323e17d90e3069fe357a6ec0f6b47d234e012ac49229e4",
+    "replay-long/manifest.yaml": "9ef25d3df6c21a2e5989dbfbee4ebf5138c92699c9898d7690dce3032edc3709",
     "replay/decision_ratio.csv": "cebcb945bc7e8dfedddaf3bf5bedc63f28ca76cb1969eb3c3ec7760565695a1a",
     "replay/effort.csv": "ef33d56a8ff4b0af018cd80c3f485a2f9464a3030706e0b74f550abfecdbe893",
     "replay/manifest.yaml": "245bc07532047b77b58ad1d0c2c8eb7f711d5e11fdd87b9bc71c0191786eb961",
@@ -151,14 +170,15 @@ PINS = {
 }
 
 
-def write_votes(path: Path) -> None:
-    """300 requests of 3 to 5 votes each, from 40 workers who pick A with a
-    per-request chance near 0.6; drawn by the standard library's generator."""
+def write_votes(path: Path, requests: int, votes: tuple, mean: float) -> None:
+    """``requests`` requests of ``votes`` = (fewest, most) votes each, from 40
+    workers who pick A with a per-request chance near ``mean``; drawn by the
+    standard library's generator."""
     rng = random.Random(17)
     lines = ["request_id,worker_id,label"]
-    for request in range(300):
-        chance = min(1.0, max(0.0, rng.gauss(0.6, 0.15)))
-        for worker in rng.sample(range(40), rng.randint(3, 5)):
+    for request in range(requests):
+        chance = min(1.0, max(0.0, rng.gauss(mean, 0.15)))
+        for worker in rng.sample(range(40), rng.randint(*votes)):
             lines.append(f"r{request},w{worker},{int(rng.random() < chance)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -182,14 +202,16 @@ def run_corpus(root: Path) -> dict:
     inputs.mkdir()
     configs = {}
     for name, text in (("distinct", DISTINCT), ("resample", RESAMPLE), ("exhaust", EXHAUST),
-                       ("exponent", EXPONENT), ("replay", REPLAY)):
+                       ("exponent", EXPONENT), ("replay", REPLAY), ("replay-long", REPLAY_LONG)):
         configs[name] = inputs / f"{name}.yaml"
         configs[name].write_text(text, encoding="utf-8")
-    write_votes(inputs / "votes.csv")
+    write_votes(inputs / "votes.csv", 300, (3, 5), 0.6)
+    write_votes(inputs / "votes-long.csv", 2500, (9, 9), 0.52)
     runs = [["simulate", "--config", str(configs[name]), "--out", str(out / name)]
             for name in SIMULATED]
-    runs += [["replay", "--config", str(configs["replay"]), "--dataset",
-              str(inputs / "votes.csv"), "--out", str(out / "replay")]]
+    runs += [["replay", "--config", str(configs[name]), "--dataset", str(inputs / votes),
+              "--out", str(out / name)]
+             for name, votes in (("replay", "votes.csv"), ("replay-long", "votes-long.csv"))]
     runs += [["trace", "--config", str(configs[name]), "--cell", str(cell),
               "--iteration", str(iteration), "--out", str(out / f"trace-{name}-{cell}-{iteration}")]
              for name, cell, iteration in TRACES]
