@@ -8,6 +8,7 @@ table reproducible from a single manifest.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +68,14 @@ MAPPING_KEYS = {"request_id", "worker_id", "label", "label_map"}
 _REQUIRED = object()
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads 1e-3, text in YAML 1.1, as a float."""
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def _check_keys(data: dict, allowed: set, where: str) -> dict:
     """``data``, once it holds no key the loader does not read, so that a
     typo is not silently ignored."""
@@ -98,6 +107,14 @@ def _read(data, key, where: str, kind: type, default=_REQUIRED, ok=None, rule: s
     return value
 
 
+def _distinct(values: list, where: str, shown=str) -> tuple:
+    """``values`` as a tuple, once no entry equals one before it."""
+    for i, value in enumerate(values):
+        if (j := values.index(value)) < i:
+            raise ConfigError(f"{where}[{i}]: repeats {where}[{j}] ({shown(value)})")
+    return tuple(values)
+
+
 def _shared(data: dict, seed_override, iterations=_REQUIRED) -> dict:
     """The fields that simulate and replay configs share, read from the top
     level; ``seed_override`` (``--seed``) replaces the file's seed."""
@@ -114,9 +131,10 @@ def _shared(data: dict, seed_override, iterations=_REQUIRED) -> dict:
             raise ConfigError(f"config.strategies[{i}]: {exc}") from None
     deltas = _read(data, "deltas", "config", list, ok=bool, rule="not be empty")
     return dict(
-        strategies=tuple(strategies),
-        deltas=tuple(_read(deltas, i, "config.deltas", float, ok=lambda d: 0 < d < 1,
-                           rule="be a number in (0, 1)") for i in range(len(deltas))),
+        strategies=_distinct(strategies, "config.strategies", lambda strategy: strategy.name),
+        deltas=_distinct([_read(deltas, i, "config.deltas", float, ok=lambda d: 0 < d < 1,
+                                rule="be a number in (0, 1)") for i in range(len(deltas))],
+                         "config.deltas"),
         iterations=_read(data, "iterations", "config", int, iterations, ok=lambda n: n >= 1,
                          rule="be >= 1"),
         seed=_read(data, "seed", "config", int, 0, ok=lambda s: 0 <= s < 2**64,
@@ -129,7 +147,7 @@ def _shared(data: dict, seed_override, iterations=_REQUIRED) -> dict:
 
 
 def load_simulate_config(path, seed_override=None) -> SimulateConfig:
-    data = _check_keys(_load_yaml(path), SIMULATE_KEYS, "config")
+    data = _check_keys(_load_yaml(path, _ConfigLoader), SIMULATE_KEYS, "config")
     workers = _check_keys(_read(data, "workers", "config", dict), WORKERS_KEYS, "config.workers")
     lo = _read(workers, "lo", "config.workers", float, ok=lambda c: 0 <= c <= 1,
                rule="be in [0, 1]")
@@ -153,7 +171,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
                             rule=f"be in [{lo}, 1]"),
         pool_size=_read(workers, "pool_size", "config.workers", int, ok=lambda n: n >= 1,
                         rule="be >= 1"),
-        regimes=tuple(regimes),
+        regimes=_distinct(regimes, "config.regimes"),
         **_shared(data, seed_override),
         resample_difficulties_per_iteration=_read(data, "resample_difficulties_per_iteration",
                                                   "config", bool, False),
@@ -166,7 +184,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
 
 
 def load_replay_config(path, seed_override=None) -> ReplayConfig:
-    data = _check_keys(_load_yaml(path), REPLAY_KEYS, "config")
+    data = _check_keys(_load_yaml(path, _ConfigLoader), REPLAY_KEYS, "config")
     shared = _shared(data, seed_override, iterations=100)
     for i, strategy in enumerate(shared["strategies"]):
         if strategy.kind is StrategyKind.FIXED_WORKER:
@@ -175,7 +193,7 @@ def load_replay_config(path, seed_override=None) -> ReplayConfig:
 
 
 def load_mapping(path) -> dict:
-    data = _check_keys(_load_yaml(path), MAPPING_KEYS, "mapping")
+    data = _check_keys(_load_yaml(path, yaml.SafeLoader), MAPPING_KEYS, "mapping")
     for key in ("request_id", "worker_id", "label"):  # absent: parse_annotations' default
         _read(data, key, "mapping", str, None)
     label_map = data.get("label_map")
@@ -198,12 +216,12 @@ def load_mapping(path) -> dict:
     return data
 
 
-def _load_yaml(path) -> dict:
+def _load_yaml(path, loader: type) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        data = yaml.load(path.read_text(encoding="utf-8"), Loader=loader)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: expected UTF-8 text, got byte "
                           f"{exc.object[exc.start]:#04x}") from None

@@ -128,59 +128,40 @@ def parse_annotations(source, mapping: Optional[dict] = None,
         experiment_label=experiment_label)
 
 
-def _check_replayable(annotations: AnnotationSet, strategy: Strategy) -> None:
-    if strategy.kind is StrategyKind.FIXED_WORKER:
-        raise ValueError("fixed-worker cannot be replayed on recorded data")
-    demand = strategy.votes_needed()
-    shortest = int(annotations.counts.min())
-    if demand > shortest:
-        raise ValueError(
-            f"strategy {strategy.name} needs {demand} votes per request "
-            f"but some request has only {shortest}")
-
-
 def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
     """``vote_law`` of each request's votes, picked uniformly without
     replacement from its recorded votes: with j A-votes among the first t
     picks of a request holding ``ones`` A-votes in ``count``, pick t is A
-    with probability (ones - j) / (count - t).
-    """
-    _check_replayable(annotations, strategy)
+    with probability (ones - j) / (count - t). A strategy that cannot be
+    replayed on ``annotations`` is a ValueError."""
+    if strategy.kind is StrategyKind.FIXED_WORKER:
+        raise ValueError("fixed-worker cannot be replayed on recorded data")
     ones, counts = annotations.ones, annotations.counts
+    demand, shortest = strategy.votes_needed(), int(counts.min())
+    if demand > shortest:
+        raise ValueError(
+            f"strategy {strategy.name} needs {demand} votes per request "
+            f"but some request has only {shortest}")
     return vote_law(strategy, lambda t, j: (ones - j) / (counts - t))
 
 
-def replay_iteration(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                     rng: np.random.Generator,
-                     law: Optional[np.ndarray] = None,
-                     band: Optional[Band] = None) -> IterationResult:
-    """One replay pass: shuffled requests, recorded votes, sequential stop.
-
-    The block driver reveals the shuffled rows block by block and draws
-    each block's final labels and effort from ``law``, the cell's
-    ``replay_law``; ``band`` is ``hoeffding_band`` over the requests. Each
-    is computed here when not given. ``rng`` is the iteration's generator:
-    iteration i of a cell draws from ``substream(seed, DOMAIN_ITERATION,
-    i)``, which ``replay_experiment`` takes from the cell's
-    ``iteration_streams``.
-    """
-    if law is None:
-        law = replay_law(annotations, strategy)
-    if band is None:
-        band = hoeffding_band(delta, len(annotations))
+def replay_iteration(annotations: AnnotationSet, strategy: Strategy, law: np.ndarray,
+                     band: Band, rng: np.random.Generator) -> IterationResult:
+    """One replay pass on the cell's ``law`` and ``band`` (``replay_experiment``
+    makes them) and the iteration's ``rng``. ``annotations`` is unread here:
+    perfbench's traced launches count each call's requests as ``len(args[0])``."""
     return run_blocks(lambda rows: draw_finals(strategy, law.take(rows, axis=1), rng), band, rng)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
                       iterations: int, seed: int) -> ExperimentSummary:
-    """Aggregate replay iterations the same way the simulator aggregates;
-    ``simulator.bootstrap_grid`` gives the grid's intervals."""
+    """The one place where a replay cell's law and band are made; iteration
+    i draws from ``substream(seed, DOMAIN_ITERATION, i)``, whatever
+    ``iterations`` is. ``simulator.bootstrap_grid`` gives the intervals."""
     law = replay_law(annotations, strategy)
     band = hoeffding_band(delta, len(annotations))
-    streams = iteration_streams(seed, DOMAIN_ITERATION, iterations)
-    return ExperimentSummary([replay_iteration(annotations, strategy, delta, rng,
-                                               law=law, band=band)
-                              for rng in streams])
+    return ExperimentSummary([replay_iteration(annotations, strategy, law, band, rng)
+                              for rng in iteration_streams(seed, DOMAIN_ITERATION, iterations)])
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

@@ -7,6 +7,8 @@ the tests check the law of the votes (``simulator.vote_law``), and
 ``lone_iteration`` runs one iteration of a grid cell alone, as ``trace`` runs
 it, and ``cell_draws`` catches the requests and pool that a cell's
 iterations share; both go through ``run_experiment``, which alone makes them.
+``lone_replay`` reads one iteration of a replay cell off ``replay_experiment``,
+which alone makes a replay cell's law and band.
 ``reference_reveal`` is the stream layout's request order, written apart from
 ``simulator.run_blocks``, for the tests that replay an iteration's draws.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from twochoice import simulator
 from twochoice.decision import hoeffding_tolerance
-from twochoice.replay import parse_annotations
+from twochoice.replay import parse_annotations, replay_experiment
 from twochoice.rng import DOMAIN_ITERATION, substream
 from twochoice.simulator import run_experiment
 from twochoice.strategies import StrategyKind
@@ -67,6 +69,13 @@ def lone_iteration(config, index: int, record_trace: bool = False):
     [result] = run_experiment(config, trace_iterations=int(record_trace), streams=[
         substream(config.seed, DOMAIN_ITERATION, index)]).per_iteration
     return result
+
+
+def lone_replay(annotations, strategy, delta: float, seed: int, index: int = 0):
+    """Iteration ``index`` of the replay cell (``annotations``, ``strategy``,
+    ``delta``, ``seed``): the last of ``replay_experiment`` run for
+    ``index + 1`` iterations."""
+    return replay_experiment(annotations, strategy, delta, index + 1, seed).per_iteration[index]
 
 
 def cell_draws(config):

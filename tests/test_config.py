@@ -57,6 +57,16 @@ ERRORS = [
      "config.deltas[1]: expected float, got 'x'"),
     ("replay", "deltas: [0.01, 0.001]", "deltas: [true]",
      "config.deltas[0]: expected float, got True"),
+    # a grid runs each of its cells once
+    ("simulate", "strategies: [one-worker, n-workers:3]", "strategies: [one-worker, one-worker]",
+     "config.strategies[1]: repeats config.strategies[0] (one-worker)"),
+    ("replay", "strategies: [one-worker, max-three]",
+     "strategies: [n-workers:3, max-three, n-workers:03]",
+     "config.strategies[2]: repeats config.strategies[0] (n-workers:3)"),
+    ("simulate", "deltas: [0.01, 0.001]", "deltas: [0.01, 0.01]",
+     "config.deltas[1]: repeats config.deltas[0] (0.01)"),
+    ("replay", "deltas: [0.01, 0.001]", "deltas: [0.001, 0.01, 1e-3]",
+     "config.deltas[2]: repeats config.deltas[0] (0.001)"),
     ("simulate", "workers: {lo: 0.8, hi: 1.0, pool_size: 20}", "workers: 3",
      "config.workers: expected dict, got 3"),
     ("simulate", "lo: 0.8, hi: 1.0", "lo: 0.9, hi: 0.8",
@@ -148,6 +158,37 @@ iterations: 25
     replay = load_replay_config(write(tmp_path, "strategies: [one-worker]\ndeltas: [0.01]\n"))
     assert (replay.iterations, replay.seed, replay.bootstrap_confidence,
             replay.bootstrap_resamples) == (100, 0, 0.99, 10_000)
+
+
+def test_exponent_form_is_a_float_in_configs_and_text_in_mappings(tmp_path):
+    # YAML 1.1 reads 1e-3, with no point or no exponent sign, as text; a
+    # mapping's raw labels are matched as the dataset's text, so they stay text
+    exponents = "deltas: [1e-3, 1E-4, 5e-2, 2.5e-1, 1.0e-200]"
+    for base, load in LOADERS.values():
+        config = load(write(tmp_path, base.replace("deltas: [0.01, 0.001]", exponents)))
+        assert config.deltas == (0.001, 0.0001, 0.05, 0.25, 1e-200)
+        with pytest.raises(ConfigError) as caught:
+            load(write(tmp_path, base.replace("deltas: [0.01, 0.001]", "deltas: ['1e-3']")))
+        assert str(caught.value) == "config.deltas[0]: expected float, got '1e-3'"
+    simulate = load_simulate_config(write(tmp_path, SIMULATE.replace("sigma: 0.1", "sigma: 1e-1")))
+    assert simulate.regimes[0].sigma == 0.1
+    mapping = tmp_path / "mapping.yaml"
+    mapping.write_text("label_map: {1e3: 1, 5E-2: 0}\n", encoding="utf-8")
+    assert load_mapping(mapping)["label_map"] == {"1e3": 1, "5E-2": 0}
+
+
+def test_regimes_repeat_only_when_every_field_matches(tmp_path):
+    # regimes that share mu are distinct cells; summary.csv tells their rows
+    # apart by row order only
+    regime = "  - {mu: 0.4, sigma: 0.1, n_requests: 300}"
+    near = (f"{regime}\n  - {{mu: 0.4, sigma: 0.2, n_requests: 300}}"
+            f"\n  - {{mu: 0.4, sigma: 0.1, n_requests: 500}}")
+    assert len(load_simulate_config(write(tmp_path, SIMULATE.replace(regime, near))).regimes) == 3
+    repeat = f"{near}\n  - {{n_requests: 300, sigma: 2e-1, mu: 0.4}}"
+    with pytest.raises(ConfigError) as caught:
+        load_simulate_config(write(tmp_path, SIMULATE.replace(regime, repeat)))
+    assert str(caught.value) == ("config.regimes[3]: repeats config.regimes[1] "
+                                 "(Regime(mu=0.4, sigma=0.2, n_requests=300))")
 
 
 # YAML reads 1: as an integer key, so the unknown keys are of two types

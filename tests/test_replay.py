@@ -12,12 +12,10 @@ from twochoice.replay import (
     fleiss_kappa,
     parse_annotations,
     replay_experiment,
-    replay_iteration,
 )
-from twochoice.rng import DOMAIN_ITERATION, substream
 from twochoice.strategies import Strategy
 
-from helpers import annotation_set
+from helpers import annotation_set, lone_replay
 
 
 def csv_stream(text):
@@ -170,43 +168,38 @@ class TestReplayIteration:
     def test_unanimous_set_decides_at_the_floor(self):
         votes = make_set([[1] * 10 for _ in range(20)])
         one_worker = Strategy.from_name("one-worker")
-        result = replay_iteration(votes, one_worker, 0.001, substream(4, DOMAIN_ITERATION, 0))
+        result = lone_replay(votes, one_worker, 0.001, seed=4)
         assert result.decided
         assert result.verdict is Verdict.A_IS_BETTER
         assert result.n_at_decision == 14
         assert result.effort == 14
-        stricter = replay_iteration(votes, one_worker, 0.0001, substream(4, DOMAIN_ITERATION, 0))
+        stricter = lone_replay(votes, one_worker, 0.0001, seed=4)
         assert stricter.n_at_decision == 19
 
     def test_no_signal_never_decides(self):
         votes = make_set([[1] * 5 + [0] * 5 for _ in range(30)])
         for name in ("one-worker", "max-three", "n-workers:5"):
-            result = replay_iteration(votes, Strategy.from_name(name), 0.001,
-                                      substream(9, DOMAIN_ITERATION, 0))
+            result = lone_replay(votes, Strategy.from_name(name), 0.001, seed=9)
             assert not result.decided
             assert result.n_at_decision == 30
 
     def test_fixed_worker_rejected(self):
         votes = make_set([[1] * 4 for _ in range(20)])
         with pytest.raises(ValueError, match="fixed-worker"):
-            replay_iteration(votes, Strategy.from_name("fixed-worker"), 0.001,
-                             substream(0, DOMAIN_ITERATION, 0))
+            lone_replay(votes, Strategy.from_name("fixed-worker"), 0.001, seed=0)
 
     def test_vote_demand_must_fit(self):
         votes = make_set([[1] * 10 for _ in range(20)])
         with pytest.raises(ValueError, match="needs 11"):
-            replay_iteration(votes, Strategy.from_name("n-workers:11"), 0.001,
-                             substream(0, DOMAIN_ITERATION, 0))
+            lone_replay(votes, Strategy.from_name("n-workers:11"), 0.001, seed=0)
         with pytest.raises(ValueError, match="needs 3"):
-            replay_iteration(make_set([[1, 0] for _ in range(20)]),
-                             Strategy.from_name("max-three"), 0.001,
-                             substream(0, DOMAIN_ITERATION, 0))
+            lone_replay(make_set([[1, 0] for _ in range(20)]), Strategy.from_name("max-three"),
+                        0.001, seed=0)
 
     def test_majority_on_exactly_k_votes_uses_every_vote(self):
         # 3-of-5 majority is 1 for every request, whatever the subsample order
         votes = make_set([[1, 1, 0, 0, 1] for _ in range(25)])
-        result = replay_iteration(votes, Strategy.from_name("n-workers:5"), 0.01,
-                                  substream(77, DOMAIN_ITERATION, 0))
+        result = lone_replay(votes, Strategy.from_name("n-workers:5"), 0.01, seed=77)
         assert result.decided
         assert result.verdict is Verdict.A_IS_BETTER
         assert result.n_at_decision == 10  # unanimous finals decide at the floor
@@ -219,9 +212,7 @@ class TestReplayIteration:
         votes = make_set([[1] * 3, [1] * 11] * 15)
         for name in ("one-worker", "max-three", "n-workers:3"):
             strategy = Strategy.from_name(name)
-            for i in range(20):
-                result = replay_iteration(votes, strategy, 0.001,
-                                          substream(12, DOMAIN_ITERATION, i))
+            for result in replay_experiment(votes, strategy, 0.001, 20, seed=12).per_iteration:
                 assert result.verdict is Verdict.A_IS_BETTER
                 assert result.n_at_decision == 14
                 assert result.effort == 14 * (1 if name == "one-worker" else
@@ -236,9 +227,7 @@ class TestReplayIteration:
             "\n".join(f"r{i},w{j},{(i + j) % 2}" for i in range(20) for j in reversed(range(6)))))
         for name in ("one-worker", "max-three", "n-workers:3"):
             strategy = Strategy.from_name(name)
-            ra = replay_iteration(a, strategy, 0.01, substream(5, DOMAIN_ITERATION, 2))
-            rb = replay_iteration(b, strategy, 0.01, substream(5, DOMAIN_ITERATION, 2))
-            assert ra == rb
+            assert lone_replay(a, strategy, 0.01, 5, 2) == lone_replay(b, strategy, 0.01, 5, 2)
 
 
 class TestReplayExperiment:
@@ -267,16 +256,15 @@ class TestReplayExperiment:
 
     @pytest.mark.parametrize("name", ["one-worker", "max-three"])
     def test_per_iteration_matches_standalone_runs(self, name):
-        # replay_experiment takes its streams from iteration_streams and hands each
-        # the cell's law and band; a standalone run takes its own substream
+        # iteration i of a cell does not depend on the cell's iteration count:
+        # each iteration of a 12-iteration cell is the last of a cell of i + 1
         rng = np.random.default_rng(4)
         votes = make_set([[int(rng.random() < 0.52) for _ in range(9)] for _ in range(2500)])
         strategy = Strategy.from_name(name)
         summary = replay_experiment(votes, strategy, 0.001, 12, seed=9)
         assert max(r.n_at_decision for r in summary.per_iteration) > 1024
         for i, result in enumerate(summary.per_iteration):
-            assert result == replay_iteration(votes, strategy, 0.001,
-                                              substream(9, DOMAIN_ITERATION, i))
+            assert result == lone_replay(votes, strategy, 0.001, 9, i)
 
     def test_never_fabricates_labels(self):
         # a request with a lone dissent can outvote it at most once per iteration
