@@ -13,6 +13,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -77,7 +78,15 @@ def _run_simulate_cell(args):
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _TraceRows(summary.per_iteration[:config.trace_iterations]))
-    return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
+    return _cell_outcome(summary)
+
+
+def _cell_outcome(summary) -> tuple:
+    """A cell's mean effort, decision ratio and decided efforts, the last as
+    one int64 array: a list would hold a Python int per decided iteration,
+    36 bytes each, until the grid's bootstrap has run."""
+    return (summary.mean_effort, summary.decision_ratio,
+            np.array(summary.decided_efforts, dtype=np.int64))
 
 
 class _TraceRows:
@@ -226,8 +235,8 @@ def _report_failures(failed_cells: list) -> int:
 def _run_replay_cell(args):
     """One replay cell: its mean effort, decision ratio and decided efforts."""
     config, annotations, strategy, delta = args
-    summary = replay_experiment(annotations, strategy, delta, config.iterations, config.seed)
-    return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
+    return _cell_outcome(replay_experiment(annotations, strategy, delta, config.iterations,
+                                           config.seed))
 
 
 def cmd_replay(args) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -32,8 +31,6 @@ from .strategies import Strategy, StrategyKind
 from .rng import substream  # noqa: F401
 from .simulator import bootstrap_ci  # noqa: F401
 from .strategies import majority_vote  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 REQUIRED_COLUMNS = ("request_id", "worker_id", "label")
 
@@ -183,8 +180,11 @@ def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:
     if k < 2:
         raise ValueError("fleiss_kappa needs at least 2 votes on every request")
     if counts.max() != k:
-        log.warning("unequal vote counts (%d..%d); subsampling every request to k=%d",
-                    k, counts.max(), k)
+        # imported here, so that a run that never warns, as no simulate run
+        # does, never loads logging
+        import logging
+        logging.getLogger(__name__).warning(
+            "unequal vote counts (%d..%d); subsampling every request to k=%d", k, counts.max(), k)
         ones = np.random.default_rng(seed).hypergeometric(ones, counts - ones, k)
 
     zeros = k - ones

@@ -55,12 +55,18 @@ FIRST_BLOCK = 1024
 # float64 copy gathered for one sample is as large. Generator.integers
 # takes its 32-bit words from the bit generator's own buffer, which carries
 # over between calls, so the interval does not depend on the block size.
-# 1 MiB keeps a bootstrap's working set near 2 MiB, plus 8 bytes of means
-# per sample and resample, at any sample size; bootstrap_grid holds those
-# means to at most twice this budget per call. A 64 MB budget held 128 MB
-# for 10000 resamples of 1000 samples and, timed alone on a 2-vCPU x86 VM,
-# took 94-103 ms per interval against 53-56 ms.
-BOOTSTRAP_BLOCK_BYTES = 1 << 20
+# 256 KiB keeps a bootstrap's working set near 0.5 MB, plus 8 bytes of means
+# per sample and resample, at any sample size. 1 MiB blocks held 2 MiB and
+# set sim-default's peak RSS 1 MB higher, at the same speed. A 64 MB
+# budget held 128 MB for 10000 resamples of 1000 samples and, timed alone
+# on a 2-vCPU x86 VM, took 94-103 ms per interval against 53-56 ms.
+BOOTSTRAP_BLOCK_BYTES = 1 << 18
+
+# Bytes of means, 8 per cell and resample, that one bootstrap_ci call of
+# bootstrap_grid holds at most. The default grids' largest group, 15 cells
+# at 10000 resamples (1.2 MB), fits in one call, which draws the group's
+# indices once.
+BOOTSTRAP_MEANS_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -327,20 +333,16 @@ def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) 
     ``substream(seed, DOMAIN_BOOTSTRAP, 0)``. That stream draws the same
     resample indices for every sample of one size, so the cells are grouped
     by size and each group is resampled by one ``bootstrap_ci`` call, which
-    draws its indices once for the whole group. A group whose means, 8
-    bytes per cell and resample, would pass 2 * BOOTSTRAP_BLOCK_BYTES, what
-    one call's index block and gather buffer take, is split into chunks of
-    cells that stay within it, each on a fresh stream, so a call's means
-    never outgrow the rest of its working set. The default grids' largest
-    group, 15 cells at 10000 resamples (1.2 MB), stays one chunk; a second
-    would draw its 1e7 indices again.
+    draws its indices once for the whole group. A group whose means would
+    pass BOOTSTRAP_MEANS_BYTES is split into chunks of cells that stay
+    within it, each on a fresh stream, which draws its indices again.
     """
     intervals = [(math.nan, math.nan)] * len(samples)
     groups: dict = {}
     for i, sample in enumerate(samples):
         if len(sample):
             groups.setdefault(len(sample), []).append(i)
-    chunk = max(1, 2 * BOOTSTRAP_BLOCK_BYTES // (8 * resamples))
+    chunk = max(1, BOOTSTRAP_MEANS_BYTES // (8 * resamples))
     for group in groups.values():
         for start in range(0, len(group), chunk):
             cells = group[start:start + chunk]
@@ -359,7 +361,9 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
 
     Every row is resampled with the same indices, drawn in blocks of at
     most BOOTSTRAP_BLOCK_BYTES, so row j's interval is the one that row
-    alone, as a (1, n) stack, gets on the same stream.
+    alone, as a (1, n) stack, gets on the same stream. The working set is
+    one block of indices, a gather buffer as large, and 8 bytes of means
+    per row and resample.
     """
     stack = np.asarray(samples, dtype=np.float64)
     if stack.ndim != 2:
@@ -376,8 +380,8 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
         stop = min(start + block, resamples)
         picks = rng.integers(0, n, size=(stop - start, n))
         if start == 0:
-            # One buffer takes every gather: a fresh 1 MiB array per sample
-            # and block, where the allocator hands freed pages back to the
+            # One buffer takes every gather: a fresh array per sample and
+            # block, where the allocator hands freed pages back to the
             # system, made every gather fault its pages in again. It and the
             # means are made after the first block's indices, so that each
             # later block's indices fit where the block before them was
@@ -389,7 +393,11 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
             # the picks lie in [0, n), so "clip" takes what "raise" would,
             # without the temporary copy that "raise" makes for ``out``
             np.take(row, picks, out=resampled, mode="clip")
-            resampled.mean(axis=1, out=row_means[start:stop])
+            # the sum and division that ndarray.mean makes, bit for bit,
+            # without its Python-level cost on every block
+            block_means = row_means[start:stop]
+            np.add.reduce(resampled, axis=1, out=block_means)
+            np.divide(block_means, n, out=block_means)
         # freed before the next block's are drawn, so the working set is one
         # block of indices, the gather buffer and the means
         del picks

@@ -11,9 +11,13 @@ iterations share; both go through ``run_experiment``, which alone makes them.
 which alone makes a replay cell's law and band.
 ``reference_reveal`` is the stream layout's request order, written apart from
 ``simulator.run_blocks``, for the tests that replay an iteration's draws.
+``traced_peak`` is the most memory that numpy and Python held during a call.
+``assert_max_three_stops_as_three_workers`` compares the iterations of a
+max-three cell with those of its n-workers:3 twin.
 """
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,3 +116,26 @@ def reference_reveal(rng, n_total: int):
         yield rows
         hidden = np.setdiff1d(hidden, rows, assume_unique=True)
         size *= 2
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak, in bytes, of the memory that tracemalloc saw allocated
+    during ``fn(*args)``; numpy reports its data buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_max_three_stops_as_three_workers(max_three, three_workers):
+    """The iterations of two cells' ``ExperimentSummary`` on the same
+    streams stop at the same n with the same verdict, n-workers:3 spends
+    3n labels and max-three from 2n up to that, less on some iteration."""
+    pairs = list(zip(max_three.per_iteration, three_workers.per_iteration, strict=True))
+    for split, full in pairs:
+        assert (split.verdict, split.n_at_decision) == (full.verdict, full.n_at_decision)
+        assert full.effort == 3 * full.n_at_decision
+        assert 2 * full.n_at_decision <= split.effort <= full.effort
+    assert any(split.effort < full.effort for split, full in pairs)

@@ -134,14 +134,15 @@ class TestSimulateCommand:
         assert built == [12]
 
     def test_one_process_run_never_loads_the_pool(self, smoke_config, tmp_path):
-        # a fresh interpreter, so no module that the tests loaded counts
+        # a fresh interpreter, so no module that the tests loaded counts;
+        # logging is loaded only where replay warns, which simulate never does
         src = str(Path(cli.__file__).resolve().parents[1])
         args = ["simulate", "--config", str(smoke_config), "--out", str(tmp_path / "out"),
                 "--jobs", "1"]
         script = (f"import sys; sys.path.insert(0, {src!r}); from twochoice.cli import main; "
                   f"code = main({args!r}); "
-                  "print(code, [name for name in ('multiprocessing', 'concurrent.futures') "
-                  "if name in sys.modules])")
+                  "print(code, [name for name in ('multiprocessing', 'concurrent.futures', "
+                  "'logging') if name in sys.modules])")
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr

@@ -12,10 +12,11 @@ from twochoice.replay import (
     fleiss_kappa,
     parse_annotations,
     replay_experiment,
+    replay_law,
 )
 from twochoice.strategies import Strategy
 
-from helpers import annotation_set, lone_replay
+from helpers import annotation_set, assert_max_three_stops_as_three_workers, lone_replay
 
 
 def csv_stream(text):
@@ -265,6 +266,20 @@ class TestReplayExperiment:
         assert max(r.n_at_decision for r in summary.per_iteration) > 1024
         for i, result in enumerate(summary.per_iteration):
             assert result == lone_replay(votes, strategy, 0.001, 9, i)
+
+    def test_max_three_stops_where_three_workers_do(self):
+        # max-three's final label is the majority of three votes, the law of
+        # n-workers:3 bit for bit, so on one iteration stream both cells
+        # stop at the same n with the same verdict; only effort differs
+        rng = np.random.default_rng(15)
+        votes = make_set([[int(rng.random() < 0.6) for _ in range(int(rng.integers(3, 10)))]
+                          for _ in range(1500)])
+        max_three, three = Strategy.from_name("max-three"), Strategy.from_name("n-workers:3")
+        assert np.array_equal(replay_law(votes, max_three)[0], replay_law(votes, three)[0])
+        for delta in (0.01, 0.001):
+            assert_max_three_stops_as_three_workers(
+                replay_experiment(votes, max_three, delta, 30, seed=2),
+                replay_experiment(votes, three, delta, 30, seed=2))
 
     def test_never_fabricates_labels(self):
         # a request with a lone dissent can outvote it at most once per iteration

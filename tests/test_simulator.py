@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import math
 import random
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twochoice import decision, simulator
+from twochoice.cli import simulate_grid
+from twochoice.config import load_simulate_config
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool
 from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, distinct_columns, substream
@@ -21,7 +23,13 @@ from twochoice.simulator import (
 )
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
-from helpers import cell_draws, lone_iteration, reference_reveal
+from helpers import (
+    assert_max_three_stops_as_three_workers,
+    cell_draws,
+    lone_iteration,
+    reference_reveal,
+    traced_peak,
+)
 from test_acceptance import FALSE_ALARM_RATE
 
 
@@ -494,6 +502,26 @@ class TestRunExperiment:
         assert summary.per_iteration[1].trace is not None
         assert summary.per_iteration[2].trace is None
 
+    def test_max_three_stops_where_three_workers_do(self):
+        # max-three's final label is the majority of three votes, the law of
+        # n-workers:3 bit for bit, so on one iteration stream both cells
+        # stop at the same n with the same verdict; only effort differs
+        config = load_simulate_config(Path(__file__).parents[1] / "configs"
+                                      / "simulate_smoke.yaml")
+        cells = {(cell.strategy.name, cell.mu, cell.delta): cell
+                 for cell in simulate_grid(config)}
+        for (name, mu, delta), three in cells.items():
+            if name != "n-workers:3":
+                continue
+            max_three = cells["max-three", mu, delta]
+            requests, pool = cell_draws(three)
+            capability = pool.capabilities.mean()
+            assert np.array_equal(
+                simulator.final_law(max_three.strategy, requests.difficulties, capability)[0],
+                simulator.final_law(three.strategy, requests.difficulties, capability)[0])
+            assert_max_three_stops_as_three_workers(run_experiment(max_three),
+                                                    run_experiment(three))
+
 
 def lone_ci(sample, confidence, resamples, rng):
     """The (low, high) interval of one sample, bootstrapped as a (1, n) stack."""
@@ -525,20 +553,22 @@ class TestBootstrapCI:
 
     def test_working_memory_is_bounded(self):
         data = np.random.default_rng(3).integers(100, 5000, 1000)
-        tracemalloc.start()
-        try:
-            lone_ci(data, 0.99, 10_000, np.random.default_rng(4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lone_ci, data, 0.99, 10_000, np.random.default_rng(4))
         assert peak < 4 * 2**20
 
     # the default block, and blocks of one and of three rows, whose odd
-    # number of draws leaves half a 64-bit word to the next block
-    @pytest.mark.parametrize("size, block_bytes", [
-        (1000, simulator.BOOTSTRAP_BLOCK_BYTES), (7, 8 * 7), (1001, 8 * 1001 * 3)])
-    def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes):
-        data = np.random.default_rng(5).integers(100, 5000, size).astype(np.float64)
+    # number of draws leaves half a 64-bit word to the next block; normal
+    # floats, whose sums round, pin each block's means to the bits of
+    # ndarray.mean, and not only on integer-valued data
+    @pytest.mark.parametrize("size, block_bytes, floats", [
+        (1000, simulator.BOOTSTRAP_BLOCK_BYTES, False), (7, 8 * 7, False),
+        (1001, 8 * 1001 * 3, False), (1000, simulator.BOOTSTRAP_BLOCK_BYTES, True),
+        (1000, 8 * 1000, True)])
+    def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes,
+                                                     floats):
+        rng = np.random.default_rng(5)
+        data = (rng.normal(1000.0, 300.0, size) if floats
+                else rng.integers(100, 5000, size).astype(np.float64))
         monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
         lo, hi = lone_ci(data, 0.99, 10_000, np.random.default_rng(6))
         # reference: every resample drawn by one call
@@ -564,15 +594,13 @@ class TestBootstrapCI:
 
     def test_stack_working_memory_is_bounded(self):
         # a grid's group of 15 cells of 1000 decided iterations: 1.2 MB of
-        # means beside one 1 MiB index block and its gathered copy
+        # means beside one 256 KiB index block and its gathered copy
         stack = np.random.default_rng(3).integers(100, 5000, (15, 1000)).astype(np.float64)
-        tracemalloc.start()
-        try:
-            bootstrap_ci(stack, 0.99, 10_000, np.random.default_rng(4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        # np.quantile's first call imports numpy.ma (about 1.1 MB), once per
+        # process; that is not the bootstrap's working set
+        np.quantile(stack[0], 0.5)
+        peak = traced_peak(bootstrap_ci, stack, 0.99, 10_000, np.random.default_rng(4))
+        assert peak < 8 * 15 * 10_000 + 2 * 2**18 + 64 * 2**10
 
     def test_stack_must_be_two_dimensional(self):
         # one sample alone is a (1, n) stack, not an (n,) array
@@ -612,8 +640,8 @@ class TestBootstrapGrid:
 
     def test_a_large_group_is_bootstrapped_in_chunks(self, monkeypatch):
         # 200 cells of one size at 2000 resamples would hold 3.2 MB of
-        # means; chunks of 131 cells hold at most 2 MiB, and every cell
-        # still gets its lone interval
+        # means; chunks of 131 cells hold at most BOOTSTRAP_MEANS_BYTES,
+        # 2 MiB, and every cell still gets its lone interval
         calls = []
         lone = simulator.bootstrap_ci
 
@@ -626,7 +654,7 @@ class TestBootstrapGrid:
         samples = [rng.integers(10, 900, 20).tolist() for _ in range(200)]
         intervals = bootstrap_grid(samples, 5, 0.95, 2000)
         assert calls == [(131, 20), (69, 20)]
-        assert all(8 * rows * 2000 <= 2 * simulator.BOOTSTRAP_BLOCK_BYTES for rows, _ in calls)
+        assert all(8 * rows * 2000 <= simulator.BOOTSTRAP_MEANS_BYTES for rows, _ in calls)
         for sample, interval in zip(samples, intervals):
             assert interval == lone_ci(sample, 0.95, 2000, substream(5, DOMAIN_BOOTSTRAP, 0))
 
