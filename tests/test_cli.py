@@ -133,20 +133,26 @@ class TestSimulateCommand:
                      "--jobs", "64"]) == 0
         assert built == [12]
 
-    def test_one_process_run_never_loads_the_pool(self, smoke_config, tmp_path):
-        # a fresh interpreter, so no module that the tests loaded counts;
-        # logging is loaded only where replay warns, which simulate never does
+    def test_one_process_run_never_loads_the_pool(self, smoke_config, dataset, tmp_path):
+        # a fresh interpreter per command, so no module that the tests loaded
+        # counts; logging is loaded only where replay warns of unequal vote
+        # counts, which simulate and this dataset never make, and numpy.ma
+        # only through np.quantile, which the bootstrap does not call
         src = str(Path(cli.__file__).resolve().parents[1])
-        args = ["simulate", "--config", str(smoke_config), "--out", str(tmp_path / "out"),
-                "--jobs", "1"]
-        script = (f"import sys; sys.path.insert(0, {src!r}); from twochoice.cli import main; "
-                  f"code = main({args!r}); "
-                  "print(code, [name for name in ('multiprocessing', 'concurrent.futures', "
-                  "'logging') if name in sys.modules])")
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 []"
+        replay_config = tmp_path / "replay.yaml"
+        replay_config.write_text(REPLAY, encoding="utf-8")
+        for args in (["simulate", "--config", str(smoke_config), "--out", str(tmp_path / "sim"),
+                      "--jobs", "1"],
+                     ["replay", "--config", str(replay_config), "--dataset", str(dataset),
+                      "--out", str(tmp_path / "replay"), "--jobs", "1"]):
+            script = (f"import sys; sys.path.insert(0, {src!r}); from twochoice.cli import main; "
+                      f"code = main({args!r}); "
+                      "print(code, [name for name in ('multiprocessing', 'concurrent.futures', "
+                      "'logging', 'numpy.ma') if name in sys.modules])")
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == "0 []", args[0]
 
     def test_seed_override_changes_results(self, smoke_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

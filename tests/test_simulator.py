@@ -580,6 +580,9 @@ class TestBootstrapCI:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             lone_ci([], 0.99, 100, np.random.default_rng(0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lone_ci([1.0, bad], 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
             lone_ci([1.0], 1.0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -602,6 +605,44 @@ class TestBootstrapCI:
         peak = traced_peak(bootstrap_ci, stack, 0.99, 10_000, np.random.default_rng(4))
         assert peak < 8 * 15 * 10_000 + 2 * 2**18 + 64 * 2**10
 
+    # efforts, and values with n * max|x| just below 2**53, the counts
+    # kernel's guard: row 0 holds the largest value throughout, so its sums
+    # reach the guard's edge
+    @pytest.mark.parametrize("rows", [2, 14, 15])
+    @pytest.mark.parametrize("size", [1, 7, 999, 1000])
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    @pytest.mark.parametrize("at_guard", [False, True])
+    def test_whole_numbers_count_as_they_gather(self, monkeypatch, rows, size, block_rows,
+                                                at_guard):
+        largest = (2**53 - 1) // size if at_guard else 5000
+        stack = np.random.default_rng(size).integers(-largest, largest + 1, (rows, size))
+        stack[0] = largest
+        stack = stack.astype(np.float64)
+        counted = spy_on(monkeypatch, "count_means")
+        if block_rows is not None:
+            monkeypatch.setattr(simulator, "BOOTSTRAP_COUNTS_BYTES", 8 * size * block_rows)
+        bounds = bootstrap_ci(stack, 0.99, 2000, np.random.default_rng(6))
+        assert counted == [stack.shape]
+        # the gather at its own default block draws the same indices
+        means = simulator.gather_means(stack, 2000, np.random.default_rng(6))
+        assert simulator.count_means(stack, 2000, np.random.default_rng(6)).tobytes() == \
+            means.tobytes()
+        assert bounds.tobytes() == simulator.percentile_interval(means, 0.99).tobytes()
+
+    @pytest.mark.parametrize("stack", [
+        # not whole numbers
+        np.array([[1.0, 2.0, 3.5], [4.0, 5.0, 6.0]]),
+        # whole, but 3 * max|x| reaches 2**53
+        np.array([[1.0, 2.0, 3.0], [-(2.0**53 // 3 + 1), 0.0, 1.0]]),
+        # whole, but a sample alone
+        np.array([[1.0, 2.0, 3.0]])])
+    def test_other_stacks_gather_and_each_row_gets_its_lone_interval(self, monkeypatch, stack):
+        counted = spy_on(monkeypatch, "count_means")
+        bounds = bootstrap_ci(stack, 0.9, 500, np.random.default_rng(3))
+        assert counted == []
+        for row, (lo, hi) in zip(stack, bounds.tolist()):
+            assert (lo, hi) == lone_ci(row, 0.9, 500, np.random.default_rng(3))
+
     def test_stack_must_be_two_dimensional(self):
         # one sample alone is a (1, n) stack, not an (n,) array
         with pytest.raises(ValueError, match=r"\(k, n\) stack, got shape \(3,\)"):
@@ -610,6 +651,36 @@ class TestBootstrapCI:
             bootstrap_ci(np.ones((2, 3, 4)), 0.99, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
             bootstrap_ci(np.ones((3, 0)), 0.99, 100, np.random.default_rng(0))
+
+
+def spy_on(monkeypatch, name):
+    """Record the shape of the stack of each call to simulator.``name``."""
+    calls = []
+    wrapped = getattr(simulator, name)
+
+    def spy(stack, *args):
+        calls.append(np.shape(stack))
+        return wrapped(stack, *args)
+
+    monkeypatch.setattr(simulator, name, spy)
+    return calls
+
+
+class TestPercentileInterval:
+    # 0.75 puts the virtual indices of 5 means at 0.5 and 3.5, and 0.5 those
+    # of 3 means at 0.5 and 1.5, where numpy interpolates from the upper
+    # value; a lone mean of -0.0 keeps its sign only as numpy reads the last
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 1000, 10_000])
+    @pytest.mark.parametrize("confidence", [0.5, 0.75, 0.99, 0.999999])
+    def test_matches_np_quantile_bit_for_bit(self, size, confidence):
+        rng = np.random.default_rng(size)
+        rows = np.stack([rng.normal(1000.0, 300.0, size), rng.normal(0.0, 1e-3, size),
+                         rng.integers(0, 4, size), np.full(size, 1234.5), np.full(size, -0.0),
+                         rng.integers(100, 5000, size) / 1000.0])
+        alpha = (1.0 - confidence) / 2.0
+        expected = np.array([np.quantile(row, [alpha, 1.0 - alpha]) for row in rows])
+        assert simulator.percentile_interval(rows.copy(), confidence).tobytes() == \
+            expected.tobytes()
 
 
 class TestBootstrapGrid:
@@ -626,14 +697,7 @@ class TestBootstrapGrid:
         assert all(math.isnan(bound) for bound in intervals[3])
 
     def test_one_bootstrap_per_sample_size(self, monkeypatch):
-        calls = []
-        lone = simulator.bootstrap_ci
-
-        def spy(stack, *args):
-            calls.append(np.shape(stack))
-            return lone(stack, *args)
-
-        monkeypatch.setattr(simulator, "bootstrap_ci", spy)
+        calls = spy_on(monkeypatch, "bootstrap_ci")
         samples = [[1, 2, 3], [4, 5, 6, 7], [], [8, 9, 10], [11, 12, 13, 14], [15, 16, 17]]
         bootstrap_grid(samples, 0, 0.9, 100)
         assert calls == [(3, 3), (2, 4)]
@@ -642,14 +706,7 @@ class TestBootstrapGrid:
         # 200 cells of one size at 2000 resamples would hold 3.2 MB of
         # means; chunks of 131 cells hold at most BOOTSTRAP_MEANS_BYTES,
         # 2 MiB, and every cell still gets its lone interval
-        calls = []
-        lone = simulator.bootstrap_ci
-
-        def spy(stack, *args):
-            calls.append(np.shape(stack))
-            return lone(stack, *args)
-
-        monkeypatch.setattr(simulator, "bootstrap_ci", spy)
+        calls = spy_on(monkeypatch, "bootstrap_ci")
         rng = np.random.default_rng(13)
         samples = [rng.integers(10, 900, 20).tolist() for _ in range(200)]
         intervals = bootstrap_grid(samples, 5, 0.95, 2000)
