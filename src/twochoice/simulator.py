@@ -51,25 +51,20 @@ from .strategies import Strategy, StrategyKind
 # benchmark grid 2.5x slower, so smaller first blocks do not pay.
 FIRST_BLOCK = 1024
 
-# Bytes of int64 resample indices that gather_means draws at once; the
-# float64 copy gathered for one sample is as large. Generator.integers
-# takes its 32-bit words from the bit generator's own buffer, which carries
-# over between calls, so the interval does not depend on the block size.
-# 256 KiB keeps a gather's working set near 0.5 MB, plus 8 bytes of means
-# per sample and resample, at any sample size. 1 MiB blocks held 2 MiB and
-# set sim-default's peak RSS 1 MB higher, at the same speed. A 64 MB
-# budget held 128 MB for 10000 resamples of 1000 samples and, timed alone
-# on a 2-vCPU x86 VM, took 94-103 ms per interval against 53-56 ms.
-BOOTSTRAP_BLOCK_BYTES = 1 << 18
-
-# Bytes of int64 resample indices that count_means draws at once; its
-# bincount of them and that count's float64 copy for the matmul are as
-# large. With glibc's mmap threshold pinned, as perfbench pins it, the trim
-# threshold stays at 128 KiB, so a freed block above it goes back to the
-# system and is faulted in again by the next. In one sim-default run (seed
-# 1, 14 samples of 1000 at 10000 resamples) 256 KiB blocks took 5100 minor
-# faults and 64 KiB blocks 260-330, at the same speed.
-BOOTSTRAP_COUNTS_BYTES = 1 << 16
+# Bytes of int64 resample indices that resample_means draws at once; a
+# gather of one sample, or a block's bincount and its float64 copy, is as
+# large. Generator.integers takes its 32-bit words from the bit generator's
+# own buffer, which carries over between calls, so the interval does not
+# depend on the block size. With glibc's mmap threshold pinned, as
+# perfbench pins it, the trim threshold stays at 128 KiB: a freed block
+# above it goes back to the system and is faulted in again by the next,
+# and one below it is reused, so a fresh gather per block costs no faults.
+# In one sim-default run (seed 1, 14 samples of 1000 at 10000 resamples)
+# 256 KiB blocks took 5100 minor faults and 64 KiB blocks 260-330, at the
+# same speed. A 64 MB budget held 128 MB for 10000 resamples of 1000
+# samples and, timed alone on a 2-vCPU x86 VM, took 94-103 ms per interval
+# against 53-56 ms in 256 KiB blocks.
+BOOTSTRAP_BLOCK_BYTES = 1 << 16
 
 # Bytes of means, 8 per cell and resample, that one bootstrap_ci call of
 # bootstrap_grid holds at most. The default grids' largest group, 15 cells
@@ -368,14 +363,9 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
     stack of k finite samples of one size n, as a (k, 2) array of (low,
     high); ``rng`` is a Generator.
 
-    Every row is resampled with the same indices, drawn in blocks, so row
-    j's interval is the one that row alone, as a (1, n) stack, gets on the
-    same stream. A stack of two or more rows of whole numbers, such as
-    label counts, with n * max|x| < 2**53 takes ``count_means``: each sum
-    of a resample is then a whole number below 2**53, exact in float64 in
-    any order, so its means are ``gather_means``' bit for bit. Any other
-    stack, and a sample alone, takes ``gather_means``. The interval is
-    ``percentile_interval`` of the means.
+    Every row is resampled with the same indices (``resample_means``), so
+    row j's interval is the one that row alone, as a (1, n) stack, gets on
+    the same stream. The interval is ``percentile_interval`` of the means.
     """
     stack = np.asarray(samples, dtype=np.float64)
     if stack.ndim != 2:
@@ -389,74 +379,45 @@ def bootstrap_ci(samples, confidence: float, resamples: int, rng: np.random.Gene
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
-    # a sample alone gathers faster than it counts: 55-65 ms against
-    # 91-95 ms for 1000 efforts at 10000 resamples on a 2-vCPU x86 VM
+    return percentile_interval(resample_means(stack, resamples, rng), confidence)
+
+
+def resample_means(stack: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """The means of ``resamples`` resamples of each row of a (k, n) float64
+    stack, as a (k, resamples) array, drawn in blocks of at most
+    BOOTSTRAP_BLOCK_BYTES of indices; every row is resampled with the same
+    indices.
+
+    A stack of two or more rows of whole numbers, such as label counts,
+    with n * max|x| < 2**53 sums each block from how many times each
+    resample picks each index: one ``np.bincount`` of the block's picks and
+    one matmul of the stack with those counts, in place of k gathers and k
+    sums. Every partial sum is then a whole number below 2**53, exact in
+    float64 in any order, so the means are the gather's bit for bit. Any
+    other stack, and a sample alone, gathers each block from each row in
+    turn and sums it as ``ndarray.mean`` sums it.
+    """
+    k, n = stack.shape
+    # a sample alone gathers faster than it counts: 53-57 ms against
+    # 76-82 ms for 1000 efforts at 10000 resamples on a 2-vCPU x86 VM
     counted = (k > 1 and np.array_equal(np.trunc(stack), stack)
                and n * np.abs(stack).max() < 2.0**53)
-    means = (count_means if counted else gather_means)(stack, resamples, rng)
-    return percentile_interval(means, confidence)
-
-
-def gather_means(stack: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """The means of ``resamples`` resamples of each row of a (k, n) float64
-    stack, as a (k, resamples) array: each block of at most
-    BOOTSTRAP_BLOCK_BYTES of indices is gathered from each row in turn and
-    summed as ``ndarray.mean`` sums it. The working set is one block of
-    indices, a gather buffer as large, and the means.
-    """
-    k, n = stack.shape
     block = max(1, BOOTSTRAP_BLOCK_BYTES // (8 * n))
-    for start in range(0, resamples, block):
-        stop = min(start + block, resamples)
-        picks = rng.integers(0, n, size=(stop - start, n))
-        if start == 0:
-            # One buffer takes every gather: a fresh array per sample and
-            # block, where the allocator hands freed pages back to the
-            # system, made every gather fault its pages in again. It and the
-            # means are made after the first block's indices, so that each
-            # later block's indices fit where the block before them was
-            # freed, below these two, instead of growing the heap.
-            means = np.empty((k, resamples), dtype=np.float64)
-            gathered = np.empty_like(picks, dtype=np.float64)
-        resampled = gathered[:stop - start]
-        for row, row_means in zip(stack, means):
-            # the picks lie in [0, n), so "clip" takes what "raise" would,
-            # without the temporary copy that "raise" makes for ``out``
-            np.take(row, picks, out=resampled, mode="clip")
-            # the sum and division that ndarray.mean makes, bit for bit,
-            # without its Python-level cost on every block
-            block_means = row_means[start:stop]
-            np.add.reduce(resampled, axis=1, out=block_means)
-            np.divide(block_means, n, out=block_means)
-        # freed before the next block's are drawn, so the working set is one
-        # block of indices, the gather buffer and the means
-        del picks
-    return means
-
-
-def count_means(stack: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
-    """The means of ``resamples`` resamples of each row of a (k, n) float64
-    stack, as a (k, resamples) array, from how many times each resample
-    picks each index: per block of at most BOOTSTRAP_COUNTS_BYTES of
-    indices, one ``np.bincount`` of the block's picks and one matmul of the
-    stack with those counts, in place of k gathers and k sums. The sums are
-    a gather's only where every partial sum is exact, as for whole numbers
-    with n * max|x| < 2**53 (``bootstrap_ci`` checks). The working set is
-    one block of indices, its counts and their float64 copy, and the means.
-    """
-    k, n = stack.shape
-    block = max(1, BOOTSTRAP_COUNTS_BYTES // (8 * n))
     means = np.empty((k, resamples), dtype=np.float64)
-    # resample i of a block picks from [i * n, (i + 1) * n), so one bincount
-    # counts every resample of the block apart
-    offsets = np.arange(0, block * n, n)[:, None]
     for start in range(0, resamples, block):
         stop = min(start + block, resamples)
         picks = rng.integers(0, n, size=(stop - start, n))
-        picks += offsets[:stop - start]
-        counts = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
-        del picks
-        np.matmul(stack, counts.T, out=means[:, start:stop])
+        if counted:
+            # resample i of the block picks from [i * n, (i + 1) * n), so
+            # one bincount counts every resample of the block apart
+            picks += np.arange(0, picks.size, n)[:, None]
+            counts = np.bincount(picks.ravel(), minlength=picks.size)
+            np.matmul(stack, counts.reshape(picks.shape).T, out=means[:, start:stop])
+        else:
+            for row, row_means in zip(stack, means):
+                # the picks lie in [0, n), so "clip" takes what "raise"
+                # would, without its check; the sum is ndarray.mean's
+                np.add.reduce(row.take(picks, mode="clip"), axis=1, out=row_means[start:stop])
     np.divide(means, n, out=means)
     return means
 

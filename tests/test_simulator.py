@@ -552,30 +552,34 @@ class TestBootstrapCI:
         assert (hi - lo) == pytest.approx(o_hi - o_lo, rel=0.15)
 
     def test_working_memory_is_bounded(self):
+        # a cell alone of 1000 decided iterations: 80 kB of means beside one
+        # index block and the copy gathered from the sample
         data = np.random.default_rng(3).integers(100, 5000, 1000)
         peak = traced_peak(lone_ci, data, 0.99, 10_000, np.random.default_rng(4))
-        assert peak < 4 * 2**20
+        assert peak < 8 * 10_000 + 2 * simulator.BOOTSTRAP_BLOCK_BYTES + 64 * 2**10
 
     # the default block, and blocks of one and of three rows, whose odd
     # number of draws leaves half a 64-bit word to the next block; normal
     # floats, whose sums round, pin each block's means to the bits of
-    # ndarray.mean, and not only on integer-valued data
-    @pytest.mark.parametrize("size, block_bytes, floats", [
-        (1000, simulator.BOOTSTRAP_BLOCK_BYTES, False), (7, 8 * 7, False),
-        (1001, 8 * 1001 * 3, False), (1000, simulator.BOOTSTRAP_BLOCK_BYTES, True),
-        (1000, 8 * 1000, True)])
-    def test_interval_does_not_depend_on_block_size(self, monkeypatch, size, block_bytes,
+    # ndarray.mean, and not only on integer-valued data; a stack of several
+    # rows of whole numbers sums its blocks from resample counts
+    @pytest.mark.parametrize("rows, size, block_bytes, floats", [
+        (1, 1000, simulator.BOOTSTRAP_BLOCK_BYTES, False), (1, 7, 8 * 7, False),
+        (1, 1001, 8 * 1001 * 3, False), (1, 1000, simulator.BOOTSTRAP_BLOCK_BYTES, True),
+        (1, 1000, 8 * 1000, True), (3, 1000, simulator.BOOTSTRAP_BLOCK_BYTES, False),
+        (3, 7, 8 * 7, False), (3, 1001, 8 * 1001 * 3, False)])
+    def test_interval_does_not_depend_on_block_size(self, monkeypatch, rows, size, block_bytes,
                                                      floats):
         rng = np.random.default_rng(5)
-        data = (rng.normal(1000.0, 300.0, size) if floats
-                else rng.integers(100, 5000, size).astype(np.float64))
+        stack = (rng.normal(1000.0, 300.0, (rows, size)) if floats
+                 else rng.integers(100, 5000, (rows, size)).astype(np.float64))
         monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", block_bytes)
-        lo, hi = lone_ci(data, 0.99, 10_000, np.random.default_rng(6))
+        bounds = bootstrap_ci(stack, 0.99, 10_000, np.random.default_rng(6))
         # reference: every resample drawn by one call
         picks = np.random.default_rng(6).integers(0, size, size=(10_000, size))
         alpha = (1.0 - 0.99) / 2.0
-        ref_lo, ref_hi = np.quantile(data[picks].mean(axis=1), [alpha, 1.0 - alpha])
-        assert (lo, hi) == (float(ref_lo), float(ref_hi))
+        for row, interval in zip(stack, bounds.tolist()):
+            assert interval == np.quantile(row[picks].mean(axis=1), [alpha, 1.0 - alpha]).tolist()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -597,17 +601,14 @@ class TestBootstrapCI:
 
     def test_stack_working_memory_is_bounded(self):
         # a grid's group of 15 cells of 1000 decided iterations: 1.2 MB of
-        # means beside one 256 KiB index block and its gathered copy
+        # means beside one index block, its counts and their float64 copy
         stack = np.random.default_rng(3).integers(100, 5000, (15, 1000)).astype(np.float64)
-        # np.quantile's first call imports numpy.ma (about 1.1 MB), once per
-        # process; that is not the bootstrap's working set
-        np.quantile(stack[0], 0.5)
         peak = traced_peak(bootstrap_ci, stack, 0.99, 10_000, np.random.default_rng(4))
-        assert peak < 8 * 15 * 10_000 + 2 * 2**18 + 64 * 2**10
+        assert peak < 8 * 15 * 10_000 + 3 * simulator.BOOTSTRAP_BLOCK_BYTES + 64 * 2**10
 
     # efforts, and values with n * max|x| just below 2**53, the counts
-    # kernel's guard: row 0 holds the largest value throughout, so its sums
-    # reach the guard's edge
+    # guard: row 0 holds the largest value throughout, so its sums reach
+    # the guard's edge
     @pytest.mark.parametrize("rows", [2, 14, 15])
     @pytest.mark.parametrize("size", [1, 7, 999, 1000])
     @pytest.mark.parametrize("block_rows", [None, 1, 3])
@@ -618,16 +619,19 @@ class TestBootstrapCI:
         stack = np.random.default_rng(size).integers(-largest, largest + 1, (rows, size))
         stack[0] = largest
         stack = stack.astype(np.float64)
-        counted = spy_on(monkeypatch, "count_means")
+        counted = spy_on(monkeypatch, "bincount", np)
+        # each row alone gathers, at the default block, the same indices
+        gathered = np.stack([simulator.resample_means(row[None], 2000, np.random.default_rng(6))[0]
+                             for row in stack])
+        assert counted == []
         if block_rows is not None:
-            monkeypatch.setattr(simulator, "BOOTSTRAP_COUNTS_BYTES", 8 * size * block_rows)
+            monkeypatch.setattr(simulator, "BOOTSTRAP_BLOCK_BYTES", 8 * size * block_rows)
+        block = max(1, simulator.BOOTSTRAP_BLOCK_BYTES // (8 * size))
+        means = simulator.resample_means(stack, 2000, np.random.default_rng(6))
+        assert len(counted) == math.ceil(2000 / block)
+        assert means.tobytes() == gathered.tobytes()
         bounds = bootstrap_ci(stack, 0.99, 2000, np.random.default_rng(6))
-        assert counted == [stack.shape]
-        # the gather at its own default block draws the same indices
-        means = simulator.gather_means(stack, 2000, np.random.default_rng(6))
-        assert simulator.count_means(stack, 2000, np.random.default_rng(6)).tobytes() == \
-            means.tobytes()
-        assert bounds.tobytes() == simulator.percentile_interval(means, 0.99).tobytes()
+        assert bounds.tobytes() == simulator.percentile_interval(gathered, 0.99).tobytes()
 
     @pytest.mark.parametrize("stack", [
         # not whole numbers
@@ -637,7 +641,7 @@ class TestBootstrapCI:
         # whole, but a sample alone
         np.array([[1.0, 2.0, 3.0]])])
     def test_other_stacks_gather_and_each_row_gets_its_lone_interval(self, monkeypatch, stack):
-        counted = spy_on(monkeypatch, "count_means")
+        counted = spy_on(monkeypatch, "bincount", np)
         bounds = bootstrap_ci(stack, 0.9, 500, np.random.default_rng(3))
         assert counted == []
         for row, (lo, hi) in zip(stack, bounds.tolist()):
@@ -653,16 +657,17 @@ class TestBootstrapCI:
             bootstrap_ci(np.ones((3, 0)), 0.99, 100, np.random.default_rng(0))
 
 
-def spy_on(monkeypatch, name):
-    """Record the shape of the stack of each call to simulator.``name``."""
+def spy_on(monkeypatch, name, module=simulator):
+    """Record the shape of the first argument of each call to
+    ``module.name``."""
     calls = []
-    wrapped = getattr(simulator, name)
+    wrapped = getattr(module, name)
 
-    def spy(stack, *args):
-        calls.append(np.shape(stack))
-        return wrapped(stack, *args)
+    def spy(array, *args, **kwargs):
+        calls.append(np.shape(array))
+        return wrapped(array, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
