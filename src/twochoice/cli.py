@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -45,27 +46,14 @@ def fmt(value) -> str:
 
 def simulate_grid(config: SimulateConfig) -> list:
     """One ExperimentConfig per grid cell, in canonical order: regimes, then
-    strategies, then deltas."""
-    return [
-        ExperimentConfig(
-            capability_lo=config.capability_lo,
-            capability_hi=config.capability_hi,
-            pool_size=config.pool_size,
-            mu=regime.mu,
-            sigma=regime.sigma,
-            n_requests=regime.n_requests,
-            strategy=strategy,
-            delta=delta,
-            iterations=config.iterations,
-            seed=config.seed,
-            resample_difficulties_per_iteration=config.resample_difficulties_per_iteration,
-            resample_pool_per_iteration=config.resample_pool_per_iteration,
-            distinct_voters=config.distinct_voters,
-        )
-        for regime in config.regimes
-        for strategy in config.strategies
-        for delta in config.deltas
-    ]
+    strategies, then deltas. Every ExperimentConfig field that the grid
+    config also has is copied by name."""
+    shared = {field.name: getattr(config, field.name) for field in fields(ExperimentConfig)
+              if hasattr(config, field.name)}
+    return [ExperimentConfig(**shared, **vars(regime), strategy=strategy, delta=delta)
+            for regime in config.regimes
+            for strategy in config.strategies
+            for delta in config.deltas]
 
 
 def _run_simulate_cell(args):

@@ -57,9 +57,10 @@ class ReplayConfig:
 
 
 REPLAY_KEYS = {"strategies", "deltas", "iterations", "seed", "bootstrap"}
-SIMULATE_KEYS = REPLAY_KEYS | {"workers", "regimes", "resample_difficulties_per_iteration",
-                               "resample_pool_per_iteration", "distinct_voters",
-                               "trace_iterations"}
+# the model switches: top-level booleans, off by default, that every grid cell carries
+SWITCHES = ("resample_difficulties_per_iteration", "resample_pool_per_iteration",
+            "distinct_voters")
+SIMULATE_KEYS = REPLAY_KEYS | {"workers", "regimes", "trace_iterations", *SWITCHES}
 WORKERS_KEYS = {"lo", "hi", "pool_size"}
 REGIME_KEYS = {"mu", "sigma", "n_requests"}
 BOOTSTRAP_KEYS = {"confidence", "resamples"}
@@ -173,11 +174,7 @@ def load_simulate_config(path, seed_override=None) -> SimulateConfig:
                         rule="be >= 1"),
         regimes=_distinct(regimes, "config.regimes"),
         **_shared(data, seed_override),
-        resample_difficulties_per_iteration=_read(data, "resample_difficulties_per_iteration",
-                                                  "config", bool, False),
-        resample_pool_per_iteration=_read(data, "resample_pool_per_iteration", "config", bool,
-                                          False),
-        distinct_voters=_read(data, "distinct_voters", "config", bool, False),
+        **{switch: _read(data, switch, "config", bool, False) for switch in SWITCHES},
         trace_iterations=_read(data, "trace_iterations", "config", int, 0, ok=lambda n: n >= 0,
                                rule="be >= 0"),
     )

@@ -75,6 +75,9 @@ BOOTSTRAP_MEANS_BYTES = 1 << 21
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One grid cell. ``cli.simulate_grid`` copies each field that SimulateConfig
+    also has by name; mu, sigma and n_requests are the cell's regime, and
+    strategy and delta are the cell's own."""
     capability_lo: float
     capability_hi: float
     pool_size: int

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import yaml
 
 from twochoice import __version__, cli
 from twochoice.cli import fmt, main
-from twochoice.config import ConfigError, load_replay_config, load_simulate_config
+from twochoice.config import (SWITCHES, ConfigError, SimulateConfig, load_replay_config,
+                              load_simulate_config)
 from twochoice.rng import DOMAIN_BOOTSTRAP, STREAM_LAYOUT, substream
-from twochoice.simulator import IterationResult, bootstrap_ci, run_experiment
+from twochoice.simulator import (ExperimentConfig, IterationResult, bootstrap_ci,
+                                 run_experiment)
 from twochoice.cli import _TraceRows, simulate_grid
 
 SMOKE = """
@@ -247,7 +250,29 @@ class TestSimulateCommand:
         assert loaded.distinct_voters is expected
         assert loaded.resample_difficulties_per_iteration is expected
         assert loaded.resample_pool_per_iteration is expected
-        assert all(cell.distinct_voters is expected for cell in simulate_grid(loaded))
+        assert all(getattr(cell, switch) is expected
+                   for cell in simulate_grid(loaded) for switch in SWITCHES)
+
+    # simulate_grid copies fields by name, so a field renamed on one record
+    # only would fall back to the cell's default without an error
+    def test_cells_take_the_grid_fields_by_name(self, tmp_path):
+        config = tmp_path / "grid.yaml"
+        config.write_text(SMOKE.replace("{lo: 0.8, hi: 1.0, pool_size: 20}",
+                                        "{lo: 0.7, hi: 0.9, pool_size: 13}")
+                          .replace("iterations: 25", "iterations: 6")
+                          .replace("seed: 7", "seed: 12")
+                          + "".join(f"{switch}: true\n" for switch in SWITCHES),
+                          encoding="utf-8")
+        loaded = load_simulate_config(config)
+        copied = {field.name for field in dataclasses.fields(ExperimentConfig)} - {
+            "mu", "sigma", "n_requests", "strategy", "delta"}
+        assert copied <= {field.name for field in dataclasses.fields(SimulateConfig)}
+        grid = {name: getattr(loaded, name) for name in copied}
+        assert grid == {"capability_lo": 0.7, "capability_hi": 0.9, "pool_size": 13,
+                        "iterations": 6, "seed": 12, **dict.fromkeys(SWITCHES, True)}
+        cells = simulate_grid(loaded)
+        assert len(cells) == 4
+        assert all({name: getattr(cell, name) for name in copied} == grid for cell in cells)
 
     # a misspelt key at each level of the config: top level, workers, a
     # regime, bootstrap
