@@ -26,7 +26,8 @@ from .config import (
     load_simulate_config,
 )
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
-from .simulator import ExperimentConfig, bootstrap_grid, run_experiment
+from .simulator import (ExperimentConfig, Group, bootstrap_grid, run_experiment,
+                        simulate_groups)
 from .rng import DOMAIN_ITERATION, STREAM_LAYOUT, substream
 # unused here but kept importable: perfbench/worker.py wraps cli.run_iteration,
 # cli.sample_difficulties and cli.sample_capabilities in its traced launches
@@ -57,12 +58,12 @@ def simulate_grid(config: SimulateConfig) -> list:
 
 
 def _run_simulate_cell(args):
-    """One grid cell: run it, write its trace CSV if it has one, and return
-    its mean effort, decision ratio and decided efforts. The trace is
-    written here, in the worker process under --jobs, so no cell's trace
-    rows outlive the cell."""
-    config, cell, trace_path = args
-    summary = run_experiment(cell, trace_iterations=config.trace_iterations)
+    """One grid cell of its ``group``: run it, write its trace CSV if it has
+    one, and return its mean effort, decision ratio and decided efforts. The
+    trace is written here, in the worker process under --jobs, so no cell's
+    trace rows outlive the cell."""
+    config, cell, group, trace_path = args
+    summary = run_experiment(cell, trace_iterations=config.trace_iterations, group=group)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _TraceRows(summary.per_iteration[:config.trace_iterations]))
@@ -161,9 +162,10 @@ def cmd_simulate(args) -> int:
     for path in old_traces:
         path.unlink()
 
-    jobs = [(config, cell, out / TRACE_FILE.format(i) if config.trace_iterations else None)
-            for i, cell in enumerate(cells)]
-    outcomes = _run_grid(_run_simulate_cell, jobs, args.jobs)
+    groups = simulate_groups(cells)
+    jobs = [(config, cell, group, out / TRACE_FILE.format(i) if config.trace_iterations else None)
+            for i, (cell, group) in enumerate(zip(cells, groups))]
+    outcomes = _run_grid(_run_simulate_cell, jobs, groups, args.jobs)
     rows, failed_cells = _tabulate([(cell.strategy, cell.mu, cell.delta) for cell in cells],
                                    outcomes, config)
     _write_csv(out / "summary.csv", SUMMARY_HEADER, rows)
@@ -190,18 +192,36 @@ def _tabulate(cells: list, outcomes: list, config) -> tuple:
     return rows, failed
 
 
-def _run_grid(run_cell, jobs: list, workers: int) -> list:
-    """run_cell(job) for every job, in min(workers, len(jobs)) processes, or
-    in this one when that is 1. Each entry is the cell's result or the
-    exception it raised, so one failing grid cell keeps every other cell's row."""
-    workers = min(workers, len(jobs))
+def _run_grid(run_cell, jobs: list, groups: list, workers: int) -> list:
+    """run_cell(job) for every job, where ``groups`` holds each job's cell's
+    ``Group``: in grid order in this process, or, when there are more groups
+    than one and ``workers`` allows, each group's jobs in grid order in one
+    of min(workers, groups) processes, so that each group's pass runs once.
+    Each entry is the cell's result or the exception it raised, so one
+    failing grid cell keeps every other cell's row."""
+    members: dict = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
+    workers = min(workers, len(members))
     if workers > 1:
         # imported here, so that a one-process run never loads
         # multiprocessing, which costs every launch import time and memory
         from concurrent.futures import ProcessPoolExecutor
+        outcomes = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, job) for job in jobs]
-            return [_outcome(future.result) for future in futures]
+            futures = [pool.submit(_run_jobs, run_cell, [jobs[i] for i in indices])
+                       for indices in members.values()]
+            for indices, future in zip(members.values(), futures):
+                done = _outcome(future.result)
+                if isinstance(done, Exception):  # the worker died: each cell of its group failed
+                    done = [done] * len(indices)
+                for i, outcome in zip(indices, done):
+                    outcomes[i] = outcome
+        return outcomes
+    return _run_jobs(run_cell, jobs)
+
+
+def _run_jobs(run_cell, jobs: list) -> list:
     return [_outcome(partial(run_cell, job)) for job in jobs]
 
 
@@ -222,9 +242,9 @@ def _report_failures(failed_cells: list) -> int:
 
 def _run_replay_cell(args):
     """One replay cell: its mean effort, decision ratio and decided efforts."""
-    config, annotations, strategy, delta = args
+    config, annotations, strategy, delta, group = args
     return _cell_outcome(replay_experiment(annotations, strategy, delta, config.iterations,
-                                           config.seed))
+                                           config.seed, group=group))
 
 
 def cmd_replay(args) -> int:
@@ -243,10 +263,12 @@ def cmd_replay(args) -> int:
           f"{len(annotations.worker_ids)} workers, "
           f"fleiss kappa = {'n/a' if kappa is None else f'{kappa:.4f}'}")
 
-    jobs = [(config, annotations, strategy, delta)
-            for strategy in config.strategies for delta in config.deltas]
-    outcomes = _run_grid(_run_replay_cell, jobs, args.jobs)
-    rows, failed_cells = _tabulate([(strategy, None, delta) for _, _, strategy, delta in jobs],
+    # the grid's cells read their iteration streams alike: one group
+    cells = [(strategy, delta) for strategy in config.strategies for delta in config.deltas]
+    group = Group(cells)
+    jobs = [(config, annotations, strategy, delta, group) for strategy, delta in cells]
+    outcomes = _run_grid(_run_replay_cell, jobs, [group] * len(jobs), args.jobs)
+    rows, failed_cells = _tabulate([(strategy, None, delta) for strategy, delta in cells],
                                    outcomes, config)
     _write_csv(out / "effort.csv", SUMMARY_HEADER, rows)
     # decision_ratio.csv repeats each effort row's strategy, delta and ratio

@@ -7,7 +7,9 @@ request's final label and effort from the exact law of the votes a
 strategy would pick, without replacement, from that request's recorded
 votes, so no row past the stopping block is revealed or drawn. No label is
 ever fabricated and no recorded vote is counted twice within one
-(request, iteration).
+(request, iteration). Every cell of a replay grid reads its iteration
+streams alike, so the grid's cells form one ``simulator.Group`` and run in
+one lockstep pass.
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
 who voted on every request.
@@ -15,6 +17,7 @@ who voted on every request.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +27,8 @@ import numpy as np
 
 from .decision import Band, hoeffding_band
 from .rng import DOMAIN_ITERATION, iteration_streams
-from .simulator import ExperimentSummary, IterationResult, draw_finals, run_blocks, vote_law
+from .simulator import (Blocks, ExperimentSummary, Group, IterationResult, draw_finals,
+                        run_blocks, vote_law)
 from .strategies import Strategy, StrategyKind
 # unused here but kept importable: perfbench/worker.py wraps replay.substream,
 # replay.bootstrap_ci and replay.majority_vote in its traced launches
@@ -143,22 +147,39 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
 
 
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, law: np.ndarray,
-                     band: Band, rng: np.random.Generator) -> IterationResult:
+                     band: Band, blocks: Blocks) -> IterationResult:
     """One replay pass on the cell's ``law`` and ``band`` (``replay_experiment``
-    makes them) and the iteration's ``rng``. ``annotations`` is unread here:
+    makes them) and the iteration's ``blocks``. ``annotations`` is unread here:
     perfbench's traced launches count each call's requests as ``len(args[0])``."""
-    return run_blocks(lambda rows: draw_finals(strategy, law.take(rows, axis=1), rng), band, rng)
+    return run_blocks(lambda b: draw_finals(strategy, law.take(blocks.rows(b), axis=1),
+                                            blocks.uniforms(b)), band)
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
-                      iterations: int, seed: int) -> ExperimentSummary:
-    """The one place where a replay cell's law and band are made; iteration
+                      iterations: int, seed: int, group: Optional[Group] = None
+                      ) -> ExperimentSummary:
+    """The replay cell (``strategy``, ``delta``) on ``annotations``; iteration
     i draws from ``substream(seed, DOMAIN_ITERATION, i)``, whatever
-    ``iterations`` is. ``simulator.bootstrap_grid`` gives the intervals."""
-    law = replay_law(annotations, strategy)
-    band = hoeffding_band(delta, len(annotations))
-    return ExperimentSummary([replay_iteration(annotations, strategy, law, band, rng)
-                              for rng in iteration_streams(seed, DOMAIN_ITERATION, iterations)])
+    ``iterations`` is. ``group`` is the ``simulator.Group`` of the grid's
+    (strategy, delta) cells, or a group of this cell alone when None: its
+    first call runs every cell in one pass, and each call returns what the
+    cell returns alone. The one place where replay laws and bands are made:
+    in a pass, one law per strategy and one band per delta.
+    ``simulator.bootstrap_grid`` gives the intervals."""
+    law_of = functools.cache(lambda cell_strategy: replay_law(annotations, cell_strategy))
+    band_of = functools.cache(lambda cell_delta: hoeffding_band(cell_delta, len(annotations)))
+
+    def setup(cell):
+        cell_strategy, cell_delta = cell
+        law, band = law_of(cell_strategy), band_of(cell_delta)
+        return lambda blocks, record_trace: replay_iteration(annotations, cell_strategy, law,
+                                                             band, blocks)
+
+    cell = (strategy, delta)
+    if group is None:
+        group = Group([cell])
+    return group.summary(cell, 0, iteration_streams(seed, DOMAIN_ITERATION, iterations),
+                         len(annotations), setup)
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

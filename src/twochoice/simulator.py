@@ -8,11 +8,11 @@ decided iterations. Percentile-bootstrap intervals of the mean effort are
 computed after a whole grid has run, in one pass (``bootstrap_grid``).
 
 Each iteration reveals a uniformly random order of the requests one block
-at a time, in the block driver ``run_blocks``: the first block holds
-FIRST_BLOCK requests, each later block twice as many as the one before,
-and the last is cut at the request supply. Each block's final labels are
-drawn and scanned as soon as its rows are revealed, and no block past the
-first crossing is revealed or drawn. The stopping rule reads only each
+at a time (``Blocks``): the first block holds FIRST_BLOCK requests, each
+later block twice as many as the one before, and the last is cut at the
+request supply. The block driver ``run_blocks`` draws and scans each
+block's final labels as soon as its rows are revealed, and no block past
+the first crossing is revealed or drawn. The stopping rule reads only each
 request's final label and its effort, so those are drawn from the law of
 the request's votes (``vote_law``): one uniform per request, whatever the
 strategy, read as the final label and, for max-three, whether a third
@@ -23,10 +23,31 @@ block schedule is fixed, so results depend only on (seed, iteration
 index) and never on scheduling. Replay draws from the law of its recorded
 votes through the same block driver and holds its iterations in the same
 ``ExperimentSummary``.
+
+Most cells of a grid draw nothing in an iteration but each block's rows
+and then its uniforms, so all such cells with one seed, request supply and
+iteration count read the same rows and uniforms in iteration i. They form
+a ``Group`` (``simulate_groups``; the cells of a replay grid form one),
+whose iterations ``run_cells`` runs in one lockstep pass: for each
+iteration the cells run in turn on one ``Blocks``, the first cell to reach
+a block draws it from the iteration's generator, and the others read it.
+Revealing the rows is the largest cost of an iteration, so a group pays it
+once per iteration and not once per cell. Fixed-worker, the resample flags
+and ``distinct_voters`` at k > 1 draw something else first or between a
+block's rows and its uniforms, so those cells run alone, each a group of
+one. A cell's numbers are the same in a group as alone. The pass still
+calls ``run_iteration`` (replay: ``replay_iteration``) once per cell and
+iteration through the module attribute, and the command line still calls
+``run_experiment`` once per cell, which hands the cell its results:
+perfbench/worker.py hooks those calls to stamp the end of set-up and to
+check each cell's iterations as the cell returns.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,17 +199,16 @@ def final_law(strategy: Strategy, difficulties: np.ndarray, capability) -> np.nd
     return vote_law(strategy, (lambda t, j: p[t]) if p.ndim == 2 else (lambda t, j: p))
 
 
-def draw_finals(strategy: Strategy, law: np.ndarray, rng: np.random.Generator):
+def draw_finals(strategy: Strategy, law: np.ndarray, u: np.ndarray):
     """Final labels of the requests whose ``vote_law`` columns are given,
     and their effort, as ``(finals, labels_per_row, splits)``: every row
     spends ``labels_per_row`` labels, and a row where ``splits``, max-three's
     mask of rows whose first two votes split, is True spends one more.
     ``splits`` is None for the other strategies.
 
-    One uniform per request, drawn as ``rng.random(n)``: the final label is
-    u < q; max-three's first two votes split where row 1 <= u < row 2.
+    ``u`` holds one uniform per request (``Blocks.uniforms``): the final
+    label is u < q; max-three's first two votes split where row 1 <= u < row 2.
     """
-    u = rng.random(law.shape[1])
     finals = (u < law[0]).view(np.int8)
     if strategy.kind is StrategyKind.MAX_THREE_WORKERS:
         splits = law[1] <= u
@@ -197,34 +217,71 @@ def draw_finals(strategy: Strategy, law: np.ndarray, rng: np.random.Generator):
     return finals, strategy.votes_needed(), None
 
 
-def run_blocks(draw, band: Band, rng: np.random.Generator,
-               record_trace: bool = False) -> IterationResult:
-    """Sequential stopping over final labels drawn in doubling blocks.
+class Blocks:
+    """One iteration's request order over ``n_total`` rows and one uniform
+    per row, drawn from the iteration's generator ``rng`` a block at a time.
+
+    ``rows(b)`` reveals block b when a cell first asks for it: block 0 is
+    ``rng.choice(n_total, FIRST_BLOCK, replace=False)``, each later block,
+    twice the one before, a choice without replacement from the rows not
+    yet revealed, and a block that takes every remaining row a permutation
+    of them. ``uniforms(b)`` is ``rng.random(size)``, drawn after block b's
+    rows. Both are kept for the iteration, so every cell of a group reads
+    the same blocks; a cell that goes past the last block drawn draws the
+    next one from where the generator stands, as it would alone.
+    """
+
+    __slots__ = ("rng", "n_total", "_rows", "_uniforms", "_left", "_seen")
+
+    def __init__(self, rng: np.random.Generator, n_total: int):
+        self.rng = rng
+        self.n_total = n_total
+        self._rows: list = []
+        self._uniforms: list = []
+        self._left = n_total
+        self._seen = None
+
+    def rows(self, b: int) -> np.ndarray:
+        """Block b's rows; a cell asks for blocks 0, 1, ... in turn."""
+        if b == len(self._rows):
+            size, left = FIRST_BLOCK << b, self._left
+            rows = (self.rng.permutation(left) if size >= left
+                    else self.rng.choice(left, size, replace=False))
+            if b:
+                # the picks index the rows not yet revealed, in row order; the
+                # mask is made only when a second block is needed, and most
+                # iterations stop in their first
+                if self._seen is None:
+                    self._seen = np.zeros(self.n_total, dtype=bool)
+                self._seen[self._rows[-1]] = True
+                rows = np.flatnonzero(~self._seen)[rows]
+            self._rows.append(rows)
+            self._left = left - rows.size
+        return self._rows[b]
+
+    def uniforms(self, b: int) -> np.ndarray:
+        """Block b's uniforms, one per row, drawn after its rows."""
+        if b == len(self._uniforms):
+            self._uniforms.append(self.rng.random(self._rows[b].size))
+        return self._uniforms[b]
+
+
+def run_blocks(draw, band: Band, record_trace: bool = False) -> IterationResult:
+    """Sequential stopping over final labels drawn block by block.
 
     ``band`` is ``hoeffding_band`` over the request supply, one entry per
-    row. ``draw(rows)`` returns the given rows' final labels and effort as
-    ``draw_finals`` does. The rows are revealed in a uniformly random order
-    in blocks of FIRST_BLOCK, 2 * FIRST_BLOCK, ... rows, the last cut at the
-    supply: the first block is ``rng.choice(n_total, size, replace=False)``,
-    each later one a choice without replacement from the rows not yet
-    revealed, and a block that takes every remaining row is a permutation of
-    them. Each block is scanned by ``first_crossing`` with the n and count
-    carried over from the blocks before it, and the scan stops at the first
-    crossing, so no later row is ever revealed or drawn. Exhausting the
-    supply without a verdict is a normal outcome (decided=False, effort
-    covers everything spent).
+    row. ``draw(b)`` returns the final labels and effort of block b of the
+    iteration's ``Blocks``, as ``draw_finals`` does. Each block is scanned
+    by ``first_crossing`` with the n and count carried over from the blocks
+    before it, and the scan stops at the first crossing, so no later block
+    is ever drawn. Exhausting the supply without a verdict is a normal
+    outcome (decided=False, effort covers everything spent).
     """
     n_total = band.tolerances.size
     n = count = effort = 0
     trace = [] if record_trace else None
-    size, left, seen = FIRST_BLOCK, n_total, None
-    while True:
-        rows = rng.permutation(left) if size >= left else rng.choice(left, size, replace=False)
-        if seen is not None:
-            # the picks index the rows not yet revealed, in row order; only
-            # the mask is kept between blocks
-            rows = np.flatnonzero(~seen)[rows]
-        finals, labels_per_row, splits = draw(rows)
+    for b in itertools.count():
+        finals, labels_per_row, splits = draw(b)
         verdict, n_at, counts = first_crossing(finals, band, n, count)
         effort += labels_per_row * (n_at - n)
         if splits is not None:
@@ -244,13 +301,6 @@ def run_blocks(draw, band: Band, rng: np.random.Generator,
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
             return IterationResult(verdict, n_at, effort, trace)
         n, count = n_at, int(counts[-1])
-        if seen is None:
-            # made only when a second block is needed; most iterations stop
-            # in their first
-            seen = np.zeros(n_total, dtype=bool)
-        seen[rows] = True
-        left -= size
-        size *= 2
 
 
 def run_iteration(
@@ -258,8 +308,8 @@ def run_iteration(
     requests: RequestSet,
     pool: WorkerPool,
     law: np.ndarray,
-    band: np.ndarray,
-    rng: np.random.Generator,
+    band: Band,
+    blocks: Blocks,
     record_trace: bool = False,
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
@@ -273,9 +323,10 @@ def run_iteration(
     ``distinct_voters`` with k > 1 votes, build each block's law from the
     revealed rows only: at the capability of the iteration's one worker,
     drawn before the first block, or of the voters each block picks.
-    ``rng`` is the iteration's generator: iteration i of a cell draws from
-    ``substream(config.seed, DOMAIN_ITERATION, i)``.
+    ``blocks`` is the iteration's ``Blocks``: iteration i of a cell draws
+    from ``substream(config.seed, DOMAIN_ITERATION, i)``.
     """
+    rng = blocks.rng
     if config.resample_difficulties_per_iteration:
         requests = sample_difficulties(config.mu, config.sigma, config.n_requests, rng)
     if config.resample_pool_per_iteration:
@@ -283,52 +334,208 @@ def run_iteration(
 
     strategy, difficulties = config.strategy, requests.difficulties
     if config.distinct_voters and (k := strategy.votes_needed()) > 1:
-        def draw(rows):
+        def block_law(rows):
             voters = distinct_columns(rng, rows.size, pool.pool_size, k)
-            block_law = final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
-            return draw_finals(strategy, block_law, rng)
+            return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
     elif strategy.kind is StrategyKind.FIXED_WORKER:
         worker = pool.capabilities[rng.integers(0, pool.pool_size)]
 
-        def draw(rows):
-            return draw_finals(strategy, final_law(strategy, difficulties[rows], worker), rng)
+        def block_law(rows):
+            return final_law(strategy, difficulties[rows], worker)
     else:
         if config.resample_difficulties_per_iteration or config.resample_pool_per_iteration:
             law = final_law(strategy, difficulties, pool.capabilities.mean())
 
-        def draw(rows):
-            return draw_finals(strategy, law.take(rows, axis=1), rng)
+        def block_law(rows):
+            return law.take(rows, axis=1)
 
-    return run_blocks(draw, band, rng, record_trace)
+    # a block's law, which may draw its distinct voters, is made before its
+    # uniforms are drawn
+    return run_blocks(lambda b: draw_finals(strategy, block_law(blocks.rows(b)),
+                                            blocks.uniforms(b)), band, record_trace)
+
+
+# an iteration in Iterations: its verdict's index in _VERDICTS, n and effort
+_VERDICTS = tuple(Verdict)
+_RECORD = struct.Struct("=bqq")
+
+
+class Iterations:
+    """A cell's iteration results in iteration order, held compactly: 17
+    bytes an iteration (``_RECORD``), and the traces of traced iterations."""
+
+    __slots__ = ("records", "traces")
+
+    def __init__(self):
+        self.records = bytearray()
+        self.traces: list = []
+
+    def add(self, result: IterationResult) -> None:
+        self.records += _RECORD.pack(_VERDICTS.index(result.verdict), result.n_at_decision,
+                                     result.effort)
+        if result.trace is not None:
+            self.traces.append(result.trace)
+
+    def results(self) -> list:
+        """The IterationResults, as ``add`` was given them."""
+        traces = iter(self.traces)
+        return [IterationResult(_VERDICTS[code], n, effort, next(traces, None))
+                for code, n, effort in _RECORD.iter_unpack(self.records)]
+
+
+def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -> list:
+    """Each cell's iterations on ``streams``, run in lockstep, as its
+    ``Iterations`` or the exception that ended it, in the order of ``cells``.
+
+    ``setup(cell)`` makes the cell's ``iterate(blocks, record_trace)``,
+    which runs the cell's iteration on that iteration's ``Blocks`` over
+    ``n_total`` rows. For each stream, every cell still running runs its
+    iteration in turn on one ``Blocks``, so the first cell to reach a block
+    draws it and the others read it. A cell whose setup or iteration raises
+    drops out, and the others run on as they would without it.
+    """
+    iterates, held = [], []
+    for cell in cells:
+        try:
+            iterates.append(setup(cell))
+            held.append(Iterations())
+        except Exception as exc:
+            iterates.append(None)
+            held.append(exc)
+    for rng in streams:
+        if not any(iterates):
+            break
+        blocks = Blocks(rng, n_total)
+        for c, iterate in enumerate(iterates):
+            if iterate is not None:
+                try:
+                    held[c].add(iterate(blocks, record_trace))
+                except Exception as exc:
+                    iterates[c], held[c] = None, exc
+    return held
+
+
+class Group:
+    """Grid cells whose iterations read their streams alike, and the
+    results of their lockstep pass (``run_cells``) that each has yet to take.
+
+    ``cells`` are named as their calls name them: ExperimentConfigs
+    (``simulate_groups``) or replay's (strategy, delta) pairs. In each
+    cell's call (``summary``), the cell's first ``trace_iterations``
+    iterations run alone, so one cell's trace points are alive at a time;
+    the group's first call runs every cell's later iterations in one pass.
+    """
+
+    def __init__(self, cells):
+        self.cells = tuple(cells)
+        self._start = None  # the pass's first iteration, once it has run
+        self._held = None  # {cell: its Iterations, or the exception that ended it}
+
+    def summary(self, cell, trace_iterations: int, streams, n_total: int,
+                setup) -> ExperimentSummary:
+        """``cell``'s summary on ``streams``, the cell's own iteration
+        streams, as ``run_cells`` runs it with ``setup`` over ``n_total``
+        rows; what the cell raised, if it failed. The first call runs the
+        pass on the rest of its streams, which every cell of the group reads."""
+        streams = iter(streams)
+        traced = Iterations()
+        if trace_iterations:
+            [traced] = run_cells([cell], setup, itertools.islice(streams, trace_iterations),
+                                 n_total, record_trace=True)
+            if isinstance(traced, Exception):
+                raise traced
+        if self._held is None:
+            self._start = trace_iterations
+            self._held = dict(zip(self.cells, run_cells(self.cells, setup, streams, n_total)))
+        elif trace_iterations != self._start:
+            raise ValueError(f"the group's cells trace their first {self._start} iterations, "
+                             f"not {trace_iterations}")
+        rest = self._held.pop(cell)
+        if isinstance(rest, Exception):
+            raise rest
+        return ExperimentSummary(traced.results() + rest.results())
+
+
+def simulate_groups(cells: list) -> list:
+    """Each simulate cell's ``Group``, in the order of ``cells``: the cells
+    that read their iteration streams alike share one, and each other cell
+    has one of its own.
+
+    Two cells read their streams alike when both draw only each block's rows
+    and then its uniforms, from the same streams over the same supply: the
+    same seed, request supply and iteration count. Fixed-worker draws its
+    worker first, a resample flag its requests or pool, and
+    ``distinct_voters`` at k > 1 its voters between a block's rows and its
+    uniforms, so those cells run alone.
+    """
+    def key(cell):
+        if (cell.strategy.kind is StrategyKind.FIXED_WORKER
+                or cell.resample_difficulties_per_iteration or cell.resample_pool_per_iteration
+                or cell.distinct_voters and cell.strategy.votes_needed() > 1):
+            return cell
+        return cell.seed, cell.n_requests, cell.iterations
+
+    members: dict = {}
+    for cell in cells:
+        members.setdefault(key(cell), []).append(cell)
+    groups = {cell_key: Group(group) for cell_key, group in members.items()}
+    return [groups[key(cell)] for cell in cells]
+
+
+def _simulate_setup():
+    """A ``run_cells`` setup for simulate cells. It draws each request set
+    and pool once, and makes each law once per strategy on them and each band
+    once per (delta, supply), for all the cells of a pass that share them."""
+    @functools.cache
+    def requests_of(mu, sigma, n_requests, seed):
+        return sample_difficulties(mu, sigma, n_requests, substream(seed, DOMAIN_REQUESTS, 0))
+
+    @functools.cache
+    def pool_of(lo, hi, pool_size, seed):
+        return sample_capabilities(lo, hi, pool_size, substream(seed, DOMAIN_POOL, 0))
+
+    @functools.cache
+    def law_of(strategy, regime, workers):
+        return final_law(strategy, requests_of(*regime).difficulties,
+                         pool_of(*workers).capabilities.mean())
+
+    band_of = functools.cache(hoeffding_band)
+
+    def setup(config):
+        regime = (config.mu, config.sigma, config.n_requests, config.seed)
+        workers = (config.capability_lo, config.capability_hi, config.pool_size, config.seed)
+        requests, pool = requests_of(*regime), pool_of(*workers)
+        law = law_of(config.strategy, regime, workers)
+        band = band_of(config.delta, requests.size)
+        return lambda blocks, record_trace: run_iteration(config, requests, pool, law, band,
+                                                          blocks, record_trace=record_trace)
+
+    return setup
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
-                   streams=None) -> ExperimentSummary:
+                   streams=None, group: Optional[Group] = None) -> ExperimentSummary:
     """Run the iterations of a configuration and aggregate labelling effort.
 
-    The one place where a cell's requests, pool, law and band are made. The
-    requests and pool are drawn once from the experiment seed and shared by
-    every iteration, unless a per-iteration resample flag says otherwise.
-    ``streams`` are the generators of the iterations to run: by default the
-    cell's ``iteration_streams``, keyed by (seed, iteration index), so
-    iteration i run alone on ``[substream(config.seed, DOMAIN_ITERATION, i)]``,
-    as ``trace`` runs it, is iteration i of the whole cell. The first
-    ``trace_iterations`` of them record their band. The summary holds no
-    interval: ``bootstrap_grid`` computes a whole grid's from each cell's
-    ``decided_efforts``.
+    The requests and pool are drawn once from the experiment seed and
+    shared by every iteration, unless a per-iteration resample flag says
+    otherwise. ``streams`` are the generators of the iterations to run: by
+    default the cell's ``iteration_streams``, keyed by (seed, iteration
+    index), so iteration i run alone on ``[substream(config.seed,
+    DOMAIN_ITERATION, i)]``, as ``trace`` runs it, is iteration i of the
+    whole cell. The first ``trace_iterations`` of them record their band.
+    ``group`` is the cell's ``Group`` from ``simulate_groups``, or a group
+    of the cell alone when None: the group's first call runs every cell of
+    the group past its traced iterations, and each call returns what the
+    cell returns alone. The summary holds no interval: ``bootstrap_grid``
+    computes a whole grid's from each cell's ``decided_efforts``.
     """
-    requests = sample_difficulties(config.mu, config.sigma, config.n_requests,
-                                   substream(config.seed, DOMAIN_REQUESTS, 0))
-    pool = sample_capabilities(config.capability_lo, config.capability_hi, config.pool_size,
-                               substream(config.seed, DOMAIN_POOL, 0))
-    law = final_law(config.strategy, requests.difficulties, pool.capabilities.mean())
-    band = hoeffding_band(config.delta, requests.size)
     if streams is None:
         streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
-    return ExperimentSummary([
-        run_iteration(config, requests, pool, law, band, rng, record_trace=i < trace_iterations)
-        for i, rng in enumerate(streams)
-    ])
+    if group is None:
+        group = Group([config])
+    return group.summary(config, trace_iterations, streams, config.n_requests,
+                         _simulate_setup())
 
 
 def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:

@@ -10,7 +10,7 @@ iterations share; both go through ``run_experiment``, which alone makes them.
 ``lone_replay`` reads one iteration of a replay cell off ``replay_experiment``,
 which alone makes a replay cell's law and band.
 ``reference_reveal`` is the stream layout's request order, written apart from
-``simulator.run_blocks``, for the tests that replay an iteration's draws.
+``simulator.Blocks``, for the tests that replay an iteration's draws.
 ``traced_peak`` is the most memory that numpy and Python held during a call.
 ``assert_max_three_stops_as_three_workers`` compares the iterations of a
 max-three cell with those of its n-workers:3 twin.

@@ -299,7 +299,7 @@ class TestCriterion06BinomialMajorityOracle:
         rng = np.random.default_rng(2024)
         trials = 10**5
         law = final_law(strategy, np.full(trials, 0.225), pool.capabilities.mean())
-        finals, _, _ = draw_finals(strategy, law, rng)
+        finals, _, _ = draw_finals(strategy, law, rng.random(trials))
         freq = float(finals.mean())
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         ok = abs(freq - expected) < tolerance

@@ -128,13 +128,15 @@ class TestSimulateCommand:
         grid = Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml"
         assert main(["simulate", "--config", str(grid), "--out", str(tmp_path / "grid"),
                      "--jobs", "64"]) == 0
-        assert built == [12]  # one worker per cell of the smoke grid
+        # one worker per group of the smoke grid: each of its two regimes has a
+        # supply of its own, and a group's cells run in one process
+        assert built == [2]
         one_cell = tmp_path / "one.yaml"
         one_cell.write_text(SMOKE.replace("[one-worker, n-workers:3]", "[one-worker]")
                                  .replace("[0.01, 0.001]", "[0.01]"), encoding="utf-8")
         assert main(["simulate", "--config", str(one_cell), "--out", str(tmp_path / "one"),
                      "--jobs", "64"]) == 0
-        assert built == [12]
+        assert built == [2]
 
     def test_one_process_run_never_loads_the_pool(self, smoke_config, dataset, tmp_path):
         # a fresh interpreter per command, so no module that the tests loaded

@@ -6,7 +6,13 @@ iterations as the cell returns. A refactor of the package that renames or
 reshapes what the worker relies on breaks its launches; these tests launch
 the worker the way the benchmark does, in traced and in set-up mode, so
 such a break shows here and not only in a benchmark run.
+
+A grid's cells that read their iteration streams alike run in one lockstep
+pass, but the worker still sees one ``run_iteration`` (``replay_iteration``)
+call per cell and iteration through the module attribute, and one
+``run_experiment`` (``replay_experiment``) call per cell, in grid order.
 """
+import collections
 import csv
 import json
 import subprocess
@@ -16,8 +22,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from twochoice.cli import simulate_grid
-from twochoice.config import load_simulate_config
+from twochoice import replay, simulator
+from twochoice.cli import main, simulate_grid
+from twochoice.config import load_replay_config, load_simulate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
@@ -52,6 +59,64 @@ def test_traced_simulate_launch(tmp_path):
     assert len(rows) == len(cells)
     assert all(float(row["ci_low"]) <= float(row["mean_effort"]) <= float(row["ci_high"])
                for row in rows)
+
+
+def traced_smoke(tmp_path) -> Path:
+    """The smoke grid with its first two iterations traced."""
+    config = tmp_path / "traced.yaml"
+    config.write_text(SMOKE.read_text(encoding="utf-8") + "trace_iterations: 2\n",
+                      encoding="utf-8")
+    return config
+
+
+def counted(monkeypatch, module, name, key) -> collections.Counter:
+    """The calls of ``module.name`` from here on, counted by ``key(args)``."""
+    calls, inner = collections.Counter(), getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[key(args)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_cell_and_iteration_calls_the_hooked_iteration_once(tmp_path, monkeypatch):
+    config = traced_smoke(tmp_path)
+    calls = counted(monkeypatch, simulator, "run_iteration", lambda args: args[0])
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    grid = load_simulate_config(config)
+    assert calls == {cell: grid.iterations for cell in simulate_grid(grid)}
+
+    args = replay_inputs(tmp_path, ["one-worker", "max-three", "n-workers:3"], [0.1, 0.01])
+    # a replay call's cell is its strategy and its band's delta, read off t at n = 1
+    calls = counted(monkeypatch, replay, "replay_iteration",
+                    lambda args: (args[1].name, float(args[3].tolerances[0])))
+    assert main(args) == 0
+    grid = load_replay_config(tmp_path / "replay.yaml")
+    assert len(calls) == 6 and set(calls.values()) == {grid.iterations}
+
+
+def test_time_launches_record_each_cell(tmp_path):
+    config = traced_smoke(tmp_path)
+    report = launch(tmp_path, ["simulate", "--config", str(config), "--out",
+                               str(tmp_path / "sim"), "--jobs", "1"], mode="time")
+    cells = simulate_grid(load_simulate_config(config))
+    assert report["exit_code"] == 0
+    assert [(cell["strategy"], cell["results"]) for cell in report["cells"]] == \
+        [(cell.strategy.name, cell.iterations) for cell in cells]
+    assert all(cell["violations"] == 0 and cell["trace_rows"] > 0 for cell in report["cells"])
+    rows = list(csv.DictReader(open(tmp_path / "sim" / "summary.csv", encoding="utf-8")))
+    assert len(rows) == len(report["cells"])
+
+    strategies, deltas = ["one-worker", "max-three", "n-workers:3"], [0.1, 0.01]
+    report = launch(tmp_path, replay_inputs(tmp_path, strategies, deltas), mode="time")
+    assert report["exit_code"] == 0
+    assert [cell["strategy"] for cell in report["cells"]] == [s for s in strategies
+                                                              for _ in deltas]
+    assert all(cell["violations"] == 0 and cell["results"] == 10 for cell in report["cells"])
+    rows = list(csv.DictReader(open(tmp_path / "out" / "effort.csv", encoding="utf-8")))
+    assert len(rows) == len(report["cells"])
 
 
 def test_setup_launch_stops_at_the_first_iteration(tmp_path):

@@ -14,6 +14,7 @@ from twochoice.replay import (
     replay_experiment,
     replay_law,
 )
+from twochoice.simulator import FIRST_BLOCK, Group
 from twochoice.strategies import Strategy
 
 from helpers import annotation_set, assert_max_three_stops_as_three_workers, lone_replay
@@ -292,6 +293,35 @@ class TestReplayExperiment:
         votes = make_set([[1, 0, 1] for _ in range(5)])
         with pytest.raises(ValueError, match="iterations must be >= 1, got 0"):
             replay_experiment(votes, Strategy.from_name("one-worker"), 0.01, 0, seed=0)
+
+
+class TestReplayGroup:
+    def test_each_cell_gets_what_it_gets_alone(self):
+        # the grid's cells in one group, over strategy x delta; one request
+        # holds 8 votes, so n-workers:9 cannot be replayed, and its cells
+        # raise their own error while the others run on unaffected
+        rng = np.random.default_rng(21)
+        votes = make_set([[int(rng.random() < 0.54) for _ in range(8 if i == 0 else 11)]
+                          for i in range(2600)])
+        cells = [(Strategy.from_name(name), delta)
+                 for name in ("one-worker", "n-workers:9", "max-three", "n-workers:5")
+                 for delta in (0.01, 0.001)]
+        group = Group(cells)
+        failure = "n-workers:9 needs 9 votes per request but some request has only 8"
+        stops = []
+        for strategy, delta in reversed(cells):
+            if strategy.name == "n-workers:9":
+                for run in (None, group):
+                    with pytest.raises(ValueError, match=failure):
+                        replay_experiment(votes, strategy, delta, 10, seed=4, group=run)
+                continue
+            summary = replay_experiment(votes, strategy, delta, 10, seed=4, group=group)
+            assert summary == replay_experiment(votes, strategy, delta, 10, seed=4)
+            stops.append([r.n_at_decision for r in summary.per_iteration])
+        # in some iteration one cell stops in the first block and another
+        # draws the second block live
+        stops = np.array(stops)
+        assert ((stops.min(axis=0) <= FIRST_BLOCK) & (stops.max(axis=0) > FIRST_BLOCK)).any()
 
 
 class TestFleissKappa:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -15,11 +16,13 @@ from twochoice.eval_model import RequestSet, WorkerPool
 from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, distinct_columns, substream
 from twochoice.simulator import (
     FIRST_BLOCK,
+    Blocks,
     ExperimentConfig,
     bootstrap_ci,
     bootstrap_grid,
     run_blocks,
     run_experiment,
+    simulate_groups,
 )
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
@@ -215,7 +218,8 @@ class TestBlockDriver:
             return labels[start:stop], labels_per_row, (None if splits is None
                                                         else splits[start:stop])
 
-        result = run_blocks(draw, hoeffding_band(delta, len(labels)), np.random.default_rng(0),
+        blocks = Blocks(np.random.default_rng(0), len(labels))
+        result = run_blocks(lambda b: draw(blocks.rows(b)), hoeffding_band(delta, len(labels)),
                             record_trace=True)
         assert len(set(revealed)) == len(revealed) == drawn[-1][1]
         assert set(revealed) <= set(range(len(labels)))
@@ -279,21 +283,24 @@ def chi2_sf(x, df):
 
 
 class TestRevealOrder:
-    """run_blocks reveals a uniform random order, one doubling block at a time."""
+    """Blocks reveals a uniform random order, one doubling block at a time,
+    as run_blocks reads it."""
 
     # no stream of 5 labels decides at this delta, so every row is revealed
     DELTA = 1e-9
 
     @staticmethod
     def reveal(n_total, rng):
-        """The blocks of rows run_blocks reveals over n_total rows."""
+        """The blocks of rows run_blocks reads over n_total rows."""
         blocks = []
 
         def draw(rows):
             blocks.append(rows)
             return np.zeros(rows.size, dtype=np.int8), 1, None
 
-        result = run_blocks(draw, hoeffding_band(TestRevealOrder.DELTA, n_total), rng)
+        reveal = Blocks(rng, n_total)
+        result = run_blocks(lambda b: draw(reveal.rows(b)),
+                            hoeffding_band(TestRevealOrder.DELTA, n_total))
         assert not result.decided and result.n_at_decision == n_total
         return blocks
 
@@ -521,6 +528,117 @@ class TestRunExperiment:
                 simulator.final_law(three.strategy, requests.difficulties, capability)[0])
             assert_max_three_stops_as_three_workers(run_experiment(max_three),
                                                     run_experiment(three))
+
+
+class TestGroups:
+    """simulate_groups and a group's lockstep pass: each cell of a group
+    gets, iteration by iteration, what it gets alone."""
+
+    @staticmethod
+    def grid() -> list:
+        """Twelve cells that share streams, then three that run alone.
+
+        Two regimes of 2500 requests and one of 1800, each with one-worker
+        and max-three at two deltas; then a fixed-worker, a distinct_voters
+        n-workers:3 and a resampling max-three cell of the first regime.
+        """
+        shared = dict(capability_lo=0.7, capability_hi=1.0, pool_size=30, iterations=8, seed=3,
+                      sigma=0.1)
+        cells = [make_config(**shared, mu=mu, n_requests=n, strategy=Strategy.from_name(name),
+                             delta=delta)
+                 for mu, n in ((0.05, 2500), (0.3, 2500), (0.1, 1800))
+                 for name in ("one-worker", "max-three") for delta in (0.01, 0.001)]
+        return cells + [make_config(**shared, mu=0.05, n_requests=2500, delta=0.01,
+                                    strategy=Strategy.from_name(name), **flags)
+                        for name, flags in (("fixed-worker", {}),
+                                            ("n-workers:3", {"distinct_voters": True}),
+                                            ("max-three",
+                                             {"resample_difficulties_per_iteration": True}))]
+
+    def test_cells_of_one_seed_and_supply_share_a_group(self):
+        cells = self.grid()
+        groups = simulate_groups(cells)
+        assert all(group is groups[0] for group in groups[:8])
+        assert all(group is groups[8] for group in groups[8:12])
+        assert groups[0].cells == tuple(cells[:8]) and groups[8].cells == tuple(cells[8:12])
+        for cell, group in zip(cells[12:], groups[12:]):
+            assert group.cells == (cell,)
+        # distinct voters at k = 1 draw nothing between a block's rows and
+        # its uniforms; another seed or iteration count reads other streams
+        one = cells[0]
+        others = [dataclasses.replace(one, distinct_voters=True, delta=0.1),
+                  dataclasses.replace(one, seed=4), dataclasses.replace(one, iterations=9)]
+        assert [len(group.cells) for group in simulate_groups([one, *others])] == [2, 2, 1, 1]
+
+    @pytest.mark.parametrize("trace_iterations", [0, 3])
+    def test_each_cell_gets_what_it_gets_alone(self, trace_iterations):
+        cells = self.grid()
+        alone = [run_experiment(cell, trace_iterations=trace_iterations) for cell in cells]
+        groups = simulate_groups(cells)
+        # the cells ask in reverse grid order: whichever asks first runs the pass
+        grouped = {i: run_experiment(cells[i], trace_iterations=trace_iterations,
+                                     group=groups[i])
+                   for i in reversed(range(len(cells)))}
+        for i, summary in enumerate(alone):
+            assert grouped[i] == summary
+            assert [r.trace is not None for r in summary.per_iteration] == \
+                [j < trace_iterations for j in range(8)]
+        # in some iteration one cell of the first group stops in the first
+        # block and another draws the second block live
+        stops = np.array([[r.n_at_decision for r in summary.per_iteration]
+                          for summary in alone[:8]])
+        assert ((stops.min(axis=0) <= FIRST_BLOCK) & (stops.max(axis=0) > FIRST_BLOCK)).any()
+
+    def test_cells_of_an_iteration_read_one_blocks(self, monkeypatch):
+        cells = self.grid()[:8]
+        group = simulate_groups(cells)[0]
+        calls, run = [], simulator.run_iteration
+
+        def spy(config, requests, pool, law, band, blocks, **kwargs):
+            calls.append((config, blocks))
+            return run(config, requests, pool, law, band, blocks, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_iteration", spy)
+        for cell in cells:
+            run_experiment(cell, group=group)
+        # one call per cell and iteration, iteration by iteration, every cell
+        # in grid order on the iteration's one Blocks
+        assert len(calls) == len(cells) * 8
+        for i in range(0, len(calls), len(cells)):
+            assert [config for config, _ in calls[i:i + len(cells)]] == cells
+            assert len({id(blocks) for _, blocks in calls[i:i + len(cells)]}) == 1
+
+    def test_a_failing_cell_fails_alone(self, monkeypatch):
+        cells = self.grid()[:8]
+        alone = [run_experiment(cell) for cell in cells]
+        cells[1] = dataclasses.replace(cells[1], delta=1.0)  # its band cannot be made
+        calls, run = collections.Counter(), simulator.run_iteration
+
+        def failing(config, requests, pool, law, band, blocks, **kwargs):
+            calls[config] += 1
+            if config is cells[0] and calls[config] == 3:
+                # the first cell to reach iteration 2's first block reveals
+                # its rows and fails before drawing its uniforms
+                blocks.rows(0)
+                raise RuntimeError("iteration 2 failed")
+            return run(config, requests, pool, law, band, blocks, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_iteration", failing)
+        group = simulate_groups(cells)[0]
+        with pytest.raises(RuntimeError, match="iteration 2 failed"):
+            run_experiment(cells[0], group=group)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got 1.0"):
+            run_experiment(cells[1], group=group)
+        for i in range(2, len(cells)):
+            assert run_experiment(cells[i], group=group) == alone[i]
+        assert calls[cells[0]] == 3 and cells[1] not in calls
+
+    def test_every_call_of_a_group_traces_alike(self):
+        cells = self.grid()[:2]
+        group = simulate_groups(cells)[0]
+        run_experiment(cells[0], trace_iterations=2, group=group)
+        with pytest.raises(ValueError, match="trace their first 2 iterations, not 0"):
+            run_experiment(cells[1], group=group)
 
 
 def lone_ci(sample, confidence, resamples, rng):

@@ -20,7 +20,7 @@ from test_simulator import chi2_sf, enumerated_law
 def finals_and_effort(strategy, law, rng):
     """``draw_finals``' final labels, and the labels each row spends: its
     labels_per_row, plus one on a row whose first two votes split."""
-    finals, labels_per_row, splits = draw_finals(strategy, law, rng)
+    finals, labels_per_row, splits = draw_finals(strategy, law, rng.random(law.shape[1]))
     effort = np.full(finals.size, labels_per_row)
     if splits is not None:
         effort += splits
@@ -268,7 +268,8 @@ class TestVoterFreeVotes:
         expected = np.array([p * p, 2 * p * p * (1 - p), 2 * p * (1 - p) ** 2, (1 - p) ** 2])
         strategy = Strategy.from_name("max-three")
         law = final_law(strategy, np.full(self.TRIALS, self.D), self.POOLS["uniform"].mean())
-        finals, labels_per_row, splits = draw_finals(strategy, law, np.random.default_rng(31))
+        finals, labels_per_row, splits = draw_finals(
+            strategy, law, np.random.default_rng(31).random(self.TRIALS))
         assert labels_per_row == 2 and splits.dtype == bool
         effort = labels_per_row + splits
         observed = np.array([((finals == final) & (effort == spent)).sum()
@@ -306,7 +307,8 @@ class TestVoterFreeVotes:
         difficulties = np.random.default_rng(7).uniform(-1, 1, 5000)
         strategy = Strategy.from_name(name)
         finals, labels_per_row, splits = draw_finals(
-            strategy, final_law(strategy, difficulties, 0.85), np.random.default_rng(8))
+            strategy, final_law(strategy, difficulties, 0.85),
+            np.random.default_rng(8).random(difficulties.size))
         twin = np.random.default_rng(8).random((k, difficulties.size))
         assert np.array_equal(finals, (twin < (0.85 * difficulties + 1.0) / 2.0)[0])
         assert (labels_per_row, splits) == (1, None)
