@@ -28,9 +28,11 @@ from .config import (
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
 from .simulator import (ExperimentConfig, Group, bootstrap_grid, run_experiment,
                         simulate_groups)
-from .rng import DOMAIN_ITERATION, STREAM_LAYOUT, substream
+from .rng import STREAM_LAYOUT
 # unused here but kept importable: perfbench/worker.py wraps cli.run_iteration,
-# cli.sample_difficulties and cli.sample_capabilities in its traced launches
+# cli.substream, cli.sample_difficulties and cli.sample_capabilities in its
+# traced launches
+from .rng import substream  # noqa: F401
 from .simulator import run_iteration  # noqa: F401
 from .eval_model import sample_capabilities, sample_difficulties  # noqa: F401
 
@@ -299,9 +301,9 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     _prepare_out(out, ["trace.csv", "manifest.yaml"], args.force)
 
-    # the cell with only this iteration's stream: the iteration as simulate runs it
-    [result] = run_experiment(exp, trace_iterations=1, streams=[
-        substream(exp.seed, DOMAIN_ITERATION, args.iteration)]).per_iteration
+    # the cell with only this iteration: the iteration as simulate runs it
+    [result] = run_experiment(exp, trace_iterations=1, iterations=range(
+        args.iteration, args.iteration + 1)).per_iteration
     _write_csv(out / "trace.csv", TRACE_HEADER, _TraceRows([result], first=args.iteration))
     _write_manifest(out, {
         "mode": "trace",

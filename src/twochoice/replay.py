@@ -178,8 +178,8 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     cell = (strategy, delta)
     if group is None:
         group = Group([cell])
-    return group.summary(cell, 0, iteration_streams(seed, DOMAIN_ITERATION, iterations),
-                         len(annotations), setup)
+    streams = enumerate(iteration_streams(seed, DOMAIN_ITERATION, iterations))
+    return group.summary(cell, 0, streams, len(annotations), setup)
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

@@ -24,6 +24,7 @@ DOMAIN_REQUESTS = 0
 DOMAIN_POOL = 1
 DOMAIN_ITERATION = 2
 DOMAIN_BOOTSTRAP = 3
+DOMAIN_WORKER = 4
 
 # Version of the layout of draws within the substreams. Bump it whenever a
 # change makes the same seed produce different numbers; manifests echo it.
@@ -45,7 +46,11 @@ DOMAIN_BOOTSTRAP = 3
 #    set straight into a PCG64, in place of PCG64(SeedSequence([seed,
 #    domain, i])).
 # 8: Fleiss kappa's subsample is one hypergeometric draw of A-votes per request.
-STREAM_LAYOUT = 8
+# 9: fixed-worker's worker of iteration i is element i of
+#    substream(seed, DOMAIN_WORKER, 0).integers(0, pool_size, n) for any
+#    n > i, in place of the iteration stream's first draw; the iteration
+#    stream draws only each block's rows, then its uniforms.
+STREAM_LAYOUT = 9
 
 _MAX_SEED = 2**64
 _BLOCK_STREAMS = 256  # streams per SeedSequence
@@ -64,9 +69,9 @@ def substream(seed: int, domain: int, index: int) -> np.random.Generator:
     return next(_streams(check_seed(seed), domain, index, index + 1))
 
 
-def iteration_streams(seed: int, domain: int, count: int):
-    """Yield ``substream(seed, domain, i)`` for i = 0 .. count - 1, bit for
-    bit, as one Generator whose state is reset before each yield.
+def iteration_streams(seed: int, domain: int, count: int, start: int = 0):
+    """Yield ``substream(seed, domain, i)`` for i = start .. start + count - 1,
+    bit for bit, as one Generator whose state is reset before each yield.
 
     Each stream is valid only until the next one is taken: the caller must
     be done drawing from it by then. The seed and the count, a cell's
@@ -74,7 +79,7 @@ def iteration_streams(seed: int, domain: int, count: int):
     """
     if count < 1:
         raise ValueError(f"iterations must be >= 1, got {count}")
-    return _streams(check_seed(seed), domain, 0, count)
+    return _streams(check_seed(seed), domain, start, start + count)
 
 
 def _streams(seed: int, domain: int, start: int, stop: int):

@@ -16,31 +16,34 @@ the first crossing is revealed or drawn. The stopping rule reads only each
 request's final label and its effort, so those are drawn from the law of
 the request's votes (``vote_law``): one uniform per request, whatever the
 strategy, read as the final label and, for max-three, whether a third
-label is spent. Within an iteration's substream the draws are: the fixed
-worker (fixed-worker only, once); then per block the block's rows, the
-block's distinct voters (``distinct_voters`` only), then its uniforms. The
-block schedule is fixed, so results depend only on (seed, iteration
-index) and never on scheduling. Replay draws from the law of its recorded
-votes through the same block driver and holds its iterations in the same
-``ExperimentSummary``.
+label is spent. Within an iteration's substream the draws are: the
+iteration's requests and pool (the resample flags only, once); then per
+block the block's rows, the block's distinct voters (``distinct_voters``
+only), then its uniforms. Fixed-worker's worker of iteration i is not drawn
+there but is element i of the cell's worker picks, drawn once from
+``substream(seed, DOMAIN_WORKER, 0)``. The block schedule is fixed, so
+results depend only on (seed, iteration index) and never on scheduling.
+Replay draws from the law of its recorded votes through the same block
+driver and holds its iterations in the same ``ExperimentSummary``.
 
-Most cells of a grid draw nothing in an iteration but each block's rows
-and then its uniforms, so all such cells with one seed, request supply and
-iteration count read the same rows and uniforms in iteration i. They form
-a ``Group`` (``simulate_groups``; the cells of a replay grid form one),
-whose iterations ``run_cells`` runs in one lockstep pass: for each
-iteration the cells run in turn on one ``Blocks``, the first cell to reach
-a block draws it from the iteration's generator, and the others read it.
-Revealing the rows is the largest cost of an iteration, so a group pays it
-once per iteration and not once per cell. Fixed-worker, the resample flags
-and ``distinct_voters`` at k > 1 draw something else first or between a
-block's rows and its uniforms, so those cells run alone, each a group of
-one. A cell's numbers are the same in a group as alone. The pass still
-calls ``run_iteration`` (replay: ``replay_iteration``) once per cell and
-iteration through the module attribute, and the command line still calls
-``run_experiment`` once per cell, which hands the cell its results:
-perfbench/worker.py hooks those calls to stamp the end of set-up and to
-check each cell's iterations as the cell returns.
+Most cells of a grid, fixed-worker's among them, draw nothing in an
+iteration but each block's rows and then its uniforms, so all such cells
+with one seed, request supply and iteration count read the same rows and
+uniforms in iteration i. They form a ``Group`` (``simulate_groups``; the
+cells of a replay grid form one), whose iterations ``run_cells`` runs in
+one lockstep pass: for each iteration the cells run in turn on one
+``Blocks``, the first cell to reach a block draws it from the iteration's
+generator, and the others read it. Revealing the rows is the largest cost
+of an iteration, so a group pays it once per iteration and not once per
+cell. The resample flags and ``distinct_voters`` at k > 1 draw something
+else first or between a block's rows and its uniforms, so those cells run
+alone, each a group of one. A cell's numbers are the same in a group as
+alone. The pass still calls ``run_iteration`` (replay:
+``replay_iteration``) once per cell and iteration through the module
+attribute, and the command line still calls ``run_experiment`` once per
+cell, which hands the cell its results: perfbench/worker.py hooks those
+calls to stamp the end of set-up and to check each cell's iterations as
+the cell returns.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ from .rng import (
     DOMAIN_ITERATION,
     DOMAIN_POOL,
     DOMAIN_REQUESTS,
+    DOMAIN_WORKER,
     distinct_columns,
     iteration_streams,
     substream,
@@ -218,8 +222,9 @@ def draw_finals(strategy: Strategy, law: np.ndarray, u: np.ndarray):
 
 
 class Blocks:
-    """One iteration's request order over ``n_total`` rows and one uniform
-    per row, drawn from the iteration's generator ``rng`` a block at a time.
+    """Iteration ``index``'s request order over ``n_total`` rows and one
+    uniform per row, drawn from the iteration's generator ``rng`` a block at
+    a time.
 
     ``rows(b)`` reveals block b when a cell first asks for it: block 0 is
     ``rng.choice(n_total, FIRST_BLOCK, replace=False)``, each later block,
@@ -231,11 +236,12 @@ class Blocks:
     next one from where the generator stands, as it would alone.
     """
 
-    __slots__ = ("rng", "n_total", "_rows", "_uniforms", "_left", "_seen")
+    __slots__ = ("rng", "n_total", "index", "_rows", "_uniforms", "_left", "_seen")
 
-    def __init__(self, rng: np.random.Generator, n_total: int):
+    def __init__(self, rng: np.random.Generator, n_total: int, index: int):
         self.rng = rng
         self.n_total = n_total
+        self.index = index
         self._rows: list = []
         self._uniforms: list = []
         self._left = n_total
@@ -307,24 +313,26 @@ def run_iteration(
     config: ExperimentConfig,
     requests: RequestSet,
     pool: WorkerPool,
-    law: np.ndarray,
+    law: Optional[np.ndarray],
     band: Band,
     blocks: Blocks,
     record_trace: bool = False,
+    picks: Optional[np.ndarray] = None,
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
     ``requests``, ``pool``, ``law`` and ``band`` are the cell's, as
     ``run_experiment`` makes them: ``law`` is the cell's ``final_law`` at
     the pool's mean capability over the whole request supply, read column
-    by column, and ``band`` is ``hoeffding_band`` over the supply. An
-    iteration under a resample flag draws its own requests or pool and
-    reads the whole-supply law of its own draws instead. Fixed-worker, and
-    ``distinct_voters`` with k > 1 votes, build each block's law from the
-    revealed rows only: at the capability of the iteration's one worker,
-    drawn before the first block, or of the voters each block picks.
-    ``blocks`` is the iteration's ``Blocks``: iteration i of a cell draws
-    from ``substream(config.seed, DOMAIN_ITERATION, i)``.
+    by column (None for fixed-worker), and ``band`` is ``hoeffding_band``
+    over the supply. An iteration under a resample flag draws its own
+    requests or pool and reads the whole-supply law of its own draws
+    instead. Fixed-worker, and ``distinct_voters`` with k > 1 votes, build
+    each block's law from the revealed rows only: at the capability of the
+    iteration's one worker, pool index ``picks[blocks.index]``, or of the
+    voters each block picks. ``blocks`` is the iteration's ``Blocks``:
+    iteration i of a cell draws from ``substream(config.seed,
+    DOMAIN_ITERATION, i)``.
     """
     rng = blocks.rng
     if config.resample_difficulties_per_iteration:
@@ -338,7 +346,7 @@ def run_iteration(
             voters = distinct_columns(rng, rows.size, pool.pool_size, k)
             return final_law(strategy, difficulties[rows], pool.capabilities[voters.T])
     elif strategy.kind is StrategyKind.FIXED_WORKER:
-        worker = pool.capabilities[rng.integers(0, pool.pool_size)]
+        worker = pool.capabilities[picks[blocks.index]]
 
         def block_law(rows):
             return final_law(strategy, difficulties[rows], worker)
@@ -384,8 +392,9 @@ class Iterations:
 
 
 def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -> list:
-    """Each cell's iterations on ``streams``, run in lockstep, as its
-    ``Iterations`` or the exception that ended it, in the order of ``cells``.
+    """Each cell's iterations on ``streams``, (iteration index, generator)
+    pairs, run in lockstep, as its ``Iterations`` or the exception that
+    ended it, in the order of ``cells``.
 
     ``setup(cell)`` makes the cell's ``iterate(blocks, record_trace)``,
     which runs the cell's iteration on that iteration's ``Blocks`` over
@@ -402,10 +411,10 @@ def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -
         except Exception as exc:
             iterates.append(None)
             held.append(exc)
-    for rng in streams:
+    for index, rng in streams:
         if not any(iterates):
             break
-        blocks = Blocks(rng, n_total)
+        blocks = Blocks(rng, n_total, index)
         for c, iterate in enumerate(iterates):
             if iterate is not None:
                 try:
@@ -434,9 +443,10 @@ class Group:
     def summary(self, cell, trace_iterations: int, streams, n_total: int,
                 setup) -> ExperimentSummary:
         """``cell``'s summary on ``streams``, the cell's own iteration
-        streams, as ``run_cells`` runs it with ``setup`` over ``n_total``
-        rows; what the cell raised, if it failed. The first call runs the
-        pass on the rest of its streams, which every cell of the group reads."""
+        streams as (iteration index, generator) pairs, as ``run_cells`` runs
+        it with ``setup`` over ``n_total`` rows; what the cell raised, if it
+        failed. The first call runs the pass on the rest of its streams,
+        which every cell of the group reads."""
         streams = iter(streams)
         traced = Iterations()
         if trace_iterations:
@@ -463,14 +473,14 @@ def simulate_groups(cells: list) -> list:
 
     Two cells read their streams alike when both draw only each block's rows
     and then its uniforms, from the same streams over the same supply: the
-    same seed, request supply and iteration count. Fixed-worker draws its
-    worker first, a resample flag its requests or pool, and
+    same seed, request supply and iteration count. Fixed-worker takes its
+    worker from a stream of its own and reads its iteration streams as
+    one-worker does. A resample flag draws its requests or pool first, and
     ``distinct_voters`` at k > 1 its voters between a block's rows and its
     uniforms, so those cells run alone.
     """
     def key(cell):
-        if (cell.strategy.kind is StrategyKind.FIXED_WORKER
-                or cell.resample_difficulties_per_iteration or cell.resample_pool_per_iteration
+        if (cell.resample_difficulties_per_iteration or cell.resample_pool_per_iteration
                 or cell.distinct_voters and cell.strategy.votes_needed() > 1):
             return cell
         return cell.seed, cell.n_requests, cell.iterations
@@ -482,10 +492,14 @@ def simulate_groups(cells: list) -> list:
     return [groups[key(cell)] for cell in cells]
 
 
-def _simulate_setup():
-    """A ``run_cells`` setup for simulate cells. It draws each request set
-    and pool once, and makes each law once per strategy on them and each band
-    once per (delta, supply), for all the cells of a pass that share them."""
+def _simulate_setup(stop: int):
+    """A ``run_cells`` setup for simulate cells whose iterations lie below
+    ``stop``. It draws each request set and pool once, and fixed-worker's
+    picks for iterations 0 .. stop - 1 once per (pool size, seed), and makes
+    each law once per strategy on them and each band once per (delta,
+    supply), for all the cells of a pass that share them. Element i of the
+    picks does not depend on ``stop``: ``Generator.integers`` draws them in
+    order."""
     @functools.cache
     def requests_of(mu, sigma, n_requests, seed):
         return sample_difficulties(mu, sigma, n_requests, substream(seed, DOMAIN_REQUESTS, 0))
@@ -499,43 +513,58 @@ def _simulate_setup():
         return final_law(strategy, requests_of(*regime).difficulties,
                          pool_of(*workers).capabilities.mean())
 
+    @functools.cache
+    def picks_of(pool_size, seed):
+        return substream(seed, DOMAIN_WORKER, 0).integers(0, pool_size, stop)
+
     band_of = functools.cache(hoeffding_band)
 
     def setup(config):
         regime = (config.mu, config.sigma, config.n_requests, config.seed)
         workers = (config.capability_lo, config.capability_hi, config.pool_size, config.seed)
         requests, pool = requests_of(*regime), pool_of(*workers)
-        law = law_of(config.strategy, regime, workers)
         band = band_of(config.delta, requests.size)
+        # fixed-worker reads its worker's law, never the pool's
+        if config.strategy.kind is StrategyKind.FIXED_WORKER:
+            law, picks = None, picks_of(config.pool_size, config.seed)
+        else:
+            law, picks = law_of(config.strategy, regime, workers), None
         return lambda blocks, record_trace: run_iteration(config, requests, pool, law, band,
-                                                          blocks, record_trace=record_trace)
+                                                          blocks, record_trace=record_trace,
+                                                          picks=picks)
 
     return setup
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
-                   streams=None, group: Optional[Group] = None) -> ExperimentSummary:
+                   iterations: Optional[range] = None,
+                   group: Optional[Group] = None) -> ExperimentSummary:
     """Run the iterations of a configuration and aggregate labelling effort.
 
     The requests and pool are drawn once from the experiment seed and
     shared by every iteration, unless a per-iteration resample flag says
-    otherwise. ``streams`` are the generators of the iterations to run: by
-    default the cell's ``iteration_streams``, keyed by (seed, iteration
-    index), so iteration i run alone on ``[substream(config.seed,
-    DOMAIN_ITERATION, i)]``, as ``trace`` runs it, is iteration i of the
-    whole cell. The first ``trace_iterations`` of them record their band.
+    otherwise. ``iterations`` is the range of consecutive iteration indices
+    to run, by default ``range(config.iterations)``; iteration i draws from
+    ``substream(config.seed, DOMAIN_ITERATION, i)`` and takes fixed-worker's
+    pick i, so iteration i run alone on ``range(i, i + 1)``, as ``trace``
+    runs it, is iteration i of the whole cell. The first
+    ``trace_iterations`` of them record their band.
     ``group`` is the cell's ``Group`` from ``simulate_groups``, or a group
     of the cell alone when None: the group's first call runs every cell of
     the group past its traced iterations, and each call returns what the
     cell returns alone. The summary holds no interval: ``bootstrap_grid``
     computes a whole grid's from each cell's ``decided_efforts``.
     """
-    if streams is None:
-        streams = iteration_streams(config.seed, DOMAIN_ITERATION, config.iterations)
+    if iterations is None:
+        iterations = range(config.iterations)
+    # stop - start, not len(), so that iteration_streams names a negative
+    # count as it was given
+    streams = iteration_streams(config.seed, DOMAIN_ITERATION,
+                                iterations.stop - iterations.start, iterations.start)
     if group is None:
         group = Group([config])
-    return group.summary(config, trace_iterations, streams, config.n_requests,
-                         _simulate_setup())
+    return group.summary(config, trace_iterations, zip(iterations, streams), config.n_requests,
+                         _simulate_setup(iterations.stop))
 
 
 def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:

@@ -10,7 +10,8 @@ iterations share; both go through ``run_experiment``, which alone makes them.
 ``lone_replay`` reads one iteration of a replay cell off ``replay_experiment``,
 which alone makes a replay cell's law and band.
 ``reference_reveal`` is the stream layout's request order, written apart from
-``simulator.Blocks``, for the tests that replay an iteration's draws.
+``simulator.Blocks``, and ``reference_worker`` fixed-worker's worker, for the
+tests that replay an iteration's draws.
 ``traced_peak`` is the most memory that numpy and Python held during a call.
 ``assert_max_three_stops_as_three_workers`` compares the iterations of a
 max-three cell with those of its n-workers:3 twin.
@@ -25,7 +26,7 @@ import numpy as np
 from twochoice import simulator
 from twochoice.decision import hoeffding_tolerance
 from twochoice.replay import parse_annotations, replay_experiment
-from twochoice.rng import DOMAIN_ITERATION, substream
+from twochoice.rng import DOMAIN_WORKER, substream
 from twochoice.simulator import run_experiment
 from twochoice.strategies import StrategyKind
 
@@ -69,9 +70,9 @@ def annotation_set(votes: dict, label: str = ""):
 
 def lone_iteration(config, index: int, record_trace: bool = False):
     """Iteration ``index`` of ``config``'s grid cell, run alone as ``trace``
-    runs it: ``run_experiment`` on that iteration's stream only."""
-    [result] = run_experiment(config, trace_iterations=int(record_trace), streams=[
-        substream(config.seed, DOMAIN_ITERATION, index)]).per_iteration
+    runs it: ``run_experiment`` on that iteration only."""
+    [result] = run_experiment(config, trace_iterations=int(record_trace),
+                              iterations=range(index, index + 1)).per_iteration
     return result
 
 
@@ -84,7 +85,7 @@ def lone_replay(annotations, strategy, delta: float, seed: int, index: int = 0):
 
 def cell_draws(config):
     """The RequestSet and WorkerPool that ``run_experiment`` draws for
-    ``config``'s grid cell, caught as it runs the cell on no streams."""
+    ``config``'s grid cell, caught as it runs the cell's first iteration."""
     caught = {}
 
     def catch(name):
@@ -96,7 +97,7 @@ def cell_draws(config):
         return mock.patch.object(simulator, name, catching)
 
     with catch("sample_difficulties"), catch("sample_capabilities"):
-        run_experiment(config, streams=[])
+        run_experiment(config, iterations=range(1))
     return caught["sample_difficulties"], caught["sample_capabilities"]
 
 
@@ -116,6 +117,14 @@ def reference_reveal(rng, n_total: int):
         yield rows
         hidden = np.setdiff1d(hidden, rows, assume_unique=True)
         size *= 2
+
+
+def reference_worker(config, iteration: int) -> int:
+    """The pool index of fixed-worker's worker in iteration ``iteration``
+    of ``config``'s grid cell, as the stream layout draws it: the last of
+    ``iteration + 1`` picks from the cell's worker stream."""
+    picks = substream(config.seed, DOMAIN_WORKER, 0).integers(0, config.pool_size, iteration + 1)
+    return int(picks[iteration])
 
 
 def traced_peak(fn, *args) -> int:

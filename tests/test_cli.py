@@ -632,15 +632,18 @@ class TestTraceCommand:
                                                   (True, ("n-workers:3",))])
     def test_trace_writes_the_rows_simulate_traced(self, tmp_path, distinct, names):
         # trace runs the cell on its one iteration's stream, which reads the
-        # cell's law, or draws its own worker, or picks each block's distinct
-        # voters, as that iteration does under simulate
+        # cell's law, or takes that iteration's worker, or picks each block's
+        # distinct voters, as that iteration does under simulate. Workers of
+        # capability 0 to 1 vote apart, so another iteration's worker shows.
         smoke = (Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml").read_text(
             encoding="utf-8")
         config = tmp_path / "smoke.yaml"
         config.write_text(smoke.replace("n-workers:3]", "n-workers:3, fixed-worker]")
+                          .replace("lo: 0.8", "lo: 0.0")
                           + f"trace_iterations: 2\ndistinct_voters: {str(distinct).lower()}\n",
                           encoding="utf-8")
-        cells = [i for i, cell in enumerate(simulate_grid(load_simulate_config(config)))
+        grid = simulate_grid(load_simulate_config(config))
+        cells = [i for i, cell in enumerate(grid)
                  if cell.strategy.name in names and cell.mu == 0.2 and cell.delta == 0.001]
         assert len(cells) == len(names)
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
@@ -655,6 +658,14 @@ class TestTraceCommand:
                 rows = [line for line in simulated[1:] if line.startswith(f"{iteration},")]
                 assert traced[0] == simulated[0]
                 assert len(rows) > 1 and traced[1:] == rows
+            # an iteration past the traced ones: its outcome in the whole cell
+            out = tmp_path / f"trace_{cell}_2"
+            assert main(["trace", "--config", str(config), "--out", str(out),
+                         "--cell", str(cell), "--iteration", "2"]) == 0
+            manifest = yaml.safe_load((out / "manifest.yaml").read_text(encoding="utf-8"))
+            result = run_experiment(grid[cell]).per_iteration[2]
+            assert (manifest["verdict"], manifest["n_at_decision"], manifest["effort"]) == (
+                result.verdict.value, result.n_at_decision, result.effort)
 
 
 class TestTraceRowCount:

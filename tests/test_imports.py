@@ -6,7 +6,7 @@ or a leftover of deleted code. The check reads each module's syntax tree.
 An import whose first line carries ``# noqa: F401`` is kept on purpose, and
 may bind only names that perfbench/worker.py's ``install_tracer`` patches in
 that module: replay imports ``substream``, ``bootstrap_ci`` and
-``majority_vote`` so, and cli imports ``run_iteration``,
+``majority_vote`` so, and cli imports ``run_iteration``, ``substream``,
 ``sample_difficulties`` and ``sample_capabilities``. Once the benchmark stops
 patching a name, its exempt import fails here and can be deleted. A
 definition that no package module reads is dead code, or code that only the

@@ -30,7 +30,7 @@ import yaml
 from twochoice import cli
 from twochoice.rng import STREAM_LAYOUT
 
-PINNED_LAYOUT = 8
+PINNED_LAYOUT = 9
 PINNED_NUMPY = "2.4.6"
 
 # manifest keys whose value is a path of the run's own directory
@@ -122,50 +122,50 @@ TRACES = [("distinct", 9, 1), ("distinct", 13, 0), ("distinct", 15, 3), ("resamp
 SIMULATED = ["distinct", "resample", "exhaust"]
 
 PINS = {
-    "distinct/manifest.yaml": "343e59d4ee2f503648f58e7641fb9da1b8400c4f529261ced67e67e1cea669b1",
-    "distinct/summary.csv": "393cc2eb7b33643d6b0de3418448b7f99815ee61d970cc9695280f97fe270e4f",
+    "distinct/manifest.yaml": "5f260ce5bbfbf3fbe945794b5b06ab9bda092ce0fd35c62378c212c8e2e9ada5",
+    "distinct/summary.csv": "74445f75553f8f64d8ceec939d601e3d97afcec88f98f08172bd6a6387d1d517",
     "distinct/trace_000.csv": "41d9e54d8e468885a2f5cffad8ec1280da918e0a7b150b65da3d345b71ba67dd",
     "distinct/trace_001.csv": "12db5e24aea132985f1dfba8ee2403ecc453c12f775bc16fb74f448ab1b6533a",
     "distinct/trace_002.csv": "626e7075eddaf6a6621bec0924297fbd6a1623a01f895f626b48537425f019e5",
     "distinct/trace_003.csv": "bd6b4e7ba4cd27016ee3f0b09eb4eeced9fcc23ed4771c316a4bc93797aaafc9",
     "distinct/trace_004.csv": "626e7075eddaf6a6621bec0924297fbd6a1623a01f895f626b48537425f019e5",
     "distinct/trace_005.csv": "bd6b4e7ba4cd27016ee3f0b09eb4eeced9fcc23ed4771c316a4bc93797aaafc9",
-    "distinct/trace_006.csv": "5dc6f4d546930eefc14e5c6e8b84693e4782e966ed1d4d513ba81ada0f837d76",
-    "distinct/trace_007.csv": "eca8def29ed075a28a465cb68652f247f061fa5a26f10b95758dede25a69aa83",
+    "distinct/trace_006.csv": "a10c24d6b6d16f5d7fc98659ec5b442805396090ef9858645ff8d8ed1a4d702f",
+    "distinct/trace_007.csv": "85c4161e9c4305db94ee79a1d9592409844e7d73d6aca9e7e63edddce62e607b",
     "distinct/trace_008.csv": "edbbe66d745a21a76860214c1ce9f07335fc6efb62c207cd9705817ce215c443",
     "distinct/trace_009.csv": "b43678dcc19f3ad57a32cb1fa830f494a98f404c1410087a5b0dba19411f84ec",
     "distinct/trace_010.csv": "9d523bb12d135c34fc1f61b206069a49505ebf0618903b90870b923f1df6d15a",
     "distinct/trace_011.csv": "db8c6cd64c18d49fef487db0f370488e4b84f3aa738ae18b39d140de04e1988f",
     "distinct/trace_012.csv": "9d523bb12d135c34fc1f61b206069a49505ebf0618903b90870b923f1df6d15a",
     "distinct/trace_013.csv": "db8c6cd64c18d49fef487db0f370488e4b84f3aa738ae18b39d140de04e1988f",
-    "distinct/trace_014.csv": "89ac10968cddc41797e01b3ce0659edb86be840a4e07ce30c2b82423261d0eff",
-    "distinct/trace_015.csv": "00e22f82550dc1fc5d70a909ac2256fa11ff5a17c50a5676920d0470f3e3616b",
-    "exhaust/manifest.yaml": "66eac6725d0e5a4bbd1f86800aa3775450955e1252326d4bb44a0bed222aabae",
+    "distinct/trace_014.csv": "06457a00dfda1253bdae671782f0ca9afad27bb02e3ca3f341de1f541e9f6144",
+    "distinct/trace_015.csv": "75e7e9d6a2ccbee34393f1dffea338c7935a8cda9592bbc59ccc3a262a2ceec3",
+    "exhaust/manifest.yaml": "38f767f984af5711db7a46beec434e3bbbe09e784ac3e25719b175674755c175",
     "exhaust/summary.csv": "a366de393adaff973041a29c59ab16b41308076472847c5de53abef2b9e8296a",
     "exhaust/trace_000.csv": "ce2b2654deb114d42eaeb1d7d1621781747e1168eb368b0f3a6a8ea8ef98f7df",
     "exhaust/trace_001.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
     "exhaust/trace_002.csv": "093f3859cf3f9518e7f3401473ea518289d9cde33dfa5bdf864d40bf3de13738",
     "replay-long/decision_ratio.csv": "cb6605ca93145b2ea4f648d3f9163e5c5b5f557eafb3d3787c985468f5be4d37",
     "replay-long/effort.csv": "bced479b3c418f15e0323e17d90e3069fe357a6ec0f6b47d234e012ac49229e4",
-    "replay-long/manifest.yaml": "9ef25d3df6c21a2e5989dbfbee4ebf5138c92699c9898d7690dce3032edc3709",
+    "replay-long/manifest.yaml": "8af0071738a1ca8964f95eafea5540c3090e1d91585f0a3c9b28284c7b9504fc",
     "replay/decision_ratio.csv": "cebcb945bc7e8dfedddaf3bf5bedc63f28ca76cb1969eb3c3ec7760565695a1a",
     "replay/effort.csv": "ef33d56a8ff4b0af018cd80c3f485a2f9464a3030706e0b74f550abfecdbe893",
-    "replay/manifest.yaml": "245bc07532047b77b58ad1d0c2c8eb7f711d5e11fdd87b9bc71c0191786eb961",
-    "resample/manifest.yaml": "23aac15eda39c516b443f84c7572401733fd425152f1afa40a5a22d67e92d054",
-    "resample/summary.csv": "e42ee0da63ad0f3e2d4844b5d54013aed86f61194c2ab0a9e22ef43f42386a13",
-    "trace-distinct-13-0/manifest.yaml": "8b80be774bcb76d27018dbcd1830830b035d447155b6b38025bd55d1aa507f62",
+    "replay/manifest.yaml": "b76231f2a36993fda3a36fb1b30c662feafc9187507f168e7fd8807b7b470a4c",
+    "resample/manifest.yaml": "958c119efe1619572b3675057aeeac7a6f3612134a74733630d40a2ed65739f7",
+    "resample/summary.csv": "8299fcb6923520cdbf4bd19261d8146c20b11ab466f9f13a03e90ece9500f677",
+    "trace-distinct-13-0/manifest.yaml": "e4a668b4cfe986f3b9afbd3a785792d106ba10ca91829bd29219738d281379fb",
     "trace-distinct-13-0/trace.csv": "def95af31f1a0c7409f53d104de05f14dda0736637644e6097c6b41b4f026b07",
-    "trace-distinct-15-3/manifest.yaml": "17f76d0ff56b3edd9c7ba9d29e400a5c44e0bd7da734ca6caede986db1b8d8f2",
-    "trace-distinct-15-3/trace.csv": "700af3997a6ccbb8e9b5e5c3f8e178e1737eb4a6eeb3aeadbe07d198f8d494a0",
-    "trace-distinct-9-1/manifest.yaml": "5518e25e5baaae0378d714c85a5797ba7e24d1cccb14f039166884abcaf223cd",
+    "trace-distinct-15-3/manifest.yaml": "93aab92c9cb4ccd3e1ced32c7e6a263d7b41ae670a12b96216b9c55aacc411c7",
+    "trace-distinct-15-3/trace.csv": "342a12e5c8f8c17405ab544dc51ff9d354e4bd125caecdf8e567ceeea7999343",
+    "trace-distinct-9-1/manifest.yaml": "3f6fc1bbc739b658df0c7e5f563ec119d1eee1ee9cae9e1cb62d170c4ef9c14f",
     "trace-distinct-9-1/trace.csv": "a7ca063db33bebe2400da5c796ce7d53a1c4d53f5e9dc904be82b58c02983197",
-    "trace-exhaust-1-4/manifest.yaml": "ff273654c3cf2742b0dff55245b12a7e69f91fdabb923a017e547c091ea2b7ee",
+    "trace-exhaust-1-4/manifest.yaml": "7b8a7ff34d1cba2cb7df48a751d9b1298a0435e1841da1a010a79d710290a931",
     "trace-exhaust-1-4/trace.csv": "674240f926ac0d21deed23c284e79b561c3bd17762c7f73bd7278d594b9c6572",
-    "trace-exponent-0-6/manifest.yaml": "5824c893d9b4136085bdfbe85129098f8b9081cbcf56a146568a5803e340ab96",
+    "trace-exponent-0-6/manifest.yaml": "dc391c32028d47933012280e063d332e5f4c9a56f650a05cec52c6cfc75eb10b",
     "trace-exponent-0-6/trace.csv": "ea0f8e7a40733f083aaf2c71fce4db6931e6b685578a99ab8e0aeacf34a5e91f",
-    "trace-exponent-0-9/manifest.yaml": "fcd83eed263f3e0f6a3fd5f8d59be44aa31a24a775a92bb779ec619ca17d39a1",
+    "trace-exponent-0-9/manifest.yaml": "22f71d95381138892ddf81612b11c4d8cc845ac2ee5ea476302aa056f89f8ccc",
     "trace-exponent-0-9/trace.csv": "e27baefe93bd9647c1a4ccc727010cb91c1cc1dbaa10a0aa6fd954c82818e48b",
-    "trace-resample-1-2/manifest.yaml": "a2f3d5b38dd92cccb54ba83d4a6bf7fe3918305a54f97e1220773e5e68e6010a",
+    "trace-resample-1-2/manifest.yaml": "c31529522b8b9b0ae323d440e6566eca8ce650b672eeb852fdab9dedccca3593",
     "trace-resample-1-2/trace.csv": "d1fad4f020c4a751f342d356a8c8310a00efd1f46d1b5abba1ac8184d63645fc",
 }
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from twochoice import rng
 from twochoice.rng import DOMAIN_BOOTSTRAP, DOMAIN_ITERATION, iteration_streams, substream
 
 SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
@@ -42,6 +43,19 @@ def test_substream_is_its_row_of_seedsequence_words(seed, domain, index):
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+@pytest.mark.parametrize("start", [1, 250, 511])
+def test_streams_from_a_start_equal_substream(start):
+    # a count of 10 from 250 or 511 runs across a block of 256 streams
+    for index, stream in enumerate(iteration_streams(5, DOMAIN_ITERATION, 10, start), start):
+        assert_same_stream(stream, substream(5, DOMAIN_ITERATION, index))
+
+
+def test_domains_are_distinct():
+    domains = {name: value for name, value in vars(rng).items() if name.startswith("DOMAIN_")}
+    assert len(domains) >= 5
+    assert len(set(domains.values())) == len(domains)
 
 
 def test_random_access_is_constant_time():

@@ -31,6 +31,7 @@ from helpers import (
     cell_draws,
     lone_iteration,
     reference_reveal,
+    reference_worker,
     traced_peak,
 )
 from test_acceptance import FALSE_ALARM_RATE
@@ -132,12 +133,12 @@ class TestRunIteration:
         monkeypatch.setattr(simulator, "sample_difficulties", lambda *args: requests)
         monkeypatch.setattr(simulator, "sample_capabilities", lambda *args: pool)
         for iteration in range(20):
-            # the twin replays the worker, then per block of 1024, 2048
-            # and the remaining 1928 requests the block's rows and one
-            # vote's uniform per row
-            twin = substream(config.seed, DOMAIN_ITERATION, iteration)
-            if twin.integers(0, pool.pool_size) != 1:
+            # the worker comes from the cell's worker stream; the twin
+            # replays, per block of 1024, 2048 and the remaining 1928
+            # requests, the block's rows and one vote's uniform per row
+            if reference_worker(config, iteration) != 1:
                 continue
+            twin = substream(config.seed, DOMAIN_ITERATION, iteration)
             unseen, blocks = np.arange(requests.size), []
             for size in (1024, 2048):
                 rows = unseen[twin.choice(unseen.size, size, replace=False)]
@@ -155,6 +156,42 @@ class TestRunIteration:
         votes = np.diff(counts, prepend=0)
         expected = requests.difficulties[order[:result.n_at_decision]] > 0
         assert np.array_equal(votes, expected)
+
+    def test_fixed_worker_of_an_iteration_does_not_depend_on_the_iteration_count(
+            self, monkeypatch):
+        # iteration i's worker depends only on (seed, pool size, i): alone,
+        # as the last of i + 1 iterations, or among 1000
+        config = make_config(capability_lo=0.0, capability_hi=1.0, n_requests=300,
+                             strategy=Strategy.from_name("fixed-worker"))
+        taken, index = {}, []
+        run, final_law = simulator.run_iteration, simulator.final_law
+
+        def iteration(config, requests, pool, law, band, blocks, **kwargs):
+            index[:] = [blocks.index]
+            try:
+                return run(config, requests, pool, law, band, blocks, **kwargs)
+            finally:
+                index.clear()
+
+        def block_law(strategy, difficulties, capability):
+            if index:  # a block's law, at the iteration's worker
+                taken.setdefault(index[0], set()).add(capability)
+            return final_law(strategy, difficulties, capability)
+
+        monkeypatch.setattr(simulator, "run_iteration", iteration)
+        monkeypatch.setattr(simulator, "final_law", block_law)
+        run_experiment(dataclasses.replace(config, iterations=1000))
+        among_all = dict(taken)
+        assert len(among_all) == 1000 and len(set().union(*among_all.values())) > 1
+        _, pool = cell_draws(config)
+        for i in (0, 1, 7, 255, 256, 999):
+            taken.clear()
+            lone_iteration(config, i)
+            alone = taken[i]
+            taken.clear()
+            run_experiment(dataclasses.replace(config, iterations=i + 1))
+            assert alone == taken[i] == among_all[i] == {
+                pool.capabilities[reference_worker(config, i)]}
 
     def test_majority_first_label_matches_binomial_closed_form(self):
         # vectorised voting path vs the same closed form as the scalar one
@@ -218,7 +255,7 @@ class TestBlockDriver:
             return labels[start:stop], labels_per_row, (None if splits is None
                                                         else splits[start:stop])
 
-        blocks = Blocks(np.random.default_rng(0), len(labels))
+        blocks = Blocks(np.random.default_rng(0), len(labels), 0)
         result = run_blocks(lambda b: draw(blocks.rows(b)), hoeffding_band(delta, len(labels)),
                             record_trace=True)
         assert len(set(revealed)) == len(revealed) == drawn[-1][1]
@@ -298,7 +335,7 @@ class TestRevealOrder:
             blocks.append(rows)
             return np.zeros(rows.size, dtype=np.int8), 1, None
 
-        reveal = Blocks(rng, n_total)
+        reveal = Blocks(rng, n_total, 0)
         result = run_blocks(lambda b: draw(reveal.rows(b)),
                             hoeffding_band(TestRevealOrder.DELTA, n_total))
         assert not result.decided and result.n_at_decision == n_total
@@ -344,12 +381,13 @@ class TestRevealOrder:
 
 def layout4_labels(config, requests, pool, iteration, n):
     """The first n final labels and their effort as stream layout 4 drew
-    them for one-worker and fixed-worker: the worker (fixed-worker), then
-    per block the rows, then one vote per row."""
+    them for one-worker and fixed-worker: per block the rows, then one vote
+    per row, at the pool's mean capability or at fixed-worker's worker,
+    which since layout 9 comes from the cell's worker stream."""
     twin = substream(config.seed, DOMAIN_ITERATION, iteration)
     capability = pool.capabilities.mean()
     if config.strategy.kind is StrategyKind.FIXED_WORKER:
-        capability = pool.capabilities[twin.integers(0, pool.pool_size)]
+        capability = pool.capabilities[reference_worker(config, iteration)]
     labels = []
     for rows in reference_reveal(twin, requests.size):
         votes = twin.random((1, rows.size)) < (capability * requests.difficulties[rows] + 1.0) / 2.0
@@ -405,7 +443,8 @@ def traced_labels(result):
 
 
 class TestLayoutFourPins:
-    """One-worker and fixed-worker draw what layout 4 drew."""
+    """One-worker and fixed-worker draw what layout 4 drew, fixed-worker's
+    worker apart."""
 
     @pytest.mark.parametrize("name", ["one-worker", "fixed-worker"])
     def test_labels_and_effort_match_layout_four(self, name):
@@ -536,11 +575,13 @@ class TestGroups:
 
     @staticmethod
     def grid() -> list:
-        """Twelve cells that share streams, then three that run alone.
+        """Twelve cells that share streams, then three of the first regime:
+        a fixed-worker cell, which joins the first group, and two that run
+        alone.
 
         Two regimes of 2500 requests and one of 1800, each with one-worker
-        and max-three at two deltas; then a fixed-worker, a distinct_voters
-        n-workers:3 and a resampling max-three cell of the first regime.
+        and max-three at two deltas; then the fixed-worker, a distinct_voters
+        n-workers:3 and a resampling max-three cell.
         """
         shared = dict(capability_lo=0.7, capability_hi=1.0, pool_size=30, iterations=8, seed=3,
                       sigma=0.1)
@@ -558,10 +599,11 @@ class TestGroups:
     def test_cells_of_one_seed_and_supply_share_a_group(self):
         cells = self.grid()
         groups = simulate_groups(cells)
-        assert all(group is groups[0] for group in groups[:8])
+        assert all(group is groups[0] for group in groups[:8] + groups[12:13])
         assert all(group is groups[8] for group in groups[8:12])
-        assert groups[0].cells == tuple(cells[:8]) and groups[8].cells == tuple(cells[8:12])
-        for cell, group in zip(cells[12:], groups[12:]):
+        assert groups[0].cells == (*cells[:8], cells[12])
+        assert groups[8].cells == tuple(cells[8:12])
+        for cell, group in zip(cells[13:], groups[13:]):
             assert group.cells == (cell,)
         # distinct voters at k = 1 draw nothing between a block's rows and
         # its uniforms; another seed or iteration count reads other streams
@@ -590,7 +632,8 @@ class TestGroups:
         assert ((stops.min(axis=0) <= FIRST_BLOCK) & (stops.max(axis=0) > FIRST_BLOCK)).any()
 
     def test_cells_of_an_iteration_read_one_blocks(self, monkeypatch):
-        cells = self.grid()[:8]
+        grid = self.grid()
+        cells = [*grid[:8], grid[12]]  # the first group, fixed-worker last
         group = simulate_groups(cells)[0]
         calls, run = [], simulator.run_iteration
 

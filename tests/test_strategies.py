@@ -7,12 +7,12 @@ import pytest
 
 from twochoice.eval_model import RequestSet, WorkerPool, sample_capabilities
 from twochoice.replay import replay_law
-from twochoice.rng import DOMAIN_ITERATION, distinct_columns, substream
+from twochoice.rng import distinct_columns
 from twochoice import simulator
 from twochoice.simulator import ExperimentConfig, draw_finals, final_law, vote_law
 from twochoice.strategies import Strategy, StrategyKind, majority_vote
 
-from helpers import annotation_set, effort_of, lone_iteration
+from helpers import annotation_set, effort_of, lone_iteration, reference_worker
 from test_acceptance import FALSE_ALARM_RATE, binomial_tails
 from test_simulator import chi2_sf, enumerated_law
 
@@ -293,8 +293,8 @@ class TestVoterFreeVotes:
         monkeypatch.setattr(simulator, "sample_capabilities", lambda *args: pool)
         checked = 0
         for iteration in range(10):
-            # the iteration's first draw is its worker
-            if substream(0, DOMAIN_ITERATION, iteration).integers(0, 2) == 1:
+            # the iteration's worker comes from the cell's worker stream
+            if reference_worker(config, iteration) == 1:
                 result = lone_iteration(config, iteration, record_trace=True)
                 assert [mean for _, mean, _, _ in result.trace] == [1.0] * result.n_at_decision
                 checked += 1
