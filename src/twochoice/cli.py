@@ -25,6 +25,7 @@ from .config import (
     load_replay_config,
     load_simulate_config,
 )
+from .decision import Band, hoeffding_band
 from .replay import fleiss_kappa, parse_annotations, replay_experiment
 from .simulator import (ExperimentConfig, Group, bootstrap_grid, run_experiment,
                         simulate_groups)
@@ -68,38 +69,46 @@ def _run_simulate_cell(args):
     summary = run_experiment(cell, trace_iterations=config.trace_iterations, group=group)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
-                   _TraceRows(summary.per_iteration[:config.trace_iterations]))
+                   _TraceRows(summary.traces, hoeffding_band(cell.delta, cell.n_requests)))
     return _cell_outcome(summary)
 
 
 def _cell_outcome(summary) -> tuple:
     """A cell's mean effort, decision ratio and decided efforts, the last as
-    one int64 array: a list would hold a Python int per decided iteration,
-    36 bytes each, until the grid's bootstrap has run."""
-    return (summary.mean_effort, summary.decision_ratio,
-            np.array(summary.decided_efforts, dtype=np.int64))
+    an int64 array, 8 bytes per decided iteration until the bootstrap."""
+    return summary.mean_effort, summary.decision_ratio, summary.decided_efforts
 
 
 class _TraceRows:
-    """The trace rows of traced iterations, numbered from ``first``. Each
-    iteration's rows are formatted as one string of CSV lines when the file
-    is written; len() counts the rows without formatting any, for
-    perfbench/worker.py's row counter."""
+    """The trace rows of traced iterations, numbered from ``first``, from
+    each one's running A-counts and the cell's ``band``. Each iteration's
+    rows are made as one string of CSV lines when the file is written;
+    len() counts them without making any, for perfbench/worker.py."""
 
-    def __init__(self, results: list, first: int = 0):
-        self.results = results
+    def __init__(self, traces: list, band: Band, first: int = 0):
+        self.traces = traces
+        self.band = band
         self.first = first
 
     def __len__(self) -> int:
-        return sum(len(result.trace) for result in self.results)
+        return sum(len(trace) for trace in self.traces)
+
+    def points(self, trace) -> zip:
+        """n, mean, lower and upper of each label of ``trace``: the count over
+        n, and that mean less and plus the band's tolerance at n."""
+        counts = np.frombuffer(trace, dtype=np.int64)
+        means = counts / np.arange(1, counts.size + 1, dtype=np.int64)
+        tolerances = self.band.tolerances[:counts.size]
+        return zip(range(1, counts.size + 1), means.tolist(), (means - tolerances).tolist(),
+                   (means + tolerances).tolist())
 
     def __iter__(self):
         # the iteration, then n, mean, lower and upper of each trace point:
         # fmt's "%.6g" for the floats, as the csv writer would write them,
         # since no field holds a comma, a quote or a line break
-        for i, result in enumerate(self.results, self.first):
+        for i, trace in enumerate(self.traces, self.first):
             line = "%d,%%d,%%.6g,%%.6g,%%.6g\n" % i
-            yield "".join([line % point for point in result.trace])
+            yield "".join([line % point for point in self.points(trace)])
 
 
 def _prepare_out(out: Path, names: list, force: bool) -> None:
@@ -302,9 +311,11 @@ def cmd_trace(args) -> int:
     _prepare_out(out, ["trace.csv", "manifest.yaml"], args.force)
 
     # the cell with only this iteration: the iteration as simulate runs it
-    [result] = run_experiment(exp, trace_iterations=1, iterations=range(
-        args.iteration, args.iteration + 1)).per_iteration
-    _write_csv(out / "trace.csv", TRACE_HEADER, _TraceRows([result], first=args.iteration))
+    iteration = range(args.iteration, args.iteration + 1)
+    summary = run_experiment(exp, trace_iterations=1, iterations=iteration)
+    [result] = summary.per_iteration
+    band = hoeffding_band(exp.delta, exp.n_requests)
+    _write_csv(out / "trace.csv", TRACE_HEADER, _TraceRows(summary.traces, band, args.iteration))
     _write_manifest(out, {
         "mode": "trace",
         "cell": {"strategy": exp.strategy.name, "mu": exp.mu, "delta": exp.delta},

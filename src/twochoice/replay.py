@@ -172,8 +172,7 @@ def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: flo
     def setup(cell):
         cell_strategy, cell_delta = cell
         law, band = law_of(cell_strategy), band_of(cell_delta)
-        return lambda blocks, record_trace: replay_iteration(annotations, cell_strategy, law,
-                                                             band, blocks)
+        return lambda blocks: replay_iteration(annotations, cell_strategy, law, band, blocks)
 
     cell = (strategy, delta)
     if group is None:

@@ -24,26 +24,25 @@ there but is element i of the cell's worker picks, drawn once from
 ``substream(seed, DOMAIN_WORKER, 0)``. The block schedule is fixed, so
 results depend only on (seed, iteration index) and never on scheduling.
 Replay draws from the law of its recorded votes through the same block
-driver and holds its iterations in the same ``ExperimentSummary``.
+driver.
 
 Most cells of a grid, fixed-worker's among them, draw nothing in an
 iteration but each block's rows and then its uniforms, so all such cells
 with one seed, request supply and iteration count read the same rows and
 uniforms in iteration i. They form a ``Group`` (``simulate_groups``; the
-cells of a replay grid form one), whose iterations ``run_cells`` runs in
-one lockstep pass: for each iteration the cells run in turn on one
-``Blocks``, the first cell to reach a block draws it from the iteration's
-generator, and the others read it. Revealing the rows is the largest cost
-of an iteration, so a group pays it once per iteration and not once per
-cell. The resample flags and ``distinct_voters`` at k > 1 draw something
-else first or between a block's rows and its uniforms, so those cells run
-alone, each a group of one. A cell's numbers are the same in a group as
-alone. The pass still calls ``run_iteration`` (replay:
-``replay_iteration``) once per cell and iteration through the module
-attribute, and the command line still calls ``run_experiment`` once per
-cell, which hands the cell its results: perfbench/worker.py hooks those
-calls to stamp the end of set-up and to check each cell's iterations as
-the cell returns.
+cells of a replay grid form one), whose iterations, traced ones included,
+``run_cells`` runs in one lockstep pass: for each iteration the cells run
+in turn on one ``Blocks``, the first cell to reach a block draws it, and
+the others read it. Revealing the rows is the largest cost of an
+iteration, so a group pays it once per iteration and not once per cell.
+The other cells run alone, each a group of one, and a cell's numbers are
+the same in a group as alone. The pass adds each cell's iterations to its
+``ExperimentSummary``, the one record of a cell's results, simulated or
+replayed. It still calls ``run_iteration`` (replay: ``replay_iteration``)
+once per cell and iteration through the module attribute, and the command
+line still calls ``run_experiment`` once per cell: perfbench/worker.py
+hooks those calls to stamp the end of set-up and to check each cell's
+iterations as the cell returns.
 """
 from __future__ import annotations
 
@@ -51,7 +50,8 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -120,39 +120,64 @@ class ExperimentConfig:
 
 @dataclass(slots=True)
 class IterationResult:
+    """One iteration's outcome; ``trace``, for a traced iteration, holds the
+    running A-count after each of its n_at_decision labels."""
     verdict: Verdict
     n_at_decision: int
     effort: int
-    trace: Optional[list] = None
+    trace: Optional[array] = None
 
     @property
     def decided(self) -> bool:
         return self.verdict is not Verdict.UNDECIDED
 
 
-@dataclass(frozen=True)
+# an iteration's record in ExperimentSummary: its verdict's index in
+# _VERDICTS, n and effort, packed by _RECORD and read by numpy as _COLUMNS
+_VERDICTS = tuple(Verdict)
+_RECORD = struct.Struct("=bqq")
+_COLUMNS = np.dtype([("verdict", "=i1"), ("n", "=i8"), ("effort", "=i8")])
+
+
+@dataclass(slots=True)
 class ExperimentSummary:
     """The iterations of one grid cell, simulated or replayed, in iteration
-    order; the cell's figures are read off them."""
+    order, as its pass adds them: 17 bytes each (``_RECORD``), and the
+    traces of the traced ones, which come first."""
 
-    per_iteration: list
+    records: bytearray = field(default_factory=bytearray)
+    traces: list = field(default_factory=list)
+
+    def add(self, result: IterationResult) -> None:
+        self.records += _RECORD.pack(_VERDICTS.index(result.verdict), result.n_at_decision,
+                                     result.effort)
+        if result.trace is not None:
+            self.traces.append(result.trace)
 
     @property
-    def decided_efforts(self) -> list:
-        """The effort of each decided iteration, in iteration order: the
-        sample that ``bootstrap_grid`` resamples for the cell's interval."""
-        return [r.effort for r in self.per_iteration if r.decided]
+    def per_iteration(self) -> list:
+        """The IterationResults, as ``add`` was given them."""
+        traces = iter(self.traces)
+        return [IterationResult(_VERDICTS[code], n, effort, next(traces, None))
+                for code, n, effort in _RECORD.iter_unpack(self.records)]
+
+    @property
+    def decided_efforts(self) -> np.ndarray:
+        """The effort of each decided iteration, in iteration order, as int64:
+        the sample that ``bootstrap_grid`` resamples for the cell's interval."""
+        records = np.frombuffer(self.records, dtype=_COLUMNS)
+        return records["effort"][records["verdict"] != _VERDICTS.index(Verdict.UNDECIDED)]
 
     @property
     def mean_effort(self) -> float:
         """The mean effort of the decided iterations; NaN when none decided."""
         efforts = self.decided_efforts
-        return float(np.mean(efforts)) if efforts else math.nan
+        return float(efforts.mean()) if efforts.size else math.nan
 
     @property
     def decision_ratio(self) -> float:
         """The share of iterations that decided."""
-        return len(self.decided_efforts) / len(self.per_iteration)
+        return self.decided_efforts.size / (len(self.records) // _RECORD.size)
 
 
 def vote_law(strategy: Strategy, vote_prob) -> np.ndarray:
@@ -281,11 +306,12 @@ def run_blocks(draw, band: Band, record_trace: bool = False) -> IterationResult:
     by ``first_crossing`` with the n and count carried over from the blocks
     before it, and the scan stops at the first crossing, so no later block
     is ever drawn. Exhausting the supply without a verdict is a normal
-    outcome (decided=False, effort covers everything spent).
+    outcome (decided=False, effort covers everything spent). A traced
+    iteration keeps the running A-counts that ``first_crossing`` returns.
     """
     n_total = band.tolerances.size
     n = count = effort = 0
-    trace = [] if record_trace else None
+    trace = array("q") if record_trace else None
     for b in itertools.count():
         finals, labels_per_row, splits = draw(b)
         verdict, n_at, counts = first_crossing(finals, band, n, count)
@@ -300,10 +326,7 @@ def run_blocks(draw, band: Band, record_trace: bool = False) -> IterationResult:
             # RSS then differs from run to run.
             effort += int(np.count_nonzero(splits[:n_at - n]))
         if record_trace:
-            means = counts / np.arange(n + 1, n_at + 1, dtype=np.int64)
-            tolerances = band.tolerances[n:n_at]
-            trace.extend(zip(range(n + 1, n_at + 1), means.tolist(),
-                             (means - tolerances).tolist(), (means + tolerances).tolist()))
+            trace.frombytes(counts.tobytes())
         if verdict is not Verdict.UNDECIDED or n_at == n_total:
             return IterationResult(verdict, n_at, effort, trace)
         n, count = n_at, int(counts[-1])
@@ -324,15 +347,15 @@ def run_iteration(
     ``requests``, ``pool``, ``law`` and ``band`` are the cell's, as
     ``run_experiment`` makes them: ``law`` is the cell's ``final_law`` at
     the pool's mean capability over the whole request supply, read column
-    by column (None for fixed-worker), and ``band`` is ``hoeffding_band``
-    over the supply. An iteration under a resample flag draws its own
-    requests or pool and reads the whole-supply law of its own draws
-    instead. Fixed-worker, and ``distinct_voters`` with k > 1 votes, build
-    each block's law from the revealed rows only: at the capability of the
-    iteration's one worker, pool index ``picks[blocks.index]``, or of the
-    voters each block picks. ``blocks`` is the iteration's ``Blocks``:
-    iteration i of a cell draws from ``substream(config.seed,
-    DOMAIN_ITERATION, i)``.
+    by column (None for the cells below, which never read it), and
+    ``band`` is ``hoeffding_band`` over the supply. An iteration under a
+    resample flag draws its own requests or pool and reads the whole-supply
+    law of its own draws instead. Fixed-worker, and ``distinct_voters``
+    with k > 1 votes, build each block's law from the revealed rows only:
+    at the capability of the iteration's one worker, pool index
+    ``picks[blocks.index]``, or of the voters each block picks. ``blocks``
+    is the iteration's ``Blocks``: iteration i of a cell draws from
+    ``substream(config.seed, DOMAIN_ITERATION, i)``.
     """
     rng = blocks.rng
     if config.resample_difficulties_per_iteration:
@@ -363,51 +386,23 @@ def run_iteration(
                                             blocks.uniforms(b)), band, record_trace)
 
 
-# an iteration in Iterations: its verdict's index in _VERDICTS, n and effort
-_VERDICTS = tuple(Verdict)
-_RECORD = struct.Struct("=bqq")
-
-
-class Iterations:
-    """A cell's iteration results in iteration order, held compactly: 17
-    bytes an iteration (``_RECORD``), and the traces of traced iterations."""
-
-    __slots__ = ("records", "traces")
-
-    def __init__(self):
-        self.records = bytearray()
-        self.traces: list = []
-
-    def add(self, result: IterationResult) -> None:
-        self.records += _RECORD.pack(_VERDICTS.index(result.verdict), result.n_at_decision,
-                                     result.effort)
-        if result.trace is not None:
-            self.traces.append(result.trace)
-
-    def results(self) -> list:
-        """The IterationResults, as ``add`` was given them."""
-        traces = iter(self.traces)
-        return [IterationResult(_VERDICTS[code], n, effort, next(traces, None))
-                for code, n, effort in _RECORD.iter_unpack(self.records)]
-
-
-def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -> list:
+def run_cells(cells, setup, streams, n_total: int) -> list:
     """Each cell's iterations on ``streams``, (iteration index, generator)
-    pairs, run in lockstep, as its ``Iterations`` or the exception that
-    ended it, in the order of ``cells``.
+    pairs, run in lockstep, as its ``ExperimentSummary`` or the exception
+    that ended it, in the order of ``cells``.
 
-    ``setup(cell)`` makes the cell's ``iterate(blocks, record_trace)``,
-    which runs the cell's iteration on that iteration's ``Blocks`` over
-    ``n_total`` rows. For each stream, every cell still running runs its
-    iteration in turn on one ``Blocks``, so the first cell to reach a block
-    draws it and the others read it. A cell whose setup or iteration raises
-    drops out, and the others run on as they would without it.
+    ``setup(cell)`` makes the cell's ``iterate(blocks)``, which runs the
+    cell's iteration on that iteration's ``Blocks`` over ``n_total`` rows.
+    For each stream, every cell still running runs its iteration in turn on
+    one ``Blocks``, so the first cell to reach a block draws it and the
+    others read it. A cell whose setup or iteration raises drops out, and
+    the others run on as they would without it.
     """
     iterates, held = [], []
     for cell in cells:
         try:
             iterates.append(setup(cell))
-            held.append(Iterations())
+            held.append(ExperimentSummary())
         except Exception as exc:
             iterates.append(None)
             held.append(exc)
@@ -418,7 +413,7 @@ def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -
         for c, iterate in enumerate(iterates):
             if iterate is not None:
                 try:
-                    held[c].add(iterate(blocks, record_trace))
+                    held[c].add(iterate(blocks))
                 except Exception as exc:
                     iterates[c], held[c] = None, exc
     return held
@@ -427,43 +422,41 @@ def run_cells(cells, setup, streams, n_total: int, record_trace: bool = False) -
 class Group:
     """Grid cells whose iterations read their streams alike, and the
     results of their lockstep pass (``run_cells``) that each has yet to take.
-
     ``cells`` are named as their calls name them: ExperimentConfigs
-    (``simulate_groups``) or replay's (strategy, delta) pairs. In each
-    cell's call (``summary``), the cell's first ``trace_iterations``
-    iterations run alone, so one cell's trace points are alive at a time;
-    the group's first call runs every cell's later iterations in one pass.
+    (``simulate_groups``) or replay's (strategy, delta) pairs.
     """
 
     def __init__(self, cells):
         self.cells = tuple(cells)
-        self._start = None  # the pass's first iteration, once it has run
-        self._held = None  # {cell: its Iterations, or the exception that ended it}
+        self._traced = None  # the iterations each cell traces, once the pass has run
+        self._held = None  # {cell: its ExperimentSummary, or the exception that ended it}
 
     def summary(self, cell, trace_iterations: int, streams, n_total: int,
                 setup) -> ExperimentSummary:
         """``cell``'s summary on ``streams``, the cell's own iteration
         streams as (iteration index, generator) pairs, as ``run_cells`` runs
         it with ``setup`` over ``n_total`` rows; what the cell raised, if it
-        failed. The first call runs the pass on the rest of its streams,
-        which every cell of the group reads."""
-        streams = iter(streams)
-        traced = Iterations()
-        if trace_iterations:
-            [traced] = run_cells([cell], setup, itertools.islice(streams, trace_iterations),
-                                 n_total, record_trace=True)
-            if isinstance(traced, Exception):
-                raise traced
+        failed. The first call runs every cell's iterations in the pass,
+        with a ``setup`` that traces the first ``trace_iterations``."""
         if self._held is None:
-            self._start = trace_iterations
+            self._traced = trace_iterations
             self._held = dict(zip(self.cells, run_cells(self.cells, setup, streams, n_total)))
-        elif trace_iterations != self._start:
-            raise ValueError(f"the group's cells trace their first {self._start} iterations, "
+        elif trace_iterations != self._traced:
+            raise ValueError(f"the group's cells trace their first {self._traced} iterations, "
                              f"not {trace_iterations}")
-        rest = self._held.pop(cell)
-        if isinstance(rest, Exception):
-            raise rest
-        return ExperimentSummary(traced.results() + rest.results())
+        held = self._held.pop(cell)
+        if isinstance(held, Exception):
+            raise held
+        return held
+
+
+def _reads_rows_then_uniforms(cell: ExperimentConfig) -> bool:
+    """Whether the cell's iterations draw nothing but each block's rows and
+    then its uniforms. A resample flag draws the iteration's requests or
+    pool first, and ``distinct_voters`` at k > 1 each block's voters between
+    them; such a cell never reads the whole-supply law at the pool's mean."""
+    return not (cell.resample_difficulties_per_iteration or cell.resample_pool_per_iteration
+                or cell.distinct_voters and cell.strategy.votes_needed() > 1)
 
 
 def simulate_groups(cells: list) -> list:
@@ -472,18 +465,14 @@ def simulate_groups(cells: list) -> list:
     has one of its own.
 
     Two cells read their streams alike when both draw only each block's rows
-    and then its uniforms, from the same streams over the same supply: the
-    same seed, request supply and iteration count. Fixed-worker takes its
-    worker from a stream of its own and reads its iteration streams as
-    one-worker does. A resample flag draws its requests or pool first, and
-    ``distinct_voters`` at k > 1 its voters between a block's rows and its
-    uniforms, so those cells run alone.
+    and then its uniforms (``_reads_rows_then_uniforms``), from the same
+    streams over the same supply: the same seed, request supply and
+    iteration count. Fixed-worker takes its worker from a stream of its own
+    and reads its iteration streams as one-worker does.
     """
     def key(cell):
-        if (cell.resample_difficulties_per_iteration or cell.resample_pool_per_iteration
-                or cell.distinct_voters and cell.strategy.votes_needed() > 1):
-            return cell
-        return cell.seed, cell.n_requests, cell.iterations
+        shared = _reads_rows_then_uniforms(cell)
+        return (cell.seed, cell.n_requests, cell.iterations) if shared else cell
 
     members: dict = {}
     for cell in cells:
@@ -492,14 +481,13 @@ def simulate_groups(cells: list) -> list:
     return [groups[key(cell)] for cell in cells]
 
 
-def _simulate_setup(stop: int):
+def _simulate_setup(stop: int, trace_stop: int):
     """A ``run_cells`` setup for simulate cells whose iterations lie below
-    ``stop``. It draws each request set and pool once, and fixed-worker's
-    picks for iterations 0 .. stop - 1 once per (pool size, seed), and makes
-    each law once per strategy on them and each band once per (delta,
-    supply), for all the cells of a pass that share them. Element i of the
-    picks does not depend on ``stop``: ``Generator.integers`` draws them in
-    order."""
+    ``stop`` and trace those below ``trace_stop``. It draws each request set
+    and pool once, and fixed-worker's picks for iterations 0 .. stop - 1
+    once per (pool size, seed), and makes each law once per strategy on them
+    and each band once per (delta, supply), for all the cells of a pass.
+    Pick i does not depend on ``stop``: ``Generator.integers`` draws in order."""
     @functools.cache
     def requests_of(mu, sigma, n_requests, seed):
         return sample_difficulties(mu, sigma, n_requests, substream(seed, DOMAIN_REQUESTS, 0))
@@ -524,14 +512,15 @@ def _simulate_setup(stop: int):
         workers = (config.capability_lo, config.capability_hi, config.pool_size, config.seed)
         requests, pool = requests_of(*regime), pool_of(*workers)
         band = band_of(config.delta, requests.size)
-        # fixed-worker reads its worker's law, never the pool's
+        # only fixed-worker reads picks, and only a cell that draws just rows
+        # and uniforms the law at the pool's mean
+        law = picks = None
         if config.strategy.kind is StrategyKind.FIXED_WORKER:
-            law, picks = None, picks_of(config.pool_size, config.seed)
-        else:
-            law, picks = law_of(config.strategy, regime, workers), None
-        return lambda blocks, record_trace: run_iteration(config, requests, pool, law, band,
-                                                          blocks, record_trace=record_trace,
-                                                          picks=picks)
+            picks = picks_of(config.pool_size, config.seed)
+        elif _reads_rows_then_uniforms(config):
+            law = law_of(config.strategy, regime, workers)
+        return lambda blocks: run_iteration(config, requests, pool, law, band, blocks,
+                                            record_trace=blocks.index < trace_stop, picks=picks)
 
     return setup
 
@@ -548,12 +537,12 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     ``substream(config.seed, DOMAIN_ITERATION, i)`` and takes fixed-worker's
     pick i, so iteration i run alone on ``range(i, i + 1)``, as ``trace``
     runs it, is iteration i of the whole cell. The first
-    ``trace_iterations`` of them record their band.
+    ``trace_iterations`` of them keep their running A-counts.
     ``group`` is the cell's ``Group`` from ``simulate_groups``, or a group
     of the cell alone when None: the group's first call runs every cell of
-    the group past its traced iterations, and each call returns what the
-    cell returns alone. The summary holds no interval: ``bootstrap_grid``
-    computes a whole grid's from each cell's ``decided_efforts``.
+    the group, and each call returns what the cell returns alone. The
+    summary holds no interval: ``bootstrap_grid`` computes a whole grid's
+    from each cell's ``decided_efforts``.
     """
     if iterations is None:
         iterations = range(config.iterations)
@@ -564,7 +553,7 @@ def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
     if group is None:
         group = Group([config])
     return group.summary(config, trace_iterations, zip(iterations, streams), config.n_requests,
-                         _simulate_setup(iterations.stop))
+                         _simulate_setup(iterations.stop, iterations.start + trace_iterations))
 
 
 def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+from array import array
 import dataclasses
 import io
 import subprocess
@@ -12,11 +13,11 @@ import yaml
 
 from twochoice import __version__, cli
 from twochoice.cli import fmt, main
+from twochoice.decision import Band
 from twochoice.config import (SWITCHES, ConfigError, SimulateConfig, load_replay_config,
                               load_simulate_config)
 from twochoice.rng import DOMAIN_BOOTSTRAP, STREAM_LAYOUT, substream
-from twochoice.simulator import (ExperimentConfig, IterationResult, bootstrap_ci,
-                                 run_experiment)
+from twochoice.simulator import ExperimentConfig, bootstrap_ci, run_experiment
 from twochoice.cli import _TraceRows, simulate_grid
 
 SMOKE = """
@@ -734,17 +735,22 @@ class TestFloatFormat:
         np.random.default_rng(17).uniform(-2.0, 2.0, 1000).tolist(),
     ], ids=["edge values", "random doubles"])
     def test_trace_rows_format_like_fmt(self, values):
-        # the rows as they were formatted one fmt call per float
-        trace = [(n, mean, mean - abs(lower), upper)
-                 for n, (mean, lower, upper) in enumerate(zip(values, values[1:] + values[:1],
-                                                              values[2:] + values[:2]), 1)]
-        old = [[str(iteration), str(n), fmt(mean), fmt(lower), fmt(upper)]
-               for iteration, part in ((12, trace[:5]), (13, trace[5:]))
-               for n, mean, lower, upper in part]
-        results = [IterationResult(verdict=None, n_at_decision=len(part), effort=0, trace=part)
-                   for part in (trace[:5], trace[5:])]
+        # the rows as they were formatted one fmt call per float: a count
+        # in [0, n] over n, and that mean minus and plus a crafted band's
+        # tolerance at n, here the values; a count of 0 makes the bounds
+        # the values themselves, negated and as they are. The second
+        # iteration reads every value.
+        counts = np.random.default_rng(len(values)).integers(0, np.arange(2, len(values) + 2))
+        counts[::3] = 0
+        band = Band(tolerances=np.array(values), lo=np.empty(0, dtype=np.int64),
+                    hi=np.empty(0, dtype=np.int64))
+        parts = (counts[:5].tolist(), counts.tolist())
+        old = [[str(iteration), str(n), fmt(count / n), fmt(count / n - values[n - 1]),
+                fmt(count / n + values[n - 1])]
+               for iteration, part in zip((12, 13), parts)
+               for n, count in enumerate(part, 1)]
         # each iteration's rows come as one string of lines, the bytes the
         # csv writer writes for the fmt fields
-        new = list(_TraceRows(results, first=12))
+        new = list(_TraceRows([array("q", part) for part in parts], band, first=12))
         assert len(new) == 2
         assert "".join(new) == self._csv(old)

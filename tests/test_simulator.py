@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twochoice import decision, simulator
-from twochoice.cli import simulate_grid
+from twochoice.cli import _TraceRows, simulate_grid
 from twochoice.config import load_simulate_config
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool
@@ -91,10 +91,11 @@ class TestRunIteration:
         assert result.verdict is Verdict.A_PRIME_IS_BETTER
 
     def test_trace_matches_scalar_decision_updates(self):
-        # reconstruct the label stream from the trace means and replay it
-        # through the scalar update path: verdicts and bounds must agree.
-        # The second case takes the first iteration that decides past
-        # three blocks' worth of requests, so past two block boundaries.
+        # reconstruct the label stream from the trace's running counts and
+        # replay it through the scalar update path: verdicts, and the trace
+        # rows' means and bounds, must agree exactly. The second case takes
+        # the first iteration that decides past three blocks' worth of
+        # requests, so past two block boundaries.
         short = make_config(n_requests=300)
         long = make_config(mu=0.05, n_requests=8000)
         cases = [(short, lone_iteration(short, 7, record_trace=True))]
@@ -107,16 +108,16 @@ class TestRunIteration:
             pytest.fail("no iteration decides past three blocks")
         for config, result in cases:
             assert len(result.trace) == result.n_at_decision
+            rows = _TraceRows([result.trace], hoeffding_band(config.delta, config.n_requests))
+            points = list(rows.points(result.trace))
+            assert len(points) == result.n_at_decision
             state = DecisionState()
             prev_count = 0
-            for (n, mean, lower, upper) in result.trace:
-                count = round(mean * n)
+            for count, (n, mean, lower, upper) in zip(result.trace, points):
                 state = decision.update(state, count - prev_count, config.delta)
                 prev_count = count
-                assert state.n == n
-                assert state.mean == pytest.approx(mean, abs=0)
-                assert state.lower == pytest.approx(lower, abs=0)
-                assert state.upper == pytest.approx(upper, abs=0)
+                assert (state.n, state.count_a) == (n, count)
+                assert (state.mean, state.lower, state.upper) == (mean, lower, upper)
                 if n < result.n_at_decision:
                     assert state.verdict is Verdict.UNDECIDED
             assert state.verdict is result.verdict
@@ -152,8 +153,7 @@ class TestRunIteration:
                 break
         else:
             pytest.fail("no iteration picks the capability-1 worker and runs past three blocks")
-        counts = [round(mean * n) for (n, mean, _, _) in result.trace]
-        votes = np.diff(counts, prepend=0)
+        votes = np.diff(result.trace, prepend=0)
         expected = requests.difficulties[order[:result.n_at_decision]] > 0
         assert np.array_equal(votes, expected)
 
@@ -200,7 +200,7 @@ class TestRunIteration:
         config = make_config(capability_lo=1.0, capability_hi=1.0, mu=0.225, sigma=0.0,
                              n_requests=3, strategy=Strategy.from_name("n-workers:3"),
                              iterations=trials)
-        wins = sum(result.trace[0][1] == 1.0
+        wins = sum(result.trace[0] == 1
                    for result in run_experiment(config, trace_iterations=trials).per_iteration)
         tolerance = 3 * math.sqrt(expected * (1 - expected) / trials)
         assert abs(wins / trials - expected) < tolerance
@@ -256,8 +256,8 @@ class TestBlockDriver:
                                                         else splits[start:stop])
 
         blocks = Blocks(np.random.default_rng(0), len(labels), 0)
-        result = run_blocks(lambda b: draw(blocks.rows(b)), hoeffding_band(delta, len(labels)),
-                            record_trace=True)
+        band = hoeffding_band(delta, len(labels))
+        result = run_blocks(lambda b: draw(blocks.rows(b)), band, record_trace=True)
         assert len(set(revealed)) == len(revealed) == drawn[-1][1]
         assert set(revealed) <= set(range(len(labels)))
         states = _fold(labels, delta)
@@ -267,7 +267,9 @@ class TestBlockDriver:
         assert type(result.effort) is int
         assert result.effort == labels_per_row * len(states) + (
             0 if splits is None else int(splits[:len(states)].sum()))
-        assert result.trace == [(s.n, s.mean, s.lower, s.upper) for s in states]
+        assert result.trace.tolist() == [s.count_a for s in states]
+        assert list(_TraceRows([result.trace], band).points(result.trace)) == [
+            (s.n, s.mean, s.lower, s.upper) for s in states]
         assert drawn == expected_blocks
         return result
 
@@ -437,9 +439,8 @@ def layout6_distinct_labels(config, requests, pool, iteration, n):
 
 
 def traced_labels(result):
-    """Each request's final label, recovered from the running means."""
-    counts = [round(mean * n) for n, mean, _, _ in result.trace]
-    return np.diff(counts, prepend=0).tolist()
+    """Each request's final label, recovered from the running counts."""
+    return np.diff(result.trace, prepend=0).tolist()
 
 
 class TestLayoutFourPins:
@@ -512,7 +513,8 @@ class TestRunExperiment:
         assert 0 < len(decided) < 60  # this configuration leaves some undecided
         assert summary.decision_ratio == len(decided) / 60
         assert summary.mean_effort == pytest.approx(np.mean(decided))
-        assert summary.decided_efforts == decided
+        assert summary.decided_efforts.dtype == np.int64
+        assert summary.decided_efforts.tolist() == decided
         [(low, high)] = bootstrap_grid([decided], config.seed, 0.99, 2000)
         assert low <= summary.mean_effort <= high
 
@@ -521,7 +523,7 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary.decision_ratio == 0.0
         assert math.isnan(summary.mean_effort)
-        assert summary.decided_efforts == []
+        assert summary.decided_efforts.tolist() == []
         [(low, high)] = bootstrap_grid([summary.decided_efforts], config.seed, 0.99, 2000)
         assert math.isnan(low) and math.isnan(high)
 
@@ -547,6 +549,50 @@ class TestRunExperiment:
         assert summary.per_iteration[0].trace is not None
         assert summary.per_iteration[1].trace is not None
         assert summary.per_iteration[2].trace is None
+
+    def test_trace_memory_is_its_counts(self):
+        # a trace holds one int64 running count per label read, beside the
+        # working memory the cell needs untraced; near no signal every
+        # label of the 4000-request supply is read
+        config = make_config(mu=0.0, sigma=0.0, n_requests=4000, iterations=40)
+        untraced = traced_peak(run_experiment, config)
+        held = []
+        peak = traced_peak(lambda: held.append(run_experiment(config, trace_iterations=40)))
+        points = sum(result.n_at_decision for result in held[0].per_iteration)
+        assert points > 120_000
+        assert peak - untraced < 16 * points
+
+    @pytest.mark.parametrize("name, flag, whole_supply", [
+        ("one-worker", None, 1), ("fixed-worker", None, 0),
+        ("max-three", "distinct_voters", 0), ("n-workers:3", "distinct_voters", 0),
+        ("one-worker", "distinct_voters", 1),
+        ("one-worker", "resample_difficulties_per_iteration", 0),
+        ("max-three", "resample_pool_per_iteration", 0)])
+    def test_only_a_law_that_is_read_is_made(self, monkeypatch, name, flag, whole_supply):
+        # the cell's setup makes the whole-supply law at the pool's mean only
+        # for a cell that reads it: not fixed-worker, not distinct voters at
+        # k > 1 and not a resample flag, whose iterations make their own
+        flags = {flag: True} if flag else {}
+        config = make_config(strategy=Strategy.from_name(name), iterations=3, **flags)
+        made, in_iteration = [], []
+        run, final_law = simulator.run_iteration, simulator.final_law
+
+        def iteration(*args, **kwargs):
+            in_iteration.append(True)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                in_iteration.pop()
+
+        def law(strategy, difficulties, capability):
+            if not in_iteration:
+                made.append(difficulties.size)
+            return final_law(strategy, difficulties, capability)
+
+        monkeypatch.setattr(simulator, "run_iteration", iteration)
+        monkeypatch.setattr(simulator, "final_law", law)
+        run_experiment(config)
+        assert made == [config.n_requests] * whole_supply
 
     def test_max_three_stops_where_three_workers_do(self):
         # max-three's final label is the majority of three votes, the law of
@@ -631,25 +677,31 @@ class TestGroups:
                           for summary in alone[:8]])
         assert ((stops.min(axis=0) <= FIRST_BLOCK) & (stops.max(axis=0) > FIRST_BLOCK)).any()
 
-    def test_cells_of_an_iteration_read_one_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("trace_iterations", [0, 3])
+    def test_cells_of_an_iteration_read_one_blocks(self, monkeypatch, trace_iterations):
         grid = self.grid()
         cells = [*grid[:8], grid[12]]  # the first group, fixed-worker last
         group = simulate_groups(cells)[0]
         calls, run = [], simulator.run_iteration
 
         def spy(config, requests, pool, law, band, blocks, **kwargs):
-            calls.append((config, blocks))
+            calls.append((config, blocks, kwargs["record_trace"]))
             return run(config, requests, pool, law, band, blocks, **kwargs)
 
         monkeypatch.setattr(simulator, "run_iteration", spy)
-        for cell in cells:
-            run_experiment(cell, group=group)
-        # one call per cell and iteration, iteration by iteration, every cell
-        # in grid order on the iteration's one Blocks
+        summaries = [run_experiment(cell, trace_iterations=trace_iterations, group=group)
+                     for cell in cells]
+        # one call per cell and iteration, traced ones too, iteration by
+        # iteration, every cell in grid order on the iteration's one Blocks
         assert len(calls) == len(cells) * 8
         for i in range(0, len(calls), len(cells)):
-            assert [config for config, _ in calls[i:i + len(cells)]] == cells
-            assert len({id(blocks) for _, blocks in calls[i:i + len(cells)]}) == 1
+            iteration = calls[i:i + len(cells)]
+            assert [config for config, _, _ in iteration] == cells
+            assert len({id(blocks) for _, blocks, _ in iteration}) == 1
+            assert {traced for _, _, traced in iteration} == {i // len(cells) < trace_iterations}
+        for summary in summaries:
+            assert [r.trace is not None for r in summary.per_iteration] == \
+                [j < trace_iterations for j in range(8)]
 
     def test_a_failing_cell_fails_alone(self, monkeypatch):
         cells = self.grid()[:8]
