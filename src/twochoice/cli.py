@@ -26,9 +26,8 @@ from .config import (
     load_simulate_config,
 )
 from .decision import Band, hoeffding_band
-from .replay import fleiss_kappa, parse_annotations, replay_experiment
-from .simulator import (ExperimentConfig, Group, bootstrap_grid, run_experiment,
-                        simulate_groups)
+from .replay import fleiss_kappa, parse_annotations, replay_experiment, replay_group
+from .simulator import ExperimentConfig, bootstrap_grid, run_experiment, simulate_groups
 from .rng import STREAM_LAYOUT
 # unused here but kept importable: perfbench/worker.py wraps cli.run_iteration,
 # cli.substream, cli.sample_difficulties and cli.sample_capabilities in its
@@ -61,12 +60,12 @@ def simulate_grid(config: SimulateConfig) -> list:
 
 
 def _run_simulate_cell(args):
-    """One grid cell of its ``group``: run it, write its trace CSV if it has
+    """One grid cell, taken from its ``group``: write its trace CSV if it has
     one, and return its mean effort, decision ratio and decided efforts. The
     trace is written here, in the worker process under --jobs, so no cell's
     trace rows outlive the cell."""
-    config, cell, group, trace_path = args
-    summary = run_experiment(cell, trace_iterations=config.trace_iterations, group=group)
+    cell, group, trace_path = args
+    summary = run_experiment(cell, group=group)
     if trace_path is not None:
         _write_csv(trace_path, TRACE_HEADER,
                    _TraceRows(summary.traces, hoeffding_band(cell.delta, cell.n_requests)))
@@ -173,8 +172,8 @@ def cmd_simulate(args) -> int:
     for path in old_traces:
         path.unlink()
 
-    groups = simulate_groups(cells)
-    jobs = [(config, cell, group, out / TRACE_FILE.format(i) if config.trace_iterations else None)
+    groups = simulate_groups(cells, config.trace_iterations)
+    jobs = [(cell, group, out / TRACE_FILE.format(i) if config.trace_iterations else None)
             for i, (cell, group) in enumerate(zip(cells, groups))]
     outcomes = _run_grid(_run_simulate_cell, jobs, groups, args.jobs)
     rows, failed_cells = _tabulate([(cell.strategy, cell.mu, cell.delta) for cell in cells],
@@ -274,9 +273,8 @@ def cmd_replay(args) -> int:
           f"{len(annotations.worker_ids)} workers, "
           f"fleiss kappa = {'n/a' if kappa is None else f'{kappa:.4f}'}")
 
-    # the grid's cells read their iteration streams alike: one group
     cells = [(strategy, delta) for strategy in config.strategies for delta in config.deltas]
-    group = Group(cells)
+    group = replay_group(annotations, cells, config.iterations, config.seed)
     jobs = [(config, annotations, strategy, delta, group) for strategy, delta in cells]
     outcomes = _run_grid(_run_replay_cell, jobs, [group] * len(jobs), args.jobs)
     rows, failed_cells = _tabulate([(strategy, None, delta) for strategy, delta in cells],

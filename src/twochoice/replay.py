@@ -8,8 +8,8 @@ strategy would pick, without replacement, from that request's recorded
 votes, so no row past the stopping block is revealed or drawn. No label is
 ever fabricated and no recorded vote is counted twice within one
 (request, iteration). Every cell of a replay grid reads its iteration
-streams alike, so the grid's cells form one ``simulator.Group`` and run in
-one lockstep pass.
+streams alike, so the grid's cells form one ``simulator.Group``
+(``replay_group``) and run in one lockstep pass.
 
 Fixed-worker cannot be replayed: recorded crowd data has no single worker
 who voted on every request.
@@ -26,9 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .decision import Band, hoeffding_band
-from .rng import DOMAIN_ITERATION, iteration_streams
-from .simulator import (Blocks, ExperimentSummary, Group, IterationResult, draw_finals,
-                        run_blocks, vote_law)
+from .simulator import Blocks, ExperimentSummary, Group, IterationResult, run_blocks, vote_law
 from .strategies import Strategy, StrategyKind
 # unused here but kept importable: perfbench/worker.py wraps replay.substream,
 # replay.bootstrap_ci and replay.majority_vote in its traced launches
@@ -148,37 +146,42 @@ def replay_law(annotations: AnnotationSet, strategy: Strategy) -> np.ndarray:
 
 def replay_iteration(annotations: AnnotationSet, strategy: Strategy, law: np.ndarray,
                      band: Band, blocks: Blocks) -> IterationResult:
-    """One replay pass on the cell's ``law`` and ``band`` (``replay_experiment``
+    """One replay pass on the cell's ``law`` and ``band`` (``_replay_setup``
     makes them) and the iteration's ``blocks``. ``annotations`` is unread here:
     perfbench's traced launches count each call's requests as ``len(args[0])``."""
-    return run_blocks(lambda b: draw_finals(strategy, law.take(blocks.rows(b), axis=1),
-                                            blocks.uniforms(b)), band)
+    return run_blocks(strategy, lambda rows: law.take(rows, axis=1), blocks, band)
+
+
+def _replay_setup(annotations: AnnotationSet):
+    """A replay ``Group``'s pass set-up: the one place where replay laws and
+    bands are made, one law per strategy and one band per delta."""
+    law_of = functools.cache(lambda strategy: replay_law(annotations, strategy))
+    band_of = functools.cache(lambda delta: hoeffding_band(delta, len(annotations)))
+
+    def iterate_of(cell):
+        strategy, delta = cell
+        law, band = law_of(strategy), band_of(delta)
+        return lambda blocks: replay_iteration(annotations, strategy, law, band, blocks)
+
+    return iterate_of
+
+
+def replay_group(annotations: AnnotationSet, cells: list, iterations: int, seed: int) -> Group:
+    """The one ``simulator.Group`` of a replay grid's (strategy, delta)
+    ``cells``: iteration i of each draws from ``substream(seed,
+    DOMAIN_ITERATION, i)``, and every cell reads its streams alike."""
+    return Group(cells, seed, range(iterations), len(annotations),
+                 functools.partial(_replay_setup, annotations))
 
 
 def replay_experiment(annotations: AnnotationSet, strategy: Strategy, delta: float,
                       iterations: int, seed: int, group: Optional[Group] = None
                       ) -> ExperimentSummary:
-    """The replay cell (``strategy``, ``delta``) on ``annotations``; iteration
-    i draws from ``substream(seed, DOMAIN_ITERATION, i)``, whatever
-    ``iterations`` is. ``group`` is the ``simulator.Group`` of the grid's
-    (strategy, delta) cells, or a group of this cell alone when None: its
-    first call runs every cell in one pass, and each call returns what the
-    cell returns alone. The one place where replay laws and bands are made:
-    in a pass, one law per strategy and one band per delta.
-    ``simulator.bootstrap_grid`` gives the intervals."""
-    law_of = functools.cache(lambda cell_strategy: replay_law(annotations, cell_strategy))
-    band_of = functools.cache(lambda cell_delta: hoeffding_band(cell_delta, len(annotations)))
-
-    def setup(cell):
-        cell_strategy, cell_delta = cell
-        law, band = law_of(cell_strategy), band_of(cell_delta)
-        return lambda blocks: replay_iteration(annotations, cell_strategy, law, band, blocks)
-
+    """The replay cell (``strategy``, ``delta``) on ``annotations``, taken
+    from ``group``, the grid's ``replay_group``, or from a group of the cell
+    alone when None; either way the cell gets what it gets alone."""
     cell = (strategy, delta)
-    if group is None:
-        group = Group([cell])
-    streams = enumerate(iteration_streams(seed, DOMAIN_ITERATION, iterations))
-    return group.summary(cell, 0, streams, len(annotations), setup)
+    return (group or replay_group(annotations, [cell], iterations, seed)).take(cell)
 
 
 def fleiss_kappa(annotations: AnnotationSet, seed: int = 0) -> float:

@@ -29,20 +29,21 @@ driver.
 Most cells of a grid, fixed-worker's among them, draw nothing in an
 iteration but each block's rows and then its uniforms, so all such cells
 with one seed, request supply and iteration count read the same rows and
-uniforms in iteration i. They form a ``Group`` (``simulate_groups``; the
-cells of a replay grid form one), whose iterations, traced ones included,
-``run_cells`` runs in one lockstep pass: for each iteration the cells run
-in turn on one ``Blocks``, the first cell to reach a block draws it, and
-the others read it. Revealing the rows is the largest cost of an
+uniforms in iteration i. They form a ``Group`` (``simulate_groups``;
+``replay.replay_group`` puts a replay grid's cells in one), which holds
+its seed, iterations, supply and setup and runs every iteration of its
+cells, traced ones included, in one lockstep pass: for each iteration the
+cells run in turn on one ``Blocks``, the first cell to reach a block draws
+it, and the others read it. Revealing the rows is the largest cost of an
 iteration, so a group pays it once per iteration and not once per cell.
 The other cells run alone, each a group of one, and a cell's numbers are
-the same in a group as alone. The pass adds each cell's iterations to its
-``ExperimentSummary``, the one record of a cell's results, simulated or
-replayed. It still calls ``run_iteration`` (replay: ``replay_iteration``)
-once per cell and iteration through the module attribute, and the command
-line still calls ``run_experiment`` once per cell: perfbench/worker.py
-hooks those calls to stamp the end of set-up and to check each cell's
-iterations as the cell returns.
+the same in a group as alone. The pass, run by a group's first ``take``,
+adds each cell's iterations to its ``ExperimentSummary``, the one record of
+a cell's results, simulated or replayed, which ``take`` hands each cell.
+The pass calls ``run_iteration`` (replay: ``replay_iteration``) once per
+cell and iteration through the module attribute, and the command line calls
+``run_experiment`` once per cell: perfbench/worker.py hooks those calls to
+stamp the end of set-up and to check each cell's iterations as it returns.
 """
 from __future__ import annotations
 
@@ -50,9 +51,8 @@ import functools
 import itertools
 import math
 import struct
-from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -69,6 +69,9 @@ from .rng import (
     substream,
 )
 from .strategies import Strategy, StrategyKind
+
+if TYPE_CHECKING:
+    from array import array
 
 # Rows in the first vote block; each later block is twice the one before.
 # On a 2-vCPU x86 VM a block cost a fixed 70-100 us of dispatch plus
@@ -297,23 +300,29 @@ class Blocks:
         return self._uniforms[b]
 
 
-def run_blocks(draw, band: Band, record_trace: bool = False) -> IterationResult:
+def run_blocks(strategy: Strategy, block_law, blocks: Blocks, band: Band,
+               record_trace: bool = False) -> IterationResult:
     """Sequential stopping over final labels drawn block by block.
 
     ``band`` is ``hoeffding_band`` over the request supply, one entry per
-    row. ``draw(b)`` returns the final labels and effort of block b of the
-    iteration's ``Blocks``, as ``draw_finals`` does. Each block is scanned
-    by ``first_crossing`` with the n and count carried over from the blocks
-    before it, and the scan stops at the first crossing, so no later block
-    is ever drawn. Exhausting the supply without a verdict is a normal
+    row. Block b's final labels and effort are ``draw_finals`` of
+    ``block_law(rows)``, the law of ``blocks.rows(b)``, made first since it
+    may draw the block's voters, and ``blocks.uniforms(b)``. Each block is
+    scanned by ``first_crossing`` with the n and count carried over from the
+    blocks before it, and the scan stops at the first crossing, so no later
+    block is ever drawn. Exhausting the supply without a verdict is a normal
     outcome (decided=False, effort covers everything spent). A traced
     iteration keeps the running A-counts that ``first_crossing`` returns.
     """
-    n_total = band.tolerances.size
     n = count = effort = 0
-    trace = array("q") if record_trace else None
+    trace = None
+    if record_trace:
+        # imported here, so that a run that traces nothing never loads array
+        from array import array
+        trace = array("q")
     for b in itertools.count():
-        finals, labels_per_row, splits = draw(b)
+        law = block_law(blocks.rows(b))
+        finals, labels_per_row, splits = draw_finals(strategy, law, blocks.uniforms(b))
         verdict, n_at, counts = first_crossing(finals, band, n, count)
         effort += labels_per_row * (n_at - n)
         if splits is not None:
@@ -327,7 +336,7 @@ def run_blocks(draw, band: Band, record_trace: bool = False) -> IterationResult:
             effort += int(np.count_nonzero(splits[:n_at - n]))
         if record_trace:
             trace.frombytes(counts.tobytes())
-        if verdict is not Verdict.UNDECIDED or n_at == n_total:
+        if verdict is not Verdict.UNDECIDED or n_at == blocks.n_total:
             return IterationResult(verdict, n_at, effort, trace)
         n, count = n_at, int(counts[-1])
 
@@ -344,8 +353,8 @@ def run_iteration(
 ) -> IterationResult:
     """One evaluation: shuffled requests, labels in blocks, sequential stopping.
 
-    ``requests``, ``pool``, ``law`` and ``band`` are the cell's, as
-    ``run_experiment`` makes them: ``law`` is the cell's ``final_law`` at
+    ``requests``, ``pool``, ``law`` and ``band`` are the cell's, as its
+    ``Group``'s setup makes them: ``law`` is the cell's ``final_law`` at
     the pool's mean capability over the whole request supply, read column
     by column (None for the cells below, which never read it), and
     ``band`` is ``hoeffding_band`` over the supply. An iteration under a
@@ -380,73 +389,64 @@ def run_iteration(
         def block_law(rows):
             return law.take(rows, axis=1)
 
-    # a block's law, which may draw its distinct voters, is made before its
-    # uniforms are drawn
-    return run_blocks(lambda b: draw_finals(strategy, block_law(blocks.rows(b)),
-                                            blocks.uniforms(b)), band, record_trace)
-
-
-def run_cells(cells, setup, streams, n_total: int) -> list:
-    """Each cell's iterations on ``streams``, (iteration index, generator)
-    pairs, run in lockstep, as its ``ExperimentSummary`` or the exception
-    that ended it, in the order of ``cells``.
-
-    ``setup(cell)`` makes the cell's ``iterate(blocks)``, which runs the
-    cell's iteration on that iteration's ``Blocks`` over ``n_total`` rows.
-    For each stream, every cell still running runs its iteration in turn on
-    one ``Blocks``, so the first cell to reach a block draws it and the
-    others read it. A cell whose setup or iteration raises drops out, and
-    the others run on as they would without it.
-    """
-    iterates, held = [], []
-    for cell in cells:
-        try:
-            iterates.append(setup(cell))
-            held.append(ExperimentSummary())
-        except Exception as exc:
-            iterates.append(None)
-            held.append(exc)
-    for index, rng in streams:
-        if not any(iterates):
-            break
-        blocks = Blocks(rng, n_total, index)
-        for c, iterate in enumerate(iterates):
-            if iterate is not None:
-                try:
-                    held[c].add(iterate(blocks))
-                except Exception as exc:
-                    iterates[c], held[c] = None, exc
-    return held
+    return run_blocks(strategy, block_law, blocks, band, record_trace)
 
 
 class Group:
-    """Grid cells whose iterations read their streams alike, and the
-    results of their lockstep pass (``run_cells``) that each has yet to take.
-    ``cells`` are named as their calls name them: ExperimentConfigs
-    (``simulate_groups``) or replay's (strategy, delta) pairs.
-    """
+    """Grid cells whose iterations read their streams alike, named as their
+    calls name them (ExperimentConfigs or replay's (strategy, delta) pairs),
+    and what their lockstep pass reads: the streams' ``seed``, the
+    ``iterations`` that run, the request supply ``n_total`` and ``setup``, a
+    picklable recipe: ``setup()`` makes the pass's ``iterate_of(cell)``, the
+    cell's ``iterate(blocks)``, which runs the cell's iteration, traced or
+    not, on that iteration's ``Blocks``."""
 
-    def __init__(self, cells):
+    def __init__(self, cells, seed: int, iterations: range, n_total: int, setup):
         self.cells = tuple(cells)
-        self._traced = None  # the iterations each cell traces, once the pass has run
+        self.seed = seed
+        self.iterations = iterations
+        self.n_total = n_total
+        self.setup = setup
         self._held = None  # {cell: its ExperimentSummary, or the exception that ended it}
 
-    def summary(self, cell, trace_iterations: int, streams, n_total: int,
-                setup) -> ExperimentSummary:
-        """``cell``'s summary on ``streams``, the cell's own iteration
-        streams as (iteration index, generator) pairs, as ``run_cells`` runs
-        it with ``setup`` over ``n_total`` rows; what the cell raised, if it
-        failed. The first call runs every cell's iterations in the pass,
-        with a ``setup`` that traces the first ``trace_iterations``."""
+    def take(self, cell) -> ExperimentSummary:
+        """``cell``'s summary, or what it raised; the first call runs the pass."""
         if self._held is None:
-            self._traced = trace_iterations
-            self._held = dict(zip(self.cells, run_cells(self.cells, setup, streams, n_total)))
-        elif trace_iterations != self._traced:
-            raise ValueError(f"the group's cells trace their first {self._traced} iterations, "
-                             f"not {trace_iterations}")
+            self._held = dict(zip(self.cells, self._run()))
         held = self._held.pop(cell)
         if isinstance(held, Exception):
             raise held
+        return held
+
+    def _run(self) -> list:
+        """Each cell's ``ExperimentSummary``, or the exception that ended it.
+        For each iteration, every cell still running runs its iteration in
+        turn on one ``Blocks``, so the first cell to reach a block draws it
+        and the others read it. A cell whose ``iterate_of`` or iteration
+        raises drops out, and the others run on as they would without it."""
+        start, stop = self.iterations.start, self.iterations.stop
+        # stop - start, not len(), so that iteration_streams names a negative
+        # count as it was given
+        streams = iteration_streams(self.seed, DOMAIN_ITERATION, stop - start, start)
+        iterate_of = self.setup()
+        iterates, held = [], []
+        for cell in self.cells:
+            try:
+                iterates.append(iterate_of(cell))
+                held.append(ExperimentSummary())
+            except Exception as exc:
+                iterates.append(None)
+                held.append(exc)
+        for index, rng in zip(self.iterations, streams):
+            if not any(iterates):
+                break
+            blocks = Blocks(rng, self.n_total, index)
+            for c, iterate in enumerate(iterates):
+                if iterate is not None:
+                    try:
+                        held[c].add(iterate(blocks))
+                    except Exception as exc:
+                        iterates[c], held[c] = None, exc
         return held
 
 
@@ -459,7 +459,8 @@ def _reads_rows_then_uniforms(cell: ExperimentConfig) -> bool:
                 or cell.distinct_voters and cell.strategy.votes_needed() > 1)
 
 
-def simulate_groups(cells: list) -> list:
+def simulate_groups(cells: list, trace_iterations: int = 0,
+                    iterations: Optional[range] = None) -> list:
     """Each simulate cell's ``Group``, in the order of ``cells``: the cells
     that read their iteration streams alike share one, and each other cell
     has one of its own.
@@ -469,22 +470,34 @@ def simulate_groups(cells: list) -> list:
     streams over the same supply: the same seed, request supply and
     iteration count. Fixed-worker takes its worker from a stream of its own
     and reads its iteration streams as one-worker does.
+
+    A group runs the range of iteration indices ``iterations``, by default
+    ``range(cell.iterations)``, and traces the first ``trace_iterations``.
+    Iteration i draws from ``substream(cell.seed, DOMAIN_ITERATION, i)``
+    and takes fixed-worker's pick i, so iteration i run alone on
+    ``range(i, i + 1)``, as ``trace`` runs it, is iteration i of the cell.
     """
     def key(cell):
         shared = _reads_rows_then_uniforms(cell)
         return (cell.seed, cell.n_requests, cell.iterations) if shared else cell
 
-    members: dict = {}
+    def group(members):
+        first = members[0]
+        span = range(first.iterations) if iterations is None else iterations
+        return Group(members, first.seed, span, first.n_requests,
+                     functools.partial(_simulate_setup, span.stop, span.start + trace_iterations))
+
+    by_key: dict = {}
     for cell in cells:
-        members.setdefault(key(cell), []).append(cell)
-    groups = {cell_key: Group(group) for cell_key, group in members.items()}
+        by_key.setdefault(key(cell), []).append(cell)
+    groups = {cell_key: group(members) for cell_key, members in by_key.items()}
     return [groups[key(cell)] for cell in cells]
 
 
 def _simulate_setup(stop: int, trace_stop: int):
-    """A ``run_cells`` setup for simulate cells whose iterations lie below
-    ``stop`` and trace those below ``trace_stop``. It draws each request set
-    and pool once, and fixed-worker's picks for iterations 0 .. stop - 1
+    """A simulate ``Group``'s setup, for iterations below ``stop`` that
+    trace those below ``trace_stop``. It draws each request set and pool
+    once, and fixed-worker's picks for iterations 0 .. stop - 1
     once per (pool size, seed), and makes each law once per strategy on them
     and each band once per (delta, supply), for all the cells of a pass.
     Pick i does not depend on ``stop``: ``Generator.integers`` draws in order."""
@@ -507,7 +520,7 @@ def _simulate_setup(stop: int, trace_stop: int):
 
     band_of = functools.cache(hoeffding_band)
 
-    def setup(config):
+    def iterate_of(config):
         regime = (config.mu, config.sigma, config.n_requests, config.seed)
         workers = (config.capability_lo, config.capability_hi, config.pool_size, config.seed)
         requests, pool = requests_of(*regime), pool_of(*workers)
@@ -522,38 +535,17 @@ def _simulate_setup(stop: int, trace_stop: int):
         return lambda blocks: run_iteration(config, requests, pool, law, band, blocks,
                                             record_trace=blocks.index < trace_stop, picks=picks)
 
-    return setup
+    return iterate_of
 
 
 def run_experiment(config: ExperimentConfig, trace_iterations: int = 0,
                    iterations: Optional[range] = None,
                    group: Optional[Group] = None) -> ExperimentSummary:
-    """Run the iterations of a configuration and aggregate labelling effort.
-
-    The requests and pool are drawn once from the experiment seed and
-    shared by every iteration, unless a per-iteration resample flag says
-    otherwise. ``iterations`` is the range of consecutive iteration indices
-    to run, by default ``range(config.iterations)``; iteration i draws from
-    ``substream(config.seed, DOMAIN_ITERATION, i)`` and takes fixed-worker's
-    pick i, so iteration i run alone on ``range(i, i + 1)``, as ``trace``
-    runs it, is iteration i of the whole cell. The first
-    ``trace_iterations`` of them keep their running A-counts.
-    ``group`` is the cell's ``Group`` from ``simulate_groups``, or a group
-    of the cell alone when None: the group's first call runs every cell of
-    the group, and each call returns what the cell returns alone. The
-    summary holds no interval: ``bootstrap_grid`` computes a whole grid's
-    from each cell's ``decided_efforts``.
-    """
-    if iterations is None:
-        iterations = range(config.iterations)
-    # stop - start, not len(), so that iteration_streams names a negative
-    # count as it was given
-    streams = iteration_streams(config.seed, DOMAIN_ITERATION,
-                                iterations.stop - iterations.start, iterations.start)
-    if group is None:
-        group = Group([config])
-    return group.summary(config, trace_iterations, zip(iterations, streams), config.n_requests,
-                         _simulate_setup(iterations.stop, iterations.start + trace_iterations))
+    """A cell's iterations, taken from ``group``, its ``Group`` from
+    ``simulate_groups``, or when None from ``simulate_groups([config],
+    trace_iterations, iterations)``: either way what the cell gets alone.
+    ``bootstrap_grid`` makes the intervals from each ``decided_efforts``."""
+    return (group or simulate_groups([config], trace_iterations, iterations)[0]).take(config)
 
 
 def bootstrap_grid(samples: list, seed: int, confidence: float, resamples: int) -> list:

@@ -6,9 +6,10 @@ the tests check the law of the votes (``simulator.vote_law``), and
 ``annotation_set`` builds recorded votes through ``parse_annotations``.
 ``lone_iteration`` runs one iteration of a grid cell alone, as ``trace`` runs
 it, and ``cell_draws`` catches the requests and pool that a cell's
-iterations share; both go through ``run_experiment``, which alone makes them.
-``lone_replay`` reads one iteration of a replay cell off ``replay_experiment``,
-which alone makes a replay cell's law and band.
+iterations share; both go through ``run_experiment``, whose group's set-up
+alone makes them. ``lone_replay`` reads one iteration of a replay cell off
+``replay_experiment``, whose group's set-up alone makes a replay cell's law
+and band.
 ``reference_reveal`` is the stream layout's request order, written apart from
 ``simulator.Blocks``, and ``reference_worker`` fixed-worker's worker, for the
 tests that replay an iteration's draws.

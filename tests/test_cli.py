@@ -142,8 +142,9 @@ class TestSimulateCommand:
     def test_one_process_run_never_loads_the_pool(self, smoke_config, dataset, tmp_path):
         # a fresh interpreter per command, so no module that the tests loaded
         # counts; logging is loaded only where replay warns of unequal vote
-        # counts, which simulate and this dataset never make, and numpy.ma
-        # only through np.quantile, which the bootstrap does not call
+        # counts, which simulate and this dataset never make, numpy.ma only
+        # through np.quantile, which the bootstrap does not call, and array
+        # only for a traced iteration, which neither run has
         src = str(Path(cli.__file__).resolve().parents[1])
         replay_config = tmp_path / "replay.yaml"
         replay_config.write_text(REPLAY, encoding="utf-8")
@@ -154,7 +155,7 @@ class TestSimulateCommand:
             script = (f"import sys; sys.path.insert(0, {src!r}); from twochoice.cli import main; "
                       f"code = main({args!r}); "
                       "print(code, [name for name in ('multiprocessing', 'concurrent.futures', "
-                      "'logging', 'numpy.ma') if name in sys.modules])")
+                      "'logging', 'numpy.ma', 'array') if name in sys.modules])")
             done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                   timeout=120)
             assert done.returncode == 0, done.stderr

@@ -6,15 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twochoice import simulator
 from twochoice.decision import Verdict
 from twochoice.replay import (
     DataFormatError,
     fleiss_kappa,
     parse_annotations,
     replay_experiment,
+    replay_group,
     replay_law,
 )
-from twochoice.simulator import FIRST_BLOCK, Group
+from twochoice.rng import DOMAIN_ITERATION
+from twochoice.simulator import FIRST_BLOCK
 from twochoice.strategies import Strategy
 
 from helpers import annotation_set, assert_max_three_stops_as_three_workers, lone_replay
@@ -306,7 +309,7 @@ class TestReplayGroup:
         cells = [(Strategy.from_name(name), delta)
                  for name in ("one-worker", "n-workers:9", "max-three", "n-workers:5")
                  for delta in (0.01, 0.001)]
-        group = Group(cells)
+        group = replay_group(votes, cells, 10, seed=4)
         failure = "n-workers:9 needs 9 votes per request but some request has only 8"
         stops = []
         for strategy, delta in reversed(cells):
@@ -322,6 +325,24 @@ class TestReplayGroup:
         # draws the second block live
         stops = np.array(stops)
         assert ((stops.min(axis=0) <= FIRST_BLOCK) & (stops.max(axis=0) > FIRST_BLOCK)).any()
+
+    def test_a_grid_draws_its_streams_once(self, monkeypatch):
+        # the grid's first replay_experiment call runs the pass; no call
+        # draws iteration streams of its own
+        votes = make_set([[1, 0, 1, 1, 0] for _ in range(40)])
+        cells = [(Strategy.from_name(name), delta)
+                 for name in ("one-worker", "max-three") for delta in (0.1, 0.01)]
+        calls, streams = [], simulator.iteration_streams
+
+        def spy(*args):
+            calls.append(args)
+            return streams(*args)
+
+        monkeypatch.setattr(simulator, "iteration_streams", spy)
+        group = replay_group(votes, cells, 6, seed=2)
+        for strategy, delta in cells:
+            replay_experiment(votes, strategy, delta, 6, seed=2, group=group)
+        assert calls == [(2, DOMAIN_ITERATION, 6, 0)]
 
 
 class TestFleissKappa:

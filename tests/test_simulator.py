@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from twochoice import decision, simulator
-from twochoice.cli import _TraceRows, simulate_grid
+from twochoice.cli import _TraceRows, main, simulate_grid
 from twochoice.config import load_simulate_config
 from twochoice.decision import DecisionState, Verdict, hoeffding_band
 from twochoice.eval_model import RequestSet, WorkerPool
@@ -245,19 +245,29 @@ class TestBlockDriver:
         # every row spends labels_per_row labels, and one more where splits,
         # max-three's mask of rows whose first two votes split, is True
         drawn, revealed = [], []
+        blocks = Blocks(np.random.default_rng(0), len(labels), 0)
+        # a law that draw_finals reads as the crafted stream whatever the
+        # uniform u in [0, 1): the final label is u < label, and max-three's
+        # first two votes split where 0 <= u < split
+        if splits is None:
+            strategy, law = Strategy.from_name(f"n-workers:{labels_per_row}"), labels[None, :]
+        else:
+            strategy = Strategy.from_name("max-three")
+            law = np.stack((labels, np.zeros(len(labels)), splits))
+        law = law.astype(np.float64)
 
-        def draw(rows):
-            # the crafted stream is laid out in the order the rows arrive
+        def block_law(rows):
+            # the crafted stream is laid out in the order the rows arrive, and
+            # a block's law is made before its uniforms are drawn
+            assert len(blocks._uniforms) == len(drawn)
             start = drawn[-1][1] if drawn else 0
             stop = start + len(rows)
             drawn.append((start, stop))
             revealed.extend(rows.tolist())
-            return labels[start:stop], labels_per_row, (None if splits is None
-                                                        else splits[start:stop])
+            return law[:, start:stop]
 
-        blocks = Blocks(np.random.default_rng(0), len(labels), 0)
         band = hoeffding_band(delta, len(labels))
-        result = run_blocks(lambda b: draw(blocks.rows(b)), band, record_trace=True)
+        result = run_blocks(strategy, block_law, blocks, band, record_trace=True)
         assert len(set(revealed)) == len(revealed) == drawn[-1][1]
         assert set(revealed) <= set(range(len(labels)))
         states = _fold(labels, delta)
@@ -333,12 +343,11 @@ class TestRevealOrder:
         """The blocks of rows run_blocks reads over n_total rows."""
         blocks = []
 
-        def draw(rows):
+        def block_law(rows):
             blocks.append(rows)
-            return np.zeros(rows.size, dtype=np.int8), 1, None
+            return np.zeros((1, rows.size))
 
-        reveal = Blocks(rng, n_total, 0)
-        result = run_blocks(lambda b: draw(reveal.rows(b)),
+        result = run_blocks(Strategy.from_name("one-worker"), block_law, Blocks(rng, n_total, 0),
                             hoeffding_band(TestRevealOrder.DELTA, n_total))
         assert not result.decided and result.n_at_decision == n_total
         return blocks
@@ -662,10 +671,9 @@ class TestGroups:
     def test_each_cell_gets_what_it_gets_alone(self, trace_iterations):
         cells = self.grid()
         alone = [run_experiment(cell, trace_iterations=trace_iterations) for cell in cells]
-        groups = simulate_groups(cells)
+        groups = simulate_groups(cells, trace_iterations)
         # the cells ask in reverse grid order: whichever asks first runs the pass
-        grouped = {i: run_experiment(cells[i], trace_iterations=trace_iterations,
-                                     group=groups[i])
+        grouped = {i: run_experiment(cells[i], group=groups[i])
                    for i in reversed(range(len(cells)))}
         for i, summary in enumerate(alone):
             assert grouped[i] == summary
@@ -681,7 +689,7 @@ class TestGroups:
     def test_cells_of_an_iteration_read_one_blocks(self, monkeypatch, trace_iterations):
         grid = self.grid()
         cells = [*grid[:8], grid[12]]  # the first group, fixed-worker last
-        group = simulate_groups(cells)[0]
+        group = simulate_groups(cells, trace_iterations)[0]
         calls, run = [], simulator.run_iteration
 
         def spy(config, requests, pool, law, band, blocks, **kwargs):
@@ -689,8 +697,7 @@ class TestGroups:
             return run(config, requests, pool, law, band, blocks, **kwargs)
 
         monkeypatch.setattr(simulator, "run_iteration", spy)
-        summaries = [run_experiment(cell, trace_iterations=trace_iterations, group=group)
-                     for cell in cells]
+        summaries = [run_experiment(cell, group=group) for cell in cells]
         # one call per cell and iteration, traced ones too, iteration by
         # iteration, every cell in grid order on the iteration's one Blocks
         assert len(calls) == len(cells) * 8
@@ -728,12 +735,24 @@ class TestGroups:
             assert run_experiment(cells[i], group=group) == alone[i]
         assert calls[cells[0]] == 3 and cells[1] not in calls
 
-    def test_every_call_of_a_group_traces_alike(self):
-        cells = self.grid()[:2]
-        group = simulate_groups(cells)[0]
-        run_experiment(cells[0], trace_iterations=2, group=group)
-        with pytest.raises(ValueError, match="trace their first 2 iterations, not 0"):
-            run_experiment(cells[1], group=group)
+    def test_a_group_draws_its_streams_once(self, monkeypatch, tmp_path):
+        # a traced smoke-grid simulate: its twelve cells form two groups, one
+        # per request supply, and each group draws its iteration streams once
+        smoke = Path(__file__).parents[1] / "configs" / "simulate_smoke.yaml"
+        traced = tmp_path / "traced.yaml"
+        traced.write_text(smoke.read_text(encoding="utf-8") + "trace_iterations: 2\n",
+                          encoding="utf-8")
+        calls, streams = [], simulator.iteration_streams
+
+        def spy(*args):
+            calls.append(args)
+            return streams(*args)
+
+        monkeypatch.setattr(simulator, "iteration_streams", spy)
+        assert main(["simulate", "--config", str(traced), "--out", str(tmp_path / "out")]) == 0
+        cells = simulate_grid(load_simulate_config(traced))
+        assert len(cells) == 12 and len(set(simulate_groups(cells, 2))) == 2
+        assert calls == [(0, DOMAIN_ITERATION, 50, 0)] * 2
 
 
 def lone_ci(sample, confidence, resamples, rng):
@@ -969,6 +988,16 @@ class TestConfigValidation:
     def test_bad_seed(self, iterations_run):
         with pytest.raises(ValueError):
             run_experiment(make_config(seed=-1))
+        assert iterations_run == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+        ("iterations", 0, "iterations must be >= 1, got 0")])
+    def test_streams_are_checked_before_the_cell(self, iterations_run, field, value, message):
+        # a bad seed or iteration count is named before a bad delta, which
+        # the cell's band would name
+        with pytest.raises(ValueError, match=message):
+            run_experiment(make_config(**{field: value}, delta=0.0))
         assert iterations_run == []
 
     def test_bad_capability_bounds(self, iterations_run):
